@@ -1,9 +1,10 @@
 """Versioned binary model files with bit-exact round trips.
 
 Layout: magic, format version, mode tag, config echo, then two length-prefixed
-sections (structure, weights). All integers are fixed-width little-endian and
-all reals are 8-byte IEEE floats, so identical runs produce identical bytes
-and a reload reproduces predictions exactly.
+sections (structure, weights). Each section is a sequence of fixed-width
+little-endian records, laid out by the ``struct.Struct`` constants below, and
+length-prefixed UTF-8 strings. All reals are 8-byte IEEE floats, so identical
+runs produce identical bytes and a reload reproduces predictions exactly.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from io import BytesIO
+from itertools import starmap
 from typing import BinaryIO
 
 from .evaluation import OneAgainstAll, TableBaseline
 from .pecoc import KWayTree, PecocModel
 from .regressor import LinearRegressor
-from .tree import CondProbTree, _Node
+from .tree import CondProbTree, CorruptTreeError, _Node
 
 MAGIC = b"CPTM"
 FORMAT_VERSION = 1
@@ -48,30 +50,25 @@ class ModelFormatError(ValueError):
     """Raised when a model file fails validation."""
 
 
-def _w_u8(out: BinaryIO, v: int) -> None:
-    out.write(struct.pack("<B", v))
+# Every fixed-width record of format v1, little-endian and unpadded.
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_CONFIG = struct.Struct("<ddIIIdQ")  # alpha, eta, hash_bits, passes, k, delta, seed
+_REGRESSOR = struct.Struct("<dQdI")  # learning rate, update count, bias, nnz
+_WEIGHT = struct.Struct("<Id")  # feature index, weight
+_TREE_HEAD = struct.Struct("<IIQ")  # node slots, node records, disagreements
+_NODE_HEAD = struct.Struct("<IB")  # node id, kind (0 internal, 1 leaf)
+_INTERNAL = struct.Struct("<IIQQ")  # left, right, left leaves, right leaves
+_PECOC_HEAD = struct.Struct("<II")  # code exponent, labels
+_KWAY_HEAD = struct.Struct("<III")  # fan-out, depth, labels
+_KWAY_NODE = struct.Struct("<IQ")  # level, index
+_TABLE_CONTEXT = struct.Struct("<QI")  # context total, labels
 
-
-def _w_u32(out: BinaryIO, v: int) -> None:
-    out.write(struct.pack("<I", v))
-
-
-def _w_u64(out: BinaryIO, v: int) -> None:
-    out.write(struct.pack("<Q", v))
-
-
-def _w_f64(out: BinaryIO, v: float) -> None:
-    out.write(struct.pack("<d", v))
-
-
-def _w_str(out: BinaryIO, s: str) -> None:
-    raw = s.encode("utf-8")
-    _w_u32(out, len(raw))
-    out.write(raw)
+_INTERNAL_KIND, _LEAF_KIND = 0, 1
 
 
 def _w_bytes(out: BinaryIO, raw: bytes) -> None:
-    _w_u32(out, len(raw))
+    out.write(_U32.pack(len(raw)))
     out.write(raw)
 
 
@@ -87,47 +84,34 @@ class _Reader:
         self._pos += n
         return chunk
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
-
-    def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
 
     def raw_bytes(self) -> bytes:
-        return self.take(self.u32())
+        return self.take(self.unpack(_U32)[0])
 
-    def done(self) -> bool:
-        return self._pos == len(self._raw)
+    def string(self) -> str:
+        try:
+            return self.raw_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"string is not UTF-8: {exc}") from exc
+
+    def finish(self, section: str) -> None:
+        if self._pos != len(self._raw):
+            raise ModelFormatError(f"trailing bytes after {section}")
 
 
 def _write_regressor(out: BinaryIO, reg: LinearRegressor) -> None:
-    _w_f64(out, reg.learning_rate)
-    _w_u64(out, reg.update_count)
-    _w_f64(out, reg.bias)
-    items = sorted(reg.weights.items())
-    _w_u32(out, len(items))
-    for index, value in items:
-        _w_u32(out, index)
-        _w_f64(out, value)
+    out.write(_REGRESSOR.pack(reg.learning_rate, reg.update_count, reg.bias, len(reg.weights)))
+    out.writelines(starmap(_WEIGHT.pack, sorted(reg.weights.items())))
 
 
 def _read_regressor(r: _Reader) -> LinearRegressor:
-    reg = LinearRegressor(r.f64())
-    reg.update_count = r.u64()
-    reg.bias = r.f64()
-    nnz = r.u32()
-    for _ in range(nnz):
-        index = r.u32()
-        reg.weights[index] = r.f64()
+    learning_rate, update_count, bias, nnz = r.unpack(_REGRESSOR)
+    reg = LinearRegressor(learning_rate)
+    reg.update_count = update_count
+    reg.bias = bias
+    reg.weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
     return reg
 
 
@@ -150,25 +134,19 @@ def _encode_tree(tree: CondProbTree) -> tuple[bytes, bytes]:
     structure = BytesIO()
     weights = BytesIO()
     order = _tree_preorder(tree)
-    _w_u32(structure, len(tree.nodes))
-    _w_u32(structure, len(order))
-    _w_u64(structure, tree.disagreement_count)
+    structure.write(_TREE_HEAD.pack(len(tree.nodes), len(order), tree.disagreement_count))
     # The update counter is training state, not shape; keeping it in the
     # weights section lets structure sections compare byte-for-byte across
     # retraining passes.
-    _w_u64(weights, tree.updates)
+    weights.write(_U64.pack(tree.updates))
     for node_id in order:
         node = tree.nodes[node_id]
-        _w_u32(structure, node_id)
         if node.is_leaf:
-            _w_u8(structure, 1)
-            _w_str(structure, node.label)
+            structure.write(_NODE_HEAD.pack(node_id, _LEAF_KIND))
+            _w_bytes(structure, node.label.encode("utf-8"))
         else:
-            _w_u8(structure, 0)
-            _w_u32(structure, node.left)
-            _w_u32(structure, node.right)
-            _w_u64(structure, node.n_left)
-            _w_u64(structure, node.n_right)
+            structure.write(_NODE_HEAD.pack(node_id, _INTERNAL_KIND))
+            structure.write(_INTERNAL.pack(node.left, node.right, node.n_left, node.n_right))
         _write_regressor(weights, node.reg)
     return structure.getvalue(), weights.getvalue()
 
@@ -180,40 +158,49 @@ def _decode_tree(mode: str, cfg: ModelConfig, structure: bytes, weights: bytes) 
     )
     s = _Reader(structure)
     w = _Reader(weights)
-    n_nodes = s.u32()
-    n_order = s.u32()
-    tree.disagreement_count = s.u64()
-    tree.updates = w.u64()
-    if n_nodes == 0:
-        return tree
+    n_nodes, n_order, tree.disagreement_count = s.unpack(_TREE_HEAD)
+    (tree.updates,) = w.unpack(_U64)
     if n_order != n_nodes:
         raise ModelFormatError("node record count mismatch")
-    tree.nodes = [_Node(None, None, None) for _ in range(n_nodes)]
-    seen_root = False
+    if n_nodes * _NODE_HEAD.size > len(structure):
+        raise ModelFormatError("node count exceeds the structure section")
+    nodes = tree.nodes = [_Node(None, None, None) for _ in range(n_nodes)]
+    # Records come in preorder, so the first one is the root. Each id must
+    # appear once, no node may be named as a child twice and the root never;
+    # with distinct labels and the leaf recount below, that makes the nodes
+    # one tree, so no traversal can loop.
     for _ in range(n_order):
-        node_id = s.u32()
-        if not 0 <= node_id < n_nodes:
+        node_id, kind = s.unpack(_NODE_HEAD)
+        if node_id >= n_nodes:
             raise ModelFormatError(f"node id out of range: {node_id}")
-        node = tree.nodes[node_id]
-        kind = s.u8()
-        if kind == 1:
-            node.label = s.string()
-            tree.leaf_index[node.label] = node_id
-        elif kind == 0:
-            node.left = s.u32()
-            node.right = s.u32()
-            node.n_left = s.u64()
-            node.n_right = s.u64()
+        node = nodes[node_id]
+        if node.reg is not None:
+            raise ModelFormatError(f"node {node_id} appears twice")
+        if tree.root is None:
+            tree.root = node_id
+        if kind == _LEAF_KIND:
+            label = s.string()
+            if label in tree.leaf_index:
+                raise ModelFormatError(f"label {label!r} appears twice")
+            node.label = label
+            tree.leaf_index[label] = node_id
+        elif kind == _INTERNAL_KIND:
+            node.left, node.right, node.n_left, node.n_right = s.unpack(_INTERNAL)
+            for child in (node.left, node.right):
+                if child >= n_nodes:
+                    raise ModelFormatError(f"node {node_id}: child id out of range: {child}")
+                if nodes[child].parent is not None:
+                    raise ModelFormatError(f"node {child} is named as a child twice")
+                nodes[child].parent = node_id
         else:
             raise ModelFormatError(f"unknown node kind {kind}")
         node.reg = _read_regressor(w)
-        if not seen_root:
-            tree.root = node_id
-            seen_root = True
-    for node_id, node in enumerate(tree.nodes):
-        if not node.is_leaf:
-            tree.nodes[node.left].parent = node_id
-            tree.nodes[node.right].parent = node_id
+    s.finish("node records")
+    w.finish("node regressors")
+    if tree.root is None:
+        return tree
+    if nodes[tree.root].parent is not None:
+        raise ModelFormatError("the root is named as a child")
     stats = tree.depth_stats()  # validates counts against a recount
     tree.max_depth = stats.max_depth
     return tree
@@ -222,10 +209,10 @@ def _decode_tree(mode: str, cfg: ModelConfig, structure: bytes, weights: bytes) 
 def _encode_oaa(est: OneAgainstAll) -> tuple[bytes, bytes]:
     structure = BytesIO()
     weights = BytesIO()
-    _w_u32(structure, len(est.regressors))
-    _w_u64(weights, est.updates)
+    structure.write(_U32.pack(len(est.regressors)))
+    weights.write(_U64.pack(est.updates))
     for label, reg in est.regressors.items():
-        _w_str(structure, label)
+        _w_bytes(structure, label.encode("utf-8"))
         _write_regressor(weights, reg)
     return structure.getvalue(), weights.getvalue()
 
@@ -234,21 +221,22 @@ def _decode_oaa(cfg: ModelConfig, structure: bytes, weights: bytes) -> OneAgains
     est = OneAgainstAll(cfg.eta)
     s = _Reader(structure)
     w = _Reader(weights)
-    count = s.u32()
-    est.updates = w.u64()
+    (count,) = s.unpack(_U32)
+    (est.updates,) = w.unpack(_U64)
     for _ in range(count):
         est.regressors[s.string()] = _read_regressor(w)
+    s.finish("labels")
+    w.finish("regressors")
     return est
 
 
 def _encode_pecoc(est: PecocModel) -> tuple[bytes, bytes]:
     structure = BytesIO()
     weights = BytesIO()
-    _w_u32(structure, est.t)
-    _w_u32(structure, est.n_labels)
-    _w_u64(weights, est.updates)
+    structure.write(_PECOC_HEAD.pack(est.t, est.n_labels))
+    weights.write(_U64.pack(est.updates))
     for label, _col in sorted(est.label_map.items(), key=lambda kv: kv[1]):
-        _w_str(structure, label)
+        _w_bytes(structure, label.encode("utf-8"))
     for reg in est.row_regressors:
         _write_regressor(weights, reg)
     return structure.getvalue(), weights.getvalue()
@@ -257,32 +245,30 @@ def _encode_pecoc(est: PecocModel) -> tuple[bytes, bytes]:
 def _decode_pecoc(cfg: ModelConfig, structure: bytes, weights: bytes) -> PecocModel:
     s = _Reader(structure)
     w = _Reader(weights)
-    t = s.u32()
-    n = s.u32()
+    t, n = s.unpack(_PECOC_HEAD)
     labels = [s.string() for _ in range(n)]
+    s.finish("labels")
     est = PecocModel(labels, cfg.eta)
     if est.t != t:
         raise ModelFormatError("code size does not match label count")
-    est.updates = w.u64()
+    (est.updates,) = w.unpack(_U64)
     est.row_regressors = [_read_regressor(w) for _ in range(est.size - 1)]
+    w.finish("row regressors")
     return est
 
 
 def _encode_kway(est: KWayTree) -> tuple[bytes, bytes]:
     structure = BytesIO()
     weights = BytesIO()
-    _w_u32(structure, est.k)
-    _w_u32(structure, est.depth)
-    _w_u32(structure, est.n_labels)
-    _w_u64(weights, est.updates)
+    structure.write(_KWAY_HEAD.pack(est.k, est.depth, est.n_labels))
+    weights.write(_U64.pack(est.updates))
     for label, _slot in sorted(est.label_map.items(), key=lambda kv: kv[1]):
-        _w_str(structure, label)
+        _w_bytes(structure, label.encode("utf-8"))
     keys = sorted(est._node_regs)
-    _w_u32(structure, len(keys))
-    for level, index in keys:
-        _w_u32(structure, level)
-        _w_u64(structure, index)
-        for reg in est._node_regs[(level, index)]:
+    structure.write(_U32.pack(len(keys)))
+    for key in keys:
+        structure.write(_KWAY_NODE.pack(*key))
+        for reg in est._node_regs[key]:
             _write_regressor(weights, reg)
     return structure.getvalue(), weights.getvalue()
 
@@ -290,18 +276,17 @@ def _encode_kway(est: KWayTree) -> tuple[bytes, bytes]:
 def _decode_kway(cfg: ModelConfig, structure: bytes, weights: bytes) -> KWayTree:
     s = _Reader(structure)
     w = _Reader(weights)
-    k = s.u32()
-    depth = s.u32()
-    n = s.u32()
+    k, depth, n = s.unpack(_KWAY_HEAD)
     labels = [s.string() for _ in range(n)]
     est = KWayTree(labels, k, cfg.eta)
     if est.depth != depth:
         raise ModelFormatError("tree depth does not match label count")
-    est.updates = w.u64()
-    node_count = s.u32()
+    (est.updates,) = w.unpack(_U64)
+    (node_count,) = s.unpack(_U32)
     for _ in range(node_count):
-        key = (s.u32(), s.u64())
-        est._node_regs[key] = [_read_regressor(w) for _ in range(k - 1)]
+        est._node_regs[s.unpack(_KWAY_NODE)] = [_read_regressor(w) for _ in range(k - 1)]
+    s.finish("node keys")
+    w.finish("node regressors")
     return est
 
 
@@ -311,16 +296,15 @@ def _encode_table(est: TableBaseline) -> tuple[bytes, bytes]:
     by_context: dict[bytes, list[tuple[str, int]]] = {}
     for (key, label), count in est.counts.items():
         by_context.setdefault(key, []).append((label, count))
-    _w_u64(structure, len(by_context))
-    _w_u64(weights, est.updates)
+    structure.write(_U64.pack(len(by_context)))
+    weights.write(_U64.pack(est.updates))
     for key in sorted(by_context):
-        _w_bytes(structure, key)
-        _w_u64(structure, est.context_totals[key])
         entries = sorted(by_context[key])
-        _w_u32(structure, len(entries))
+        _w_bytes(structure, key)
+        structure.write(_TABLE_CONTEXT.pack(est.context_totals[key], len(entries)))
         for label, count in entries:
-            _w_str(structure, label)
-            _w_u64(weights, count)
+            _w_bytes(structure, label.encode("utf-8"))
+            weights.write(_U64.pack(count))
     return structure.getvalue(), weights.getvalue()
 
 
@@ -328,15 +312,16 @@ def _decode_table(cfg: ModelConfig, structure: bytes, weights: bytes) -> TableBa
     est = TableBaseline()
     s = _Reader(structure)
     w = _Reader(weights)
-    n_contexts = s.u64()
-    est.updates = w.u64()
+    (n_contexts,) = s.unpack(_U64)
+    (est.updates,) = w.unpack(_U64)
     for _ in range(n_contexts):
         key = s.raw_bytes()
-        est.context_totals[key] = s.u64()
-        n_labels = s.u32()
+        est.context_totals[key], n_labels = s.unpack(_TABLE_CONTEXT)
         for _ in range(n_labels):
             label = s.string()
-            est.counts[(key, label)] = w.u64()
+            (est.counts[(key, label)],) = w.unpack(_U64)
+    s.finish("contexts")
+    w.finish("counts")
     return est
 
 
@@ -357,18 +342,15 @@ def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
     structure, weights = _ENCODERS[mode](estimator)
     with open(path, "wb") as out:
         out.write(MAGIC)
-        _w_u32(out, FORMAT_VERSION)
-        _w_str(out, mode)
-        _w_f64(out, config.alpha)
-        _w_f64(out, config.eta)
-        _w_u32(out, config.hash_bits)
-        _w_u32(out, config.passes)
-        _w_u32(out, config.k)
-        _w_f64(out, config.delta)
-        _w_u64(out, config.seed)
-        _w_u64(out, len(structure))
+        out.write(_U32.pack(FORMAT_VERSION))
+        _w_bytes(out, mode.encode("utf-8"))
+        out.write(_CONFIG.pack(
+            config.alpha, config.eta, config.hash_bits, config.passes,
+            config.k, config.delta, config.seed,
+        ))
+        out.write(_U64.pack(len(structure)))
         out.write(structure)
-        _w_u64(out, len(weights))
+        out.write(_U64.pack(len(weights)))
         out.write(weights)
 
 
@@ -379,38 +361,36 @@ def read_sections(path) -> tuple[str, ModelConfig, bytes, bytes]:
     r = _Reader(raw)
     if r.take(4) != MAGIC:
         raise ModelFormatError("bad magic; not a model file")
-    version = r.u32()
+    (version,) = r.unpack(_U32)
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
     mode = r.string()
     if mode not in MODES:
         raise ModelFormatError(f"unknown mode tag {mode!r}")
-    config = ModelConfig(
-        alpha=r.f64(),
-        eta=r.f64(),
-        hash_bits=r.u32(),
-        passes=r.u32(),
-        k=r.u32(),
-        delta=r.f64(),
-        seed=r.u64(),
-    )
-    structure = r.take(r.u64())
-    weights = r.take(r.u64())
-    if not r.done():
-        raise ModelFormatError("trailing bytes after weights section")
+    config = ModelConfig(*r.unpack(_CONFIG))
+    structure = r.take(r.unpack(_U64)[0])
+    weights = r.take(r.unpack(_U64)[0])
+    r.finish("weights section")
     return mode, config, structure, weights
 
 
 def load_model(path) -> LoadedModel:
     mode, config, structure, weights = read_sections(path)
-    if mode in ("cpt-online", "cpt-random", "cpt-fixed"):
-        est = _decode_tree(mode, config, structure, weights)
-    elif mode == "oaa":
-        est = _decode_oaa(config, structure, weights)
-    elif mode == "pecoc":
-        est = _decode_pecoc(config, structure, weights)
-    elif mode == "kway":
-        est = _decode_kway(config, structure, weights)
-    else:
-        est = _decode_table(config, structure, weights)
+    try:
+        if mode in ("cpt-online", "cpt-random", "cpt-fixed"):
+            est = _decode_tree(mode, config, structure, weights)
+        elif mode == "oaa":
+            est = _decode_oaa(config, structure, weights)
+        elif mode == "pecoc":
+            est = _decode_pecoc(config, structure, weights)
+        elif mode == "kway":
+            est = _decode_kway(config, structure, weights)
+        else:
+            est = _decode_table(config, structure, weights)
+    except ModelFormatError:
+        raise
+    except (ValueError, CorruptTreeError) as exc:
+        # Constructors reject decoded parameters (alpha, learning rate,
+        # duplicate labels, fan-out) and the tree recount rejects counts.
+        raise ModelFormatError(f"invalid {mode} model: {exc}") from exc
     return LoadedModel(mode=mode, config=config, estimator=est)

@@ -106,7 +106,6 @@ class DepthStats:
     total_leaf_depth: int
     disagreements: int
     depth_histogram: dict[int, int]
-    node_counts: list[tuple[int, int, int]]  # (node_id, left leaves, right leaves)
 
 
 class CondProbTree:
@@ -319,10 +318,9 @@ class CondProbTree:
     def depth_stats(self) -> DepthStats:
         """Recount leaves and depths by traversal, cross-checking stored counts."""
         if self.root is None:
-            return DepthStats(0, 0, 0, self.disagreement_count, {}, [])
+            return DepthStats(0, 0, 0, self.disagreement_count, {})
         nodes = self.nodes
         histogram: dict[int, int] = {}
-        node_counts: list[tuple[int, int, int]] = []
         total = 0
         deepest = 0
         leaves = 0
@@ -353,7 +351,6 @@ class CondProbTree:
                     f" != recount ({left_count}, {right_count})"
                 )
             counts[node_id] = left_count + right_count
-            node_counts.append((node_id, left_count, right_count))
         if leaves != len(self.leaf_index):
             raise CorruptTreeError(
                 f"{leaves} leaves found but {len(self.leaf_index)} labels indexed"
@@ -364,7 +361,6 @@ class CondProbTree:
             total_leaf_depth=total,
             disagreements=self.disagreement_count,
             depth_histogram=histogram,
-            node_counts=node_counts,
         )
 
     def structure_signature(self) -> tuple:

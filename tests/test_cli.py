@@ -1,4 +1,5 @@
 import io
+import struct
 
 import pytest
 
@@ -251,6 +252,31 @@ def test_missing_input_file_is_reported(tmp_path, capsys):
                    str(tmp_path / "nope.txt"), "--model",
                    str(tmp_path / "m.bin"))[0] == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "inspect"])
+def test_corrupt_child_id_is_a_one_line_error(command, streams, tmp_path, capsys):
+    train, test = streams
+    model = tmp_path / "m.bin"
+    run_cli("train", "--mode", "cpt-online", "--train", str(train),
+            "--model", str(model))
+    _, _, structure, weights = read_sections(model)
+    n_nodes = struct.unpack_from("<I", structure)[0]
+    # The structure section sits just before the weights section and its
+    # length; the root's left-child id follows the 16-byte tree header and
+    # the root's (id, kind) head.
+    raw = bytearray(model.read_bytes())
+    left = len(raw) - len(weights) - 8 - len(structure) + 16 + 5
+    raw[left : left + 4] = struct.pack("<I", n_nodes)
+    model.write_bytes(bytes(raw))
+    capsys.readouterr()
+    argv = ["--model", str(model)]
+    if command == "eval":
+        argv += ["--test", str(test)]
+    assert run_cli(command, *argv)[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "child id out of range" in err
 
 
 def test_kway_requires_fanout(streams, tmp_path):

@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
 import random
+import signal
+import struct
 
 import pytest
 
@@ -14,7 +18,7 @@ from cptree import (
     read_sections,
     save_model,
 )
-from cptree.model_io import ModelFormatError
+from cptree.model_io import MODES, ModelFormatError
 
 
 TASK = SyntheticTask.random(contexts=6, labels=12, seed=50)
@@ -44,9 +48,29 @@ def build(mode):
     return cfg, est
 
 
-@pytest.mark.parametrize(
-    "mode", ["cpt-online", "cpt-random", "cpt-fixed", "oaa", "pecoc", "kway", "table"]
-)
+# sha256 of the file save_model writes for build(mode), recorded with the
+# field-at-a-time codec of commit 335a0fd. The record codec must reproduce
+# these bytes exactly: format v1 is unchanged.
+GOLDEN_SHA256 = {
+    "cpt-online": "b5de27b3a29713a721690076762ecae0f29cf6616a2dce217812e1e362bd9278",
+    "cpt-random": "86b070c92df14775b2402d0a030b02d3a8f858b622262b5e286b2f38df832d06",
+    "cpt-fixed": "18a4bb2efae77116a1c62bb7d17bd5c9fdcce8cdb72a88812c7844e61ca676f4",
+    "oaa": "064b75c48642c7bfe07bbfc7ba77a2d3e922eca7a90d3f998d4463f695ee29e1",
+    "pecoc": "a60ee48854b276d266a30ab65b349928ebe37e88664baab2abe3e64cdf98c1f9",
+    "kway": "cc49ab359c8812f2989675eab2f307608612189d727e609a509e27d50678109b",
+    "table": "9267f16233eb24636fb7280540edb924db570a39c0baa560efe4c8ad6399b23e",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_model_bytes_match_golden_hashes(mode, tmp_path):
+    cfg, est = build(mode)
+    path = tmp_path / "model.bin"
+    save_model(path, mode, cfg, est)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_round_trip_reproduces_predictions_exactly(mode, tmp_path):
     cfg, est = build(mode)
     path = tmp_path / "model.bin"
@@ -117,3 +141,104 @@ def test_loaded_tree_keeps_learning_consistently(tmp_path):
         twin.learn(example.x, example.y)
     for example in HELD_OUT[:200]:
         assert est.score(example.x, example.y) == twin.score(example.x, example.y)
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("time limit reached")
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _two_leaf_tree_file(tmp_path, offset, patch):
+    """Save the tree root(A, B) and overwrite its structure section from
+    offset on with patch; offset == 65 appends to the section.
+
+    Structure layout: a 16-byte tree head, the root record (id, kind, left,
+    right, left leaves, right leaves) at 16, leaf "A" at 45, leaf "B" at 55.
+    """
+    tree = CondProbTree()
+    tree.learn(TRAIN[0].x, "A")
+    tree.learn(TRAIN[0].x, "B")
+    path = tmp_path / "model.bin"
+    save_model(path, "cpt-online", ModelConfig(), tree)
+    raw = path.read_bytes()
+    _, _, structure, weights = read_sections(path)
+    assert len(structure) == 65
+    header = raw[: len(raw) - len(weights) - len(structure) - 16]
+    edited = bytearray(structure)
+    edited[offset : offset + len(patch)] = patch
+    path.write_bytes(
+        header + struct.pack("<Q", len(edited)) + edited
+        + struct.pack("<Q", len(weights)) + weights
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "offset, patch, message",
+    [
+        # The root's right child is the root: a cycle from the root.
+        (25, struct.pack("<I", 0), "the root is named as a child"),
+        (25, struct.pack("<I", 1), "node 1 is named as a child twice"),
+        (55, struct.pack("<I", 1), "node 1 appears twice"),
+        (64, b"A", "label 'A' appears twice"),
+        (65, b"\0", "trailing bytes after node records"),
+        # Rejected before a node list of that size is allocated.
+        (0, struct.pack("<II", 1 << 20, 1 << 20), "node count exceeds"),
+    ],
+    ids=["root-cycle", "child-twice", "id-twice", "label-twice", "trailing-byte",
+         "node-count"],
+)
+def test_malformed_tree_records_are_rejected(offset, patch, message, tmp_path):
+    path = _two_leaf_tree_file(tmp_path, offset, patch)
+    with _time_limit(2), pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+def test_unedited_two_leaf_tree_loads(tmp_path):
+    tree = load_model(_two_leaf_tree_file(tmp_path, 0, b"")).estimator
+    assert tree.leaf_index == {"A": 1, "B": 2}
+
+
+def _mutated_models(tmp_path, seed=2031, cases=300):
+    """Yield (mode, bytes): saved models of every mode in turn, each with 1 to
+    4 random bytes overwritten by a different value."""
+    originals = {}
+    for mode in MODES:
+        cfg, est = build(mode)
+        save_model(tmp_path / f"{mode}.bin", mode, cfg, est)
+        originals[mode] = (tmp_path / f"{mode}.bin").read_bytes()
+    rng = random.Random(seed)
+    for case in range(cases):
+        mode = MODES[case % len(MODES)]
+        raw = bytearray(originals[mode])
+        for _ in range(rng.randint(1, 4)):
+            pos = rng.randrange(len(raw))
+            raw[pos] = (raw[pos] + rng.randrange(1, 256)) % 256
+        yield mode, bytes(raw)
+
+
+def test_mutated_files_load_or_raise_model_format_error(tmp_path):
+    path = tmp_path / "mutant.bin"
+    loaded_modes, rejected_modes = set(), set()
+    for mode, raw in _mutated_models(tmp_path):
+        path.write_bytes(raw)
+        with _time_limit(2):
+            try:
+                loaded = load_model(path)
+                for example in HELD_OUT[:5]:
+                    loaded.estimator.score(example.x, example.y)
+                loaded_modes.add(mode)
+            except ModelFormatError:
+                rejected_modes.add(mode)
+    # Most mutations land in weights, which load; the rest must be rejected.
+    assert loaded_modes == rejected_modes == set(MODES)
