@@ -365,21 +365,10 @@ def node_conditionals(
     """
     reach: dict[int, np.ndarray] = {}
     right: dict[int, np.ndarray] = {}
-    if tree.root is None:
-        return reach, right
     nodes = tree.nodes
     # Leaf masses per context, then aggregate bottom-up.
     masses: dict[int, np.ndarray] = {}
-    order: list[int] = []
-    stack = [tree.root]
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        node = nodes[node_id]
-        if not node.is_leaf:
-            stack.append(node.left)
-            stack.append(node.right)
-    for node_id in reversed(order):
+    for node_id, _ in reversed(tree.preorder()):
         node = nodes[node_id]
         if node.is_leaf:
             j = task.label_pos(node.label)

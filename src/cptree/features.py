@@ -12,7 +12,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 MIN_HASH_BITS = 10
 MAX_HASH_BITS = 30
@@ -66,14 +66,6 @@ class SparseVector:
 
     def pairs(self) -> Iterable[tuple[int, float]]:
         return zip(self.indices, self.values)
-
-    def dot(self, weights: Mapping[int, float]) -> float:
-        total = 0.0
-        for i, v in zip(self.indices, self.values):
-            w = weights.get(i)
-            if w is not None:
-                total += w * v
-        return total
 
     def squared_norm(self) -> float:
         return sum(v * v for v in self.values)

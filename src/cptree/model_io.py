@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from io import BytesIO
 from itertools import starmap
 from typing import BinaryIO
@@ -22,8 +23,6 @@ from .tree import CondProbTree, CorruptTreeError, _Node
 
 MAGIC = b"CPTM"
 FORMAT_VERSION = 1
-
-MODES = ("cpt-online", "cpt-random", "cpt-fixed", "oaa", "pecoc", "kway", "table")
 
 
 @dataclass
@@ -74,13 +73,13 @@ def _w_bytes(out: BinaryIO, raw: bytes) -> None:
 
 class _Reader:
     def __init__(self, raw: bytes):
-        self._raw = raw
+        self.raw = raw
         self._pos = 0
 
     def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._raw):
+        if self._pos + n > len(self.raw):
             raise ModelFormatError("truncated model file")
-        chunk = self._raw[self._pos : self._pos + n]
+        chunk = self.raw[self._pos : self._pos + n]
         self._pos += n
         return chunk
 
@@ -97,7 +96,7 @@ class _Reader:
             raise ModelFormatError(f"string is not UTF-8: {exc}") from exc
 
     def finish(self, section: str) -> None:
-        if self._pos != len(self._raw):
+        if self._pos != len(self.raw):
             raise ModelFormatError(f"trailing bytes after {section}")
 
 
@@ -115,31 +114,10 @@ def _read_regressor(r: _Reader) -> LinearRegressor:
     return reg
 
 
-def _tree_preorder(tree: CondProbTree) -> list[int]:
-    if tree.root is None:
-        return []
-    order = []
-    stack = [tree.root]
-    while stack:
-        node_id = stack.pop()
-        order.append(node_id)
-        node = tree.nodes[node_id]
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-    return order
-
-
-def _encode_tree(tree: CondProbTree) -> tuple[bytes, bytes]:
-    structure = BytesIO()
-    weights = BytesIO()
-    order = _tree_preorder(tree)
+def _encode_tree(tree: CondProbTree, structure: BinaryIO, weights: BinaryIO) -> None:
+    order = tree.preorder()
     structure.write(_TREE_HEAD.pack(len(tree.nodes), len(order), tree.disagreement_count))
-    # The update counter is training state, not shape; keeping it in the
-    # weights section lets structure sections compare byte-for-byte across
-    # retraining passes.
-    weights.write(_U64.pack(tree.updates))
-    for node_id in order:
+    for node_id, _ in order:
         node = tree.nodes[node_id]
         if node.is_leaf:
             structure.write(_NODE_HEAD.pack(node_id, _LEAF_KIND))
@@ -148,21 +126,16 @@ def _encode_tree(tree: CondProbTree) -> tuple[bytes, bytes]:
             structure.write(_NODE_HEAD.pack(node_id, _INTERNAL_KIND))
             structure.write(_INTERNAL.pack(node.left, node.right, node.n_left, node.n_right))
         _write_regressor(weights, node.reg)
-    return structure.getvalue(), weights.getvalue()
 
 
-def _decode_tree(mode: str, cfg: ModelConfig, structure: bytes, weights: bytes) -> CondProbTree:
-    policy = "random" if mode == "cpt-random" else "online"
+def _decode_tree(policy: str, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTree:
     tree = CondProbTree(
         alpha=cfg.alpha, learning_rate=cfg.eta, policy=policy, seed=cfg.seed
     )
-    s = _Reader(structure)
-    w = _Reader(weights)
     n_nodes, n_order, tree.disagreement_count = s.unpack(_TREE_HEAD)
-    (tree.updates,) = w.unpack(_U64)
     if n_order != n_nodes:
         raise ModelFormatError("node record count mismatch")
-    if n_nodes * _NODE_HEAD.size > len(structure):
+    if n_nodes * _NODE_HEAD.size > len(s.raw):
         raise ModelFormatError("node count exceeds the structure section")
     nodes = tree.nodes = [_Node(None, None, None) for _ in range(n_nodes)]
     # Records come in preorder, so the first one is the root. Each id must
@@ -189,79 +162,55 @@ def _decode_tree(mode: str, cfg: ModelConfig, structure: bytes, weights: bytes) 
             for child in (node.left, node.right):
                 if child >= n_nodes:
                     raise ModelFormatError(f"node {node_id}: child id out of range: {child}")
+                if child == tree.root:
+                    raise ModelFormatError("the root is named as a child")
                 if nodes[child].parent is not None:
                     raise ModelFormatError(f"node {child} is named as a child twice")
                 nodes[child].parent = node_id
         else:
             raise ModelFormatError(f"unknown node kind {kind}")
         node.reg = _read_regressor(w)
-    s.finish("node records")
-    w.finish("node regressors")
-    if tree.root is None:
-        return tree
-    if nodes[tree.root].parent is not None:
-        raise ModelFormatError("the root is named as a child")
-    stats = tree.depth_stats()  # validates counts against a recount
-    tree.max_depth = stats.max_depth
+    tree.max_depth = tree.depth_stats().max_depth  # validates counts against a recount
     return tree
 
 
-def _encode_oaa(est: OneAgainstAll) -> tuple[bytes, bytes]:
-    structure = BytesIO()
-    weights = BytesIO()
+def _encode_oaa(est: OneAgainstAll, structure: BinaryIO, weights: BinaryIO) -> None:
     structure.write(_U32.pack(len(est.regressors)))
-    weights.write(_U64.pack(est.updates))
     for label, reg in est.regressors.items():
         _w_bytes(structure, label.encode("utf-8"))
         _write_regressor(weights, reg)
-    return structure.getvalue(), weights.getvalue()
 
 
-def _decode_oaa(cfg: ModelConfig, structure: bytes, weights: bytes) -> OneAgainstAll:
+def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
     est = OneAgainstAll(cfg.eta)
-    s = _Reader(structure)
-    w = _Reader(weights)
     (count,) = s.unpack(_U32)
-    (est.updates,) = w.unpack(_U64)
     for _ in range(count):
-        est.regressors[s.string()] = _read_regressor(w)
-    s.finish("labels")
-    w.finish("regressors")
+        label = s.string()
+        if label in est.regressors:
+            raise ModelFormatError(f"label {label!r} appears twice")
+        est.regressors[label] = _read_regressor(w)
     return est
 
 
-def _encode_pecoc(est: PecocModel) -> tuple[bytes, bytes]:
-    structure = BytesIO()
-    weights = BytesIO()
+def _encode_pecoc(est: PecocModel, structure: BinaryIO, weights: BinaryIO) -> None:
     structure.write(_PECOC_HEAD.pack(est.t, est.n_labels))
-    weights.write(_U64.pack(est.updates))
     for label, _col in sorted(est.label_map.items(), key=lambda kv: kv[1]):
         _w_bytes(structure, label.encode("utf-8"))
     for reg in est.row_regressors:
         _write_regressor(weights, reg)
-    return structure.getvalue(), weights.getvalue()
 
 
-def _decode_pecoc(cfg: ModelConfig, structure: bytes, weights: bytes) -> PecocModel:
-    s = _Reader(structure)
-    w = _Reader(weights)
+def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
     t, n = s.unpack(_PECOC_HEAD)
-    labels = [s.string() for _ in range(n)]
-    s.finish("labels")
-    est = PecocModel(labels, cfg.eta)
+    est = PecocModel([s.string() for _ in range(n)], cfg.eta)
     if est.t != t:
         raise ModelFormatError("code size does not match label count")
-    (est.updates,) = w.unpack(_U64)
     est.row_regressors = [_read_regressor(w) for _ in range(est.size - 1)]
-    w.finish("row regressors")
     return est
 
 
-def _encode_kway(est: KWayTree) -> tuple[bytes, bytes]:
-    structure = BytesIO()
-    weights = BytesIO()
+def _encode_kway(est: KWayTree, structure: BinaryIO, weights: BinaryIO) -> None:
     structure.write(_KWAY_HEAD.pack(est.k, est.depth, est.n_labels))
-    weights.write(_U64.pack(est.updates))
     for label, _slot in sorted(est.label_map.items(), key=lambda kv: kv[1]):
         _w_bytes(structure, label.encode("utf-8"))
     keys = sorted(est._node_regs)
@@ -270,34 +219,24 @@ def _encode_kway(est: KWayTree) -> tuple[bytes, bytes]:
         structure.write(_KWAY_NODE.pack(*key))
         for reg in est._node_regs[key]:
             _write_regressor(weights, reg)
-    return structure.getvalue(), weights.getvalue()
 
 
-def _decode_kway(cfg: ModelConfig, structure: bytes, weights: bytes) -> KWayTree:
-    s = _Reader(structure)
-    w = _Reader(weights)
+def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
     k, depth, n = s.unpack(_KWAY_HEAD)
-    labels = [s.string() for _ in range(n)]
-    est = KWayTree(labels, k, cfg.eta)
+    est = KWayTree([s.string() for _ in range(n)], k, cfg.eta)
     if est.depth != depth:
         raise ModelFormatError("tree depth does not match label count")
-    (est.updates,) = w.unpack(_U64)
     (node_count,) = s.unpack(_U32)
     for _ in range(node_count):
         est._node_regs[s.unpack(_KWAY_NODE)] = [_read_regressor(w) for _ in range(k - 1)]
-    s.finish("node keys")
-    w.finish("node regressors")
     return est
 
 
-def _encode_table(est: TableBaseline) -> tuple[bytes, bytes]:
-    structure = BytesIO()
-    weights = BytesIO()
+def _encode_table(est: TableBaseline, structure: BinaryIO, weights: BinaryIO) -> None:
     by_context: dict[bytes, list[tuple[str, int]]] = {}
     for (key, label), count in est.counts.items():
         by_context.setdefault(key, []).append((label, count))
     structure.write(_U64.pack(len(by_context)))
-    weights.write(_U64.pack(est.updates))
     for key in sorted(by_context):
         entries = sorted(by_context[key])
         _w_bytes(structure, key)
@@ -305,41 +244,48 @@ def _encode_table(est: TableBaseline) -> tuple[bytes, bytes]:
         for label, count in entries:
             _w_bytes(structure, label.encode("utf-8"))
             weights.write(_U64.pack(count))
-    return structure.getvalue(), weights.getvalue()
 
 
-def _decode_table(cfg: ModelConfig, structure: bytes, weights: bytes) -> TableBaseline:
+def _decode_table(cfg: ModelConfig, s: _Reader, w: _Reader) -> TableBaseline:
     est = TableBaseline()
-    s = _Reader(structure)
-    w = _Reader(weights)
     (n_contexts,) = s.unpack(_U64)
-    (est.updates,) = w.unpack(_U64)
     for _ in range(n_contexts):
         key = s.raw_bytes()
+        if key in est.context_totals:
+            raise ModelFormatError("context appears twice")
         est.context_totals[key], n_labels = s.unpack(_TABLE_CONTEXT)
         for _ in range(n_labels):
-            label = s.string()
-            (est.counts[(key, label)],) = w.unpack(_U64)
-    s.finish("contexts")
-    w.finish("counts")
+            pair = (key, s.string())
+            if pair in est.counts:
+                raise ModelFormatError(f"label {pair[1]!r} appears twice in one context")
+            (est.counts[pair],) = w.unpack(_U64)
     return est
 
 
-_ENCODERS = {
-    "cpt-online": _encode_tree,
-    "cpt-random": _encode_tree,
-    "cpt-fixed": _encode_tree,
-    "oaa": _encode_oaa,
-    "pecoc": _encode_pecoc,
-    "kway": _encode_kway,
-    "table": _encode_table,
+# mode -> (encode(estimator, structure, weights), decode(config, structure, weights)).
+# Each pair handles only its own records: save_model and load_model own the
+# update counter that opens every weights section, and the section framing.
+_CODECS = {
+    "cpt-online": (_encode_tree, partial(_decode_tree, "online")),
+    "cpt-random": (_encode_tree, partial(_decode_tree, "random")),
+    "cpt-fixed": (_encode_tree, partial(_decode_tree, "online")),
+    "oaa": (_encode_oaa, _decode_oaa),
+    "pecoc": (_encode_pecoc, _decode_pecoc),
+    "kway": (_encode_kway, _decode_kway),
+    "table": (_encode_table, _decode_table),
 }
+MODES = tuple(_CODECS)
 
 
 def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
-    if mode not in MODES:
+    if mode not in _CODECS:
         raise ValueError(f"unknown mode: {mode}")
-    structure, weights = _ENCODERS[mode](estimator)
+    structure, weights = BytesIO(), BytesIO()
+    # The update counter is training state, not shape; keeping it in the
+    # weights section lets structure sections compare byte-for-byte across
+    # retraining passes.
+    weights.write(_U64.pack(estimator.updates))
+    _CODECS[mode][0](estimator, structure, weights)
     with open(path, "wb") as out:
         out.write(MAGIC)
         out.write(_U32.pack(FORMAT_VERSION))
@@ -348,10 +294,9 @@ def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
             config.alpha, config.eta, config.hash_bits, config.passes,
             config.k, config.delta, config.seed,
         ))
-        out.write(_U64.pack(len(structure)))
-        out.write(structure)
-        out.write(_U64.pack(len(weights)))
-        out.write(weights)
+        for section in (structure.getvalue(), weights.getvalue()):
+            out.write(_U64.pack(len(section)))
+            out.write(section)
 
 
 def read_sections(path) -> tuple[str, ModelConfig, bytes, bytes]:
@@ -376,21 +321,17 @@ def read_sections(path) -> tuple[str, ModelConfig, bytes, bytes]:
 
 def load_model(path) -> LoadedModel:
     mode, config, structure, weights = read_sections(path)
+    s, w = _Reader(structure), _Reader(weights)
     try:
-        if mode in ("cpt-online", "cpt-random", "cpt-fixed"):
-            est = _decode_tree(mode, config, structure, weights)
-        elif mode == "oaa":
-            est = _decode_oaa(config, structure, weights)
-        elif mode == "pecoc":
-            est = _decode_pecoc(config, structure, weights)
-        elif mode == "kway":
-            est = _decode_kway(config, structure, weights)
-        else:
-            est = _decode_table(config, structure, weights)
+        (updates,) = w.unpack(_U64)
+        est = _CODECS[mode][1](config, s, w)
     except ModelFormatError:
         raise
     except (ValueError, CorruptTreeError) as exc:
         # Constructors reject decoded parameters (alpha, learning rate,
         # duplicate labels, fan-out) and the tree recount rejects counts.
         raise ModelFormatError(f"invalid {mode} model: {exc}") from exc
+    est.updates = updates
+    s.finish("structure records")
+    w.finish("weights records")
     return LoadedModel(mode=mode, config=config, estimator=est)

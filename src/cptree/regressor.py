@@ -3,6 +3,8 @@ on squared loss."""
 
 from __future__ import annotations
 
+import math
+
 from .features import SparseVector, clip01
 
 
@@ -22,8 +24,8 @@ class LinearRegressor:
     __slots__ = ("weights", "bias", "learning_rate", "update_count")
 
     def __init__(self, learning_rate: float = 0.1):
-        if learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         self.weights: dict[int, float] = {}
         self.bias = 0.0
         self.learning_rate = learning_rate

@@ -221,9 +221,6 @@ class CondProbTree:
         return self.predict(x, y)
 
     def learn(self, x: SparseVector, y: str) -> None:
-        self.train_online(x, y)
-
-    def train_online(self, x: SparseVector, y: str) -> None:
         if y in self.leaf_index:
             self.train_known(x, y)
         else:
@@ -315,67 +312,59 @@ class CondProbTree:
         self.last_insert_path = path
         return right_id
 
+    def preorder(self) -> list[tuple[int, int]]:
+        """Every node as (node id, depth), each parent before its children and
+        the left subtree before the right: the model file's record order."""
+        nodes = self.nodes
+        order: list[tuple[int, int]] = []
+        stack = [] if self.root is None else [(self.root, 0)]
+        while stack:
+            node_id, depth = stack.pop()
+            order.append((node_id, depth))
+            node = nodes[node_id]
+            if not node.is_leaf:
+                stack.append((node.right, depth + 1))
+                stack.append((node.left, depth + 1))
+        return order
+
     def depth_stats(self) -> DepthStats:
         """Recount leaves and depths by traversal, cross-checking stored counts."""
-        if self.root is None:
-            return DepthStats(0, 0, 0, self.disagreement_count, {})
         nodes = self.nodes
+        leaf_counts = [0] * len(nodes)
         histogram: dict[int, int] = {}
-        total = 0
-        deepest = 0
-        leaves = 0
-
-        # Post-order with an explicit stack; returns leaf counts per node.
-        counts: dict[int, int] = {}
-        stack: list[tuple[int, int, bool]] = [(self.root, 0, False)]
-        while stack:
-            node_id, depth, expanded = stack.pop()
+        # Children come after their parent in preorder, so in reverse every
+        # child's leaf count is known before its parent is checked.
+        for node_id, depth in reversed(self.preorder()):
             node = nodes[node_id]
             if node.is_leaf:
-                counts[node_id] = 1
-                leaves += 1
-                total += depth
-                deepest = max(deepest, depth)
+                leaf_counts[node_id] = 1
                 histogram[depth] = histogram.get(depth, 0) + 1
                 continue
-            if not expanded:
-                stack.append((node_id, depth, True))
-                stack.append((node.left, depth + 1, False))
-                stack.append((node.right, depth + 1, False))
-                continue
-            left_count = counts.pop(node.left)
-            right_count = counts.pop(node.right)
+            left_count = leaf_counts[node.left]
+            right_count = leaf_counts[node.right]
             if left_count != node.n_left or right_count != node.n_right:
                 raise CorruptTreeError(
                     f"node {node_id}: stored counts ({node.n_left}, {node.n_right})"
                     f" != recount ({left_count}, {right_count})"
                 )
-            counts[node_id] = left_count + right_count
+            leaf_counts[node_id] = left_count + right_count
+        leaves = sum(histogram.values())
         if leaves != len(self.leaf_index):
             raise CorruptTreeError(
                 f"{leaves} leaves found but {len(self.leaf_index)} labels indexed"
             )
         return DepthStats(
             n_leaves=leaves,
-            max_depth=deepest,
-            total_leaf_depth=total,
+            max_depth=max(histogram, default=0),
+            total_leaf_depth=sum(depth * count for depth, count in histogram.items()),
             disagreements=self.disagreement_count,
             depth_histogram=histogram,
         )
 
     def structure_signature(self) -> tuple:
         """Preorder shape-and-label fingerprint, regressor state excluded."""
-        if self.root is None:
-            return ()
-        out = []
-        stack = [self.root]
-        nodes = self.nodes
-        while stack:
-            node = nodes[stack.pop()]
-            if node.is_leaf:
-                out.append(("leaf", node.label))
-            else:
-                out.append(("internal", node.n_left, node.n_right))
-                stack.append(node.right)
-                stack.append(node.left)
-        return tuple(out)
+        nodes = [self.nodes[node_id] for node_id, _ in self.preorder()]
+        return tuple(
+            ("leaf", node.label) if node.is_leaf else ("internal", node.n_left, node.n_right)
+            for node in nodes
+        )

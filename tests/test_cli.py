@@ -254,6 +254,15 @@ def test_missing_input_file_is_reported(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_nan_learning_rate_is_a_one_line_error(streams, tmp_path, capsys):
+    train, _ = streams
+    assert run_cli("train", "--mode", "cpt-online", "--train", str(train),
+                   "--model", str(tmp_path / "m.bin"), "--eta", "nan")[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "learning_rate" in err
+
+
 @pytest.mark.parametrize("command", ["eval", "inspect"])
 def test_corrupt_child_id_is_a_one_line_error(command, streams, tmp_path, capsys):
     train, test = streams

@@ -4,7 +4,15 @@ from collections import Counter
 
 import pytest
 
-from cptree import SparseVector, canonicalize, clip01, Example, from_tokens, hash_feature
+from cptree import (
+    Example,
+    LinearRegressor,
+    SparseVector,
+    canonicalize,
+    clip01,
+    from_tokens,
+    hash_feature,
+)
 
 
 def test_hash_is_deterministic_on_empty_token():
@@ -87,7 +95,9 @@ def test_dot_matches_naive_sum_over_raw_entries():
         entries = [(rng.randrange(50), rng.uniform(-2, 2)) for _ in range(rng.randrange(15))]
         weights = {i: rng.uniform(-1, 1) for i in range(50)}
         naive = sum(w * v for i, v in entries for w in [weights[i]])
-        assert math.isclose(canonicalize(entries).dot(weights), naive, abs_tol=1e-12)
+        reg = LinearRegressor()
+        reg.weights = weights
+        assert math.isclose(reg.raw(canonicalize(entries)), naive, abs_tol=1e-12)
 
 
 def test_sparse_vector_invariants():

@@ -165,22 +165,34 @@ def _two_leaf_tree_file(tmp_path, offset, patch):
     Structure layout: a 16-byte tree head, the root record (id, kind, left,
     right, left leaves, right leaves) at 16, leaf "A" at 45, leaf "B" at 55.
     """
-    tree = CondProbTree()
-    tree.learn(TRAIN[0].x, "A")
-    tree.learn(TRAIN[0].x, "B")
-    path = tmp_path / "model.bin"
-    save_model(path, "cpt-online", ModelConfig(), tree)
-    raw = path.read_bytes()
+    path = _saved(tmp_path, "cpt-online", CondProbTree(), ["A", "B"])
     _, _, structure, weights = read_sections(path)
     assert len(structure) == 65
-    header = raw[: len(raw) - len(weights) - len(structure) - 16]
     edited = bytearray(structure)
     edited[offset : offset + len(patch)] = patch
+    _replace_sections(path, bytes(edited), weights)
+    return path
+
+
+def _saved(tmp_path, mode, est, labels, xs=(TRAIN[0].x,)):
+    """Train est on every (x, label) pair, in order, and save it."""
+    for x in xs:
+        for label in labels:
+            est.learn(x, label)
+    path = tmp_path / "model.bin"
+    save_model(path, mode, ModelConfig(), est)
+    return path
+
+
+def _replace_sections(path, structure, weights):
+    """Rewrite the model file at path with new structure and weights sections."""
+    raw = path.read_bytes()
+    _, _, old_structure, old_weights = read_sections(path)
+    header = raw[: len(raw) - len(old_weights) - len(old_structure) - 16]
     path.write_bytes(
-        header + struct.pack("<Q", len(edited)) + edited
+        header + struct.pack("<Q", len(structure)) + structure
         + struct.pack("<Q", len(weights)) + weights
     )
-    return path
 
 
 @pytest.mark.parametrize(
@@ -191,7 +203,7 @@ def _two_leaf_tree_file(tmp_path, offset, patch):
         (25, struct.pack("<I", 1), "node 1 is named as a child twice"),
         (55, struct.pack("<I", 1), "node 1 appears twice"),
         (64, b"A", "label 'A' appears twice"),
-        (65, b"\0", "trailing bytes after node records"),
+        (65, b"\0", "trailing bytes after structure records"),
         # Rejected before a node list of that size is allocated.
         (0, struct.pack("<II", 1 << 20, 1 << 20), "node count exceeds"),
     ],
@@ -207,6 +219,62 @@ def test_malformed_tree_records_are_rejected(offset, patch, message, tmp_path):
 def test_unedited_two_leaf_tree_loads(tmp_path):
     tree = load_model(_two_leaf_tree_file(tmp_path, 0, b"")).estimator
     assert tree.leaf_index == {"A": 1, "B": 2}
+
+
+def test_non_finite_learning_rate_in_a_regressor_record_is_rejected(tmp_path):
+    path = _saved(tmp_path, "cpt-online", CondProbTree(), ["A", "B"])
+    _, _, structure, weights = read_sections(path)
+    # The weights section opens with the 8-byte update counter; the root's
+    # regressor record follows, led by its learning rate.
+    edited = weights[:8] + struct.pack("<d", float("nan")) + weights[16:]
+    _replace_sections(path, structure, edited)
+    with pytest.raises(ModelFormatError, match="learning_rate"):
+        load_model(path)
+
+
+def _edited_model(tmp_path, mode, est, labels, old, new, xs=(TRAIN[0].x,)):
+    """Save est trained on labels, then replace the one occurrence of old in
+    its structure section with new, which has the same length."""
+    path = _saved(tmp_path, mode, est, labels, xs)
+    _, _, structure, weights = read_sections(path)
+    assert structure.count(old) == 1 and len(new) == len(old)
+    _replace_sections(path, structure.replace(old, new), weights)
+    return path
+
+
+def _label_record(label):
+    return struct.pack("<I", len(label)) + label.encode("utf-8")
+
+
+def test_repeated_oaa_label_is_rejected(tmp_path):
+    path = _edited_model(tmp_path, "oaa", OneAgainstAll(), ["A", "B"],
+                         _label_record("B"), _label_record("A"))
+    with pytest.raises(ModelFormatError, match="label 'A' appears twice"):
+        load_model(path)
+
+
+def test_repeated_table_label_in_one_context_is_rejected(tmp_path):
+    path = _edited_model(tmp_path, "table", TableBaseline(), ["A", "B"],
+                         _label_record("B"), _label_record("A"))
+    with pytest.raises(ModelFormatError, match="label 'A' appears twice in one context"):
+        load_model(path)
+
+
+def test_repeated_table_context_is_rejected(tmp_path):
+    first, second = TASK.features[0], TASK.features[1]
+    assert len(first.key_bytes()) == len(second.key_bytes())
+    path = _edited_model(tmp_path, "table", TableBaseline(), ["A"],
+                         second.key_bytes(), first.key_bytes(), xs=(first, second))
+    with pytest.raises(ModelFormatError, match="context appears twice"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("mode, make", [("oaa", OneAgainstAll), ("table", TableBaseline)])
+def test_unedited_two_label_models_load(mode, make, tmp_path):
+    est = make()
+    loaded = load_model(_saved(tmp_path, mode, est, ["A", "B"])).estimator
+    for label in ("A", "B"):
+        assert loaded.score(TRAIN[0].x, label) == est.score(TRAIN[0].x, label)
 
 
 def _mutated_models(tmp_path, seed=2031, cases=300):

@@ -117,5 +117,6 @@ def test_copy_is_independent():
 
 
 def test_learning_rate_must_be_positive():
-    with pytest.raises(ValueError):
-        LinearRegressor(0.0)
+    for bad in (float("nan"), float("inf"), 0.0, -0.1):
+        with pytest.raises(ValueError, match="learning_rate"):
+            LinearRegressor(bad)

@@ -1,8 +1,11 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptree import (
     CondProbTree,
@@ -304,6 +307,50 @@ def test_depth_stats_detects_corrupted_counts():
     root.n_left += 1
     with pytest.raises(CorruptTreeError):
         tree.depth_stats()
+
+
+def _check_preorder(tree):
+    order = tree.preorder()
+    assert sorted(node_id for node_id, _ in order) == list(range(len(tree.nodes)))
+    position = {node_id: pos for pos, (node_id, _) in enumerate(order)}
+    depth = dict(order)
+    for node_id, d in order:
+        node = tree.nodes[node_id]
+        if node.parent is None:
+            assert node_id == tree.root and d == 0
+        else:
+            assert position[node.parent] < position[node_id]
+            assert d == depth[node.parent] + 1
+        if not node.is_leaf:
+            # The left subtree fills the positions right after its parent; a
+            # subtree with n leaves has 2n - 1 nodes, then the right child.
+            assert position[node.left] == position[node_id] + 1
+            assert position[node.right] == position[node_id] + 2 * node.n_left
+    leaf_depths = {y: len(tree.path_to(y)) for y in tree.leaf_index}
+    assert leaf_depths == {y: depth[leaf] for y, leaf in tree.leaf_index.items()}
+    stats = tree.depth_stats()
+    assert stats.max_depth == max(leaf_depths.values(), default=0)
+    assert stats.total_leaf_depth == sum(leaf_depths.values())
+    assert stats.depth_histogram == Counter(leaf_depths.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 3)), max_size=80),
+    policy=st.sampled_from(["online", "random"]),
+    alpha=st.sampled_from([0.2, 0.5, 1.0]),
+)
+def test_preorder_of_grown_trees(stream, policy, alpha):
+    tree = CondProbTree(alpha=alpha, policy=policy, seed=7)
+    for label, feature in stream:
+        tree.learn(vec((f"f{feature}", 1.0)), f"y{label}")
+    _check_preorder(tree)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(0, 70))
+def test_preorder_of_balanced_trees(n):
+    _check_preorder(CondProbTree.balanced([f"y{i}" for i in range(n)]))
 
 
 # --- bounds -----------------------------------------------------------------
