@@ -34,7 +34,7 @@ from .features import (
     from_tokens,
     hash_feature,
 )
-from .model_io import LoadedModel, ModelConfig, load_model, read_sections, save_model
+from .model_io import LoadedModel, ModelConfig, build_estimator, load_model, read_sections, save_model
 from .pecoc import (
     KWayTree,
     PecocModel,
@@ -79,6 +79,7 @@ __all__ = [
     "SyntheticTask",
     "TableBaseline",
     "UnknownLabelError",
+    "build_estimator",
     "canonicalize",
     "clip01",
     "decode_loss_bound",

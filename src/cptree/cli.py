@@ -8,16 +8,9 @@ import sys
 import time
 
 from .data import ParseError, format_example_line, read_example_file
-from .evaluation import (
-    EmptyStreamError,
-    EvalReport,
-    OneAgainstAll,
-    SyntheticTask,
-    TableBaseline,
-    progressive_validate,
-)
-from .model_io import MODES, ModelConfig, load_model, save_model
-from .pecoc import KWayTree, PecocModel, loss_multiplier
+from .evaluation import EmptyStreamError, EvalReport, SyntheticTask, progressive_validate
+from .model_io import LABELED_MODES, MODES, ModelConfig, build_estimator, load_model, save_model
+from .pecoc import KWayTree, loss_multiplier
 from .tree import CondProbTree, max_depth_bound, max_side_fraction, total_depth_bound
 
 REPORT_COLUMNS = ("mode", "examples", "sq_loss", "ci", "equivalent",
@@ -40,48 +33,20 @@ def _config_from_args(args) -> ModelConfig:
     )
 
 
-def _scan_labels(path, hash_bits: int) -> list[str]:
-    seen: dict[str, None] = {}
-    for example in read_example_file(path, hash_bits):
-        seen.setdefault(example.y, None)
-    return list(seen)
-
-
-def _build_estimator(mode: str, cfg: ModelConfig, labels: list[str] | None):
-    if mode == "cpt-online":
-        return CondProbTree(alpha=cfg.alpha, learning_rate=cfg.eta, policy="online")
-    if mode == "cpt-random":
-        return CondProbTree(alpha=cfg.alpha, learning_rate=cfg.eta,
-                            policy="random", seed=cfg.seed)
-    if mode == "cpt-fixed":
-        return CondProbTree.balanced(labels or [], alpha=1.0, learning_rate=cfg.eta)
-    if mode == "oaa":
-        return OneAgainstAll(cfg.eta)
-    if mode == "pecoc":
-        if not labels:
-            raise CliError("pecoc needs a training stream to enumerate labels")
-        return PecocModel(labels, cfg.eta)
-    if mode == "kway":
-        if cfg.k < 2:
-            raise CliError("kway requires --k (a power of two >= 2)")
-        if not labels:
-            raise CliError("kway needs a training stream to enumerate labels")
-        return KWayTree(labels, cfg.k, cfg.eta)
-    if mode == "table":
-        return TableBaseline()
-    raise CliError(f"unknown mode: {mode}")
-
-
-_NEEDS_LABEL_SCAN = ("cpt-fixed", "pecoc", "kway")
+def _new_estimator(mode: str, cfg: ModelConfig, path):
+    """A fresh estimator for mode; labeled modes get the labels of the stream
+    at path, in first-seen order."""
+    labels = ()
+    if mode in LABELED_MODES:
+        labels = list(dict.fromkeys(ex.y for ex in read_example_file(path, cfg.hash_bits)))
+    return build_estimator(mode, cfg, labels)
 
 
 def _train_estimator(mode: str, cfg: ModelConfig, train_path):
-    labels = _scan_labels(train_path, cfg.hash_bits) if mode in _NEEDS_LABEL_SCAN else None
-    est = _build_estimator(mode, cfg, labels)
-    is_tree = mode.startswith("cpt")
+    est = _new_estimator(mode, cfg, train_path)
     for pass_index in range(cfg.passes):
         for example in read_example_file(train_path, cfg.hash_bits):
-            if pass_index > 0 and is_tree:
+            if pass_index > 0 and isinstance(est, CondProbTree):
                 # Later passes keep the tree structure fixed and only
                 # retrain the regressors along each example's path.
                 est.train_known(example.x, example.y)
@@ -160,9 +125,7 @@ def cmd_compare(args, out) -> int:
         if args.train:
             est = _train_estimator(mode, cfg, args.train)
         else:
-            labels = (_scan_labels(args.test, cfg.hash_bits)
-                      if mode in _NEEDS_LABEL_SCAN else None)
-            est = _build_estimator(mode, cfg, labels)
+            est = _new_estimator(mode, cfg, args.test)
         stream = read_example_file(args.test, cfg.hash_bits)
         report = progressive_validate(stream, est, delta=args.delta)
         report.wall_time = time.perf_counter() - start
@@ -204,9 +167,7 @@ def cmd_inspect(args, out) -> int:
         print(f"total leaf depth: {stats.total_leaf_depth}", file=out)
         print(f"disagreements: {stats.disagreements}", file=out)
         if n >= 2:
-            # Fixed trees are balanced regardless of the configured alpha.
-            alpha = 1.0 if loaded.mode == "cpt-fixed" else loaded.config.alpha
-            side = max_side_fraction(alpha)
+            side = max_side_fraction(est.alpha)
             depth_cap = max_depth_bound(n, side)
             total_cap = total_depth_bound(n, side)
             verdict = "OK" if stats.max_depth <= depth_cap else "FAIL"

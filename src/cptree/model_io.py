@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from io import BytesIO
 from itertools import starmap
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 
 from .evaluation import OneAgainstAll, TableBaseline
 from .pecoc import KWayTree, PecocModel
@@ -128,10 +128,8 @@ def _encode_tree(tree: CondProbTree, structure: BinaryIO, weights: BinaryIO) -> 
         _write_regressor(weights, node.reg)
 
 
-def _decode_tree(policy: str, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTree:
-    tree = CondProbTree(
-        alpha=cfg.alpha, learning_rate=cfg.eta, policy=policy, seed=cfg.seed
-    )
+def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTree:
+    tree = build(cfg, [])
     n_nodes, n_order, tree.disagreement_count = s.unpack(_TREE_HEAD)
     if n_order != n_nodes:
         raise ModelFormatError("node record count mismatch")
@@ -228,7 +226,12 @@ def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
         raise ModelFormatError("tree depth does not match label count")
     (node_count,) = s.unpack(_U32)
     for _ in range(node_count):
-        est._node_regs[s.unpack(_KWAY_NODE)] = [_read_regressor(w) for _ in range(k - 1)]
+        level, index = key = s.unpack(_KWAY_NODE)
+        if level >= depth or index >= k**level:
+            raise ModelFormatError(f"node {key} lies outside a depth-{depth} tree")
+        if key in est._node_regs:
+            raise ModelFormatError(f"node {key} appears twice")
+        est._node_regs[key] = [_read_regressor(w) for _ in range(k - 1)]
     return est
 
 
@@ -254,38 +257,65 @@ def _decode_table(cfg: ModelConfig, s: _Reader, w: _Reader) -> TableBaseline:
         if key in est.context_totals:
             raise ModelFormatError("context appears twice")
         est.context_totals[key], n_labels = s.unpack(_TABLE_CONTEXT)
+        counted = 0
         for _ in range(n_labels):
             pair = (key, s.string())
             if pair in est.counts:
                 raise ModelFormatError(f"label {pair[1]!r} appears twice in one context")
-            (est.counts[pair],) = w.unpack(_U64)
+            (count,) = w.unpack(_U64)
+            if count == 0:
+                raise ModelFormatError(f"label {pair[1]!r} has count 0")
+            est.counts[pair] = count
+            counted += count
+        if counted != est.context_totals[key]:
+            raise ModelFormatError("context total differs from the sum of its label counts")
     return est
 
 
-# mode -> (encode(estimator, structure, weights), decode(config, structure, weights)).
-# Each pair handles only its own records: save_model and load_model own the
-# update counter that opens every weights section, and the section framing.
-_CODECS = {
-    "cpt-online": (_encode_tree, partial(_decode_tree, "online")),
-    "cpt-random": (_encode_tree, partial(_decode_tree, "random")),
-    "cpt-fixed": (_encode_tree, partial(_decode_tree, "online")),
-    "oaa": (_encode_oaa, _decode_oaa),
-    "pecoc": (_encode_pecoc, _decode_pecoc),
-    "kway": (_encode_kway, _decode_kway),
-    "table": (_encode_table, _decode_table),
+def _tree_mode(build):
+    return build, _encode_tree, partial(_decode_tree, build)
+
+
+# mode -> (build(config, labels), encode(estimator, structure, weights),
+#          decode(config, structure, weights)).
+# build returns a fresh estimator; only LABELED_MODES read labels. Each codec
+# pair handles only its own records: save_model and load_model own the update
+# counter that opens every weights section, and the section framing. Tree
+# decoders start from the mode's own empty tree.
+_MODES = {
+    "cpt-online": _tree_mode(lambda cfg, labels: CondProbTree(
+        alpha=cfg.alpha, learning_rate=cfg.eta, policy="online", seed=cfg.seed)),
+    "cpt-random": _tree_mode(lambda cfg, labels: CondProbTree(
+        alpha=cfg.alpha, learning_rate=cfg.eta, policy="random", seed=cfg.seed)),
+    # Fixed trees are balanced whatever the configured alpha.
+    "cpt-fixed": _tree_mode(lambda cfg, labels: CondProbTree.balanced(
+        labels, alpha=1.0, learning_rate=cfg.eta)),
+    "oaa": (lambda cfg, labels: OneAgainstAll(cfg.eta), _encode_oaa, _decode_oaa),
+    "pecoc": (lambda cfg, labels: PecocModel(labels, cfg.eta), _encode_pecoc, _decode_pecoc),
+    "kway": (lambda cfg, labels: KWayTree(labels, cfg.k, cfg.eta), _encode_kway, _decode_kway),
+    "table": (lambda cfg, labels: TableBaseline(), _encode_table, _decode_table),
 }
-MODES = tuple(_CODECS)
+MODES = tuple(_MODES)
+LABELED_MODES = ("cpt-fixed", "pecoc", "kway")
+
+
+def build_estimator(mode: str, config: ModelConfig, labels: Sequence[str] = ()):
+    """A fresh estimator for mode. The modes in LABELED_MODES are built over
+    labels, in order; the others ignore them."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode: {mode}")
+    return _MODES[mode][0](config, labels)
 
 
 def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
-    if mode not in _CODECS:
+    if mode not in _MODES:
         raise ValueError(f"unknown mode: {mode}")
     structure, weights = BytesIO(), BytesIO()
     # The update counter is training state, not shape; keeping it in the
     # weights section lets structure sections compare byte-for-byte across
     # retraining passes.
     weights.write(_U64.pack(estimator.updates))
-    _CODECS[mode][0](estimator, structure, weights)
+    _MODES[mode][1](estimator, structure, weights)
     with open(path, "wb") as out:
         out.write(MAGIC)
         out.write(_U32.pack(FORMAT_VERSION))
@@ -324,7 +354,7 @@ def load_model(path) -> LoadedModel:
     s, w = _Reader(structure), _Reader(weights)
     try:
         (updates,) = w.unpack(_U64)
-        est = _CODECS[mode][1](config, s, w)
+        est = _MODES[mode][2](config, s, w)
     except ModelFormatError:
         raise
     except (ValueError, CorruptTreeError) as exc:

@@ -9,7 +9,6 @@ between the binary label tree (k = 2) and the flat decoder (k = n).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 import numpy as np
@@ -89,6 +88,17 @@ def _exact_log(n: int, k: int) -> int:
     return e
 
 
+def _slot_of(label_map: dict[str, int], y: str, capacity: int) -> int:
+    """y's slot, taking the next free one for a new label. Slots fill in
+    arrival order and are never freed, so the next free one is len(label_map)."""
+    slot = label_map.get(y)
+    if slot is None:
+        if len(label_map) >= capacity:
+            raise ValueError(f"label capacity {capacity} exhausted; cannot add {y!r}")
+        slot = label_map[y] = len(label_map)
+    return slot
+
+
 def _padded_exponent(n: int) -> int:
     """Smallest t with 2^t >= max(n, 2)."""
     t = 1
@@ -116,7 +126,6 @@ class PecocModel:
         self.code = hadamard_code(self.t)
         self.size = 1 << self.t
         self.label_map: dict[str, int] = {y: c for c, y in enumerate(ordered)}
-        self._free_columns = deque(range(len(ordered), self.size))
         self.learning_rate = learning_rate
         self.row_regressors = [LinearRegressor(learning_rate) for _ in range(self.size - 1)]
         self.updates = 0
@@ -125,19 +134,8 @@ class PecocModel:
     def n_labels(self) -> int:
         return len(self.label_map)
 
-    def _column_of(self, y: str, create: bool) -> int | None:
-        col = self.label_map.get(y)
-        if col is None and create:
-            if not self._free_columns:
-                raise ValueError(
-                    f"label capacity {self.size} exhausted; cannot add {y!r}"
-                )
-            col = self._free_columns.popleft()
-            self.label_map[y] = col
-        return col
-
     def learn(self, x: SparseVector, y: str) -> None:
-        col = self._column_of(y, create=True)
+        col = _slot_of(self.label_map, y, self.size)
         column_bits = self.code[1:, col]
         for reg, bit in zip(self.row_regressors, column_bits):
             reg.update(x, float(bit))
@@ -189,7 +187,6 @@ class KWayTree:
             self.depth += 1
         self.capacity = capacity
         self.label_map: dict[str, int] = {y: s for s, y in enumerate(ordered)}
-        self._free_slots = deque(range(len(ordered), capacity))
         self.learning_rate = learning_rate
         # Regressors per internal node, keyed by (level, node index), created
         # lazily so dummy-only subtrees cost nothing.
@@ -227,12 +224,7 @@ class KWayTree:
         return self.k - 1 - digit
 
     def learn(self, x: SparseVector, y: str) -> None:
-        slot = self.label_map.get(y)
-        if slot is None:
-            if not self._free_slots:
-                raise ValueError(f"label capacity {self.capacity} exhausted; cannot add {y!r}")
-            slot = self._free_slots.popleft()
-            self.label_map[y] = slot
+        slot = _slot_of(self.label_map, y, self.capacity)
         for level, index, digit in self._path(slot):
             column_bits = self.code[1:, self._column(digit)]
             for reg, bit in zip(self.regressors_at(level, index), column_bits):

@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from cptree import load_model, read_sections
+from cptree import build_estimator, from_tokens, load_model, read_example_file, read_sections
 from cptree.cli import main
 
 
@@ -182,6 +182,27 @@ def test_inspect_balanced_eight_labels(tmp_path):
     assert "depth bound: 5.0000 [OK]" in text
 
 
+def test_reloaded_fixed_tree_keeps_alpha_one(tmp_path):
+    # A fixed tree is balanced at alpha = 1 whatever --alpha says; if a reload
+    # took the configured alpha instead, new labels would land elsewhere.
+    train = tmp_path / "train.txt"
+    write_lines(train, [f"y{i} | f{i % 3}" for i in range(8)])
+    model = tmp_path / "m.bin"
+    assert run_cli("train", "--mode", "cpt-fixed", "--train", str(train),
+                   "--model", str(model))[0] == 0
+    loaded = load_model(model)
+    assert loaded.config.alpha == 0.5
+    assert loaded.estimator.alpha == 1.0
+    in_memory = build_estimator("cpt-fixed", loaded.config, [f"y{i}" for i in range(8)])
+    for example in read_example_file(train):
+        in_memory.learn(example.x, example.y)
+    for i in range(40):
+        x = from_tokens([(f"g{i % 5}", 1.0)])
+        for tree in (in_memory, loaded.estimator):
+            tree.learn(x, f"new{i}")
+    assert in_memory.structure_signature() == loaded.estimator.structure_signature()
+
+
 def test_inspect_single_label_model(tmp_path):
     train = tmp_path / "train.txt"
     write_lines(train, ["only | f"])
@@ -288,12 +309,25 @@ def test_corrupt_child_id_is_a_one_line_error(command, streams, tmp_path, capsys
     assert "child id out of range" in err
 
 
-def test_kway_requires_fanout(streams, tmp_path):
+def test_kway_requires_fanout(streams, tmp_path, capsys):
     train, _ = streams
     assert run_cli("train", "--mode", "kway", "--train", str(train),
                    "--model", str(tmp_path / "m.bin"))[0] == 1
+    assert capsys.readouterr().err == "error: k must be a power of two >= 2, got 0\n"
     assert run_cli("train", "--mode", "kway", "--train", str(train),
                    "--model", str(tmp_path / "m.bin"), "--k", "2")[0] == 0
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("pecoc", "need at least one label"),
+    ("kway", "need at least two labels"),
+])
+def test_labeled_mode_on_an_empty_stream_is_a_one_line_error(mode, message, tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("", encoding="utf-8")
+    assert run_cli("train", "--mode", mode, "--k", "4", "--train", str(empty),
+                   "--model", str(tmp_path / "m.bin"))[0] == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_synth_emits_parseable_stream(tmp_path):

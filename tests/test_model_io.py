@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import random
+import re
 import signal
 import struct
 
@@ -8,12 +9,11 @@ import pytest
 
 from cptree import (
     CondProbTree,
-    KWayTree,
     ModelConfig,
     OneAgainstAll,
-    PecocModel,
     SyntheticTask,
     TableBaseline,
+    build_estimator,
     load_model,
     read_sections,
     save_model,
@@ -27,22 +27,8 @@ HELD_OUT = TASK.sample(1000, seed=52)
 
 
 def build(mode):
-    cfg = ModelConfig(alpha=0.7, eta=0.2, hash_bits=18, seed=9)
-    if mode == "cpt-online":
-        est = CondProbTree(alpha=cfg.alpha, learning_rate=cfg.eta)
-    elif mode == "cpt-random":
-        est = CondProbTree(alpha=cfg.alpha, learning_rate=cfg.eta, policy="random", seed=cfg.seed)
-    elif mode == "cpt-fixed":
-        est = CondProbTree.balanced(TASK.labels, learning_rate=cfg.eta)
-    elif mode == "oaa":
-        est = OneAgainstAll(cfg.eta)
-    elif mode == "pecoc":
-        est = PecocModel(TASK.labels, cfg.eta)
-    elif mode == "kway":
-        cfg.k = 4
-        est = KWayTree(TASK.labels, 4, cfg.eta)
-    else:
-        est = TableBaseline()
+    cfg = ModelConfig(alpha=0.7, eta=0.2, hash_bits=18, seed=9, k=4 if mode == "kway" else 0)
+    est = build_estimator(mode, cfg, TASK.labels)
     for example in TRAIN:
         est.learn(example.x, example.y)
     return cfg, est
@@ -266,6 +252,69 @@ def test_repeated_table_context_is_rejected(tmp_path):
     path = _edited_model(tmp_path, "table", TableBaseline(), ["A"],
                          second.key_bytes(), first.key_bytes(), xs=(first, second))
     with pytest.raises(ModelFormatError, match="context appears twice"):
+        load_model(path)
+
+
+def _kway_file(tmp_path, position, key):
+    """Save build("kway"), the 12-label k = 4 tree of depth 2, and set the
+    (level, index) key of its node record at position to key.
+
+    Its structure section ends with the four node keys, in order (0, 0),
+    (1, 0), (1, 1), (1, 2), 12 bytes each.
+    """
+    cfg, est = build("kway")
+    path = tmp_path / "model.bin"
+    save_model(path, "kway", cfg, est)
+    _, _, structure, weights = read_sections(path)
+    keys = structure[-48:]
+    assert [struct.unpack_from("<IQ", keys, 12 * i) for i in range(4)] == [
+        (0, 0), (1, 0), (1, 1), (1, 2)]
+    start = len(structure) - 48 + 12 * position
+    edited = structure[:start] + struct.pack("<IQ", *key) + structure[start + 12 :]
+    _replace_sections(path, edited, weights)
+    return path
+
+
+@pytest.mark.parametrize(
+    "position, key, message",
+    [
+        (1, (0, 0), "node (0, 0) appears twice"),
+        (3, (1, 1), "node (1, 1) appears twice"),
+        (3, (2, 0), "node (2, 0) lies outside a depth-2 tree"),
+        (0, (0, 1), "node (0, 1) lies outside a depth-2 tree"),
+        (3, (1, 4), "node (1, 4) lies outside a depth-2 tree"),
+    ],
+    ids=["repeated-root", "repeated-leaf-parent", "level", "root-index", "index"],
+)
+def test_malformed_kway_node_keys_are_rejected(position, key, message, tmp_path):
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
+        load_model(_kway_file(tmp_path, position, key))
+
+
+# (1, 3) holds only padding slots: never trained, but inside the tree's shape.
+@pytest.mark.parametrize("key", [(1, 2), (1, 3)], ids=["unedited", "padding-node"])
+def test_kway_node_keys_inside_the_tree_load(key, tmp_path):
+    loaded = load_model(_kway_file(tmp_path, 3, key)).estimator
+    assert sorted(loaded._node_regs) == [(0, 0), (1, 0), (1, 1), key]
+
+
+@pytest.mark.parametrize("total", [1, 3])
+def test_table_context_total_must_equal_its_label_counts(total, tmp_path):
+    # One context with labels A and B, seen once each: its total is 2.
+    path = _edited_model(tmp_path, "table", TableBaseline(), ["A", "B"],
+                         struct.pack("<QI", 2, 2), struct.pack("<QI", total, 2))
+    with pytest.raises(ModelFormatError, match="context total differs"):
+        load_model(path)
+
+
+def test_table_label_count_of_zero_is_rejected(tmp_path):
+    path = _edited_model(tmp_path, "table", TableBaseline(), ["A", "B"],
+                         struct.pack("<QI", 2, 2), struct.pack("<QI", 1, 2))
+    _, _, structure, weights = read_sections(path)
+    # The update counter, then one count per label; the total 1 still sums.
+    assert weights == struct.pack("<QQQ", 2, 1, 1)
+    _replace_sections(path, structure, struct.pack("<QQQ", 2, 0, 1))
+    with pytest.raises(ModelFormatError, match="label 'A' has count 0"):
         load_model(path)
 
 

@@ -192,7 +192,8 @@ def test_padded_labels_and_capacity():
     assert model.size == 4
     assert model.score(vec(("z", 1.0)), "never-seen") == 0.0
     model.learn(vec(("z", 1.0)), "d")  # takes the one spare column
-    with pytest.raises(ValueError):
+    assert model.label_map == {"a": 0, "b": 1, "c": 2, "d": 3}
+    with pytest.raises(ValueError, match="^label capacity 4 exhausted; cannot add 'e'$"):
         model.learn(vec(("z", 1.0)), "e")
 
 
@@ -285,7 +286,8 @@ def test_kway_unknown_label_scores_zero_and_capacity_is_enforced():
     tree = KWayTree(["a", "b", "c"], 2)  # capacity 4
     assert tree.score(vec(("u", 1.0)), "zzz") == 0.0
     tree.learn(vec(("u", 1.0)), "d")
-    with pytest.raises(ValueError):
+    assert tree.label_map == {"a": 0, "b": 1, "c": 2, "d": 3}
+    with pytest.raises(ValueError, match="^label capacity 4 exhausted; cannot add 'e'$"):
         tree.learn(vec(("u", 1.0)), "e")
 
 
