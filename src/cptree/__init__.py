@@ -7,23 +7,19 @@ multiplier, standard baselines, and a progressive-validation harness with
 exact-regret measurement against synthetic tasks.
 """
 
+import importlib
+
 from .data import ParseError, format_example_line, parse_example_line, read_example_file, read_examples
 from .evaluation import (
     EmptyStreamError,
     Estimator,
     EvalReport,
     OneAgainstAll,
-    OracleEstimator,
-    SyntheticTask,
     TableBaseline,
     equivalent_labels,
     grid_search,
     hoeffding_halfwidth,
-    install_oracle_regressors,
-    node_conditionals,
-    node_regret,
     progressive_validate,
-    true_regret,
 )
 from .features import (
     DEFAULT_HASH_BITS,
@@ -35,14 +31,6 @@ from .features import (
     hash_feature,
 )
 from .model_io import LoadedModel, ModelConfig, build_estimator, load_model, read_sections, save_model
-from .pecoc import (
-    KWayTree,
-    PecocModel,
-    decode_loss_bound,
-    decode_probability,
-    hadamard_code,
-    loss_multiplier,
-)
 from .regressor import LinearRegressor
 from .tree import (
     CondProbTree,
@@ -55,6 +43,32 @@ from .tree import (
     max_side_fraction,
     total_depth_bound,
 )
+
+# Exports of the two modules that import numpy, which the tree, oaa and table
+# modes never need: each resolves on first access (PEP 562), then stays bound.
+_LAZY = {
+    "KWayTree": "pecoc",
+    "PecocModel": "pecoc",
+    "decode_loss_bound": "pecoc",
+    "decode_probability": "pecoc",
+    "hadamard_code": "pecoc",
+    "loss_multiplier": "pecoc",
+    "OracleEstimator": "synthetic",
+    "SyntheticTask": "synthetic",
+    "install_oracle_regressors": "synthetic",
+    "node_conditionals": "synthetic",
+    "node_regret": "synthetic",
+    "true_regret": "synthetic",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -8,9 +8,8 @@ import sys
 import time
 
 from .data import ParseError, format_example_line, read_example_file
-from .evaluation import EmptyStreamError, EvalReport, SyntheticTask, progressive_validate
+from .evaluation import EmptyStreamError, EvalReport, progressive_validate
 from .model_io import LABELED_MODES, MODES, ModelConfig, build_estimator, load_model, save_model
-from .pecoc import KWayTree, loss_multiplier
 from .tree import CondProbTree, max_depth_bound, max_side_fraction, total_depth_bound
 
 REPORT_COLUMNS = ("mode", "examples", "sq_loss", "ci", "equivalent",
@@ -135,6 +134,8 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_tradeoff(args, out) -> int:
+    from .pecoc import loss_multiplier  # imports numpy, which the tree modes never load
+
     ks = [int(v) for v in args.k_list.split(",") if v.strip()]
     if not ks:
         raise CliError("--k-list must contain at least one value")
@@ -182,7 +183,7 @@ def cmd_inspect(args, out) -> int:
         )
         print(f"leaves per depth: {histogram}", file=out)
         return 0
-    if isinstance(est, KWayTree):
+    if loaded.mode == "kway":
         print(f"mode: kway", file=out)
         print(f"labels: {est.n_labels}", file=out)
         print(f"k: {est.k}", file=out)
@@ -195,6 +196,8 @@ def cmd_inspect(args, out) -> int:
 
 
 def cmd_synth(args, out) -> int:
+    from .synthetic import SyntheticTask
+
     if args.task == "clustered":
         task = SyntheticTask.clustered(
             groups=args.groups,

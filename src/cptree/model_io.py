@@ -9,17 +9,20 @@ runs produce identical bytes and a reload reproduces predictions exactly.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import partial
 from io import BytesIO
 from itertools import starmap
-from typing import BinaryIO, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Sequence
 
 from .evaluation import OneAgainstAll, TableBaseline
-from .pecoc import KWayTree, PecocModel
 from .regressor import LinearRegressor
 from .tree import CondProbTree, CorruptTreeError, _Node
+
+if TYPE_CHECKING:
+    from .pecoc import KWayTree, PecocModel
 
 MAGIC = b"CPTM"
 FORMAT_VERSION = 1
@@ -107,10 +110,16 @@ def _write_regressor(out: BinaryIO, reg: LinearRegressor) -> None:
 
 def _read_regressor(r: _Reader) -> LinearRegressor:
     learning_rate, update_count, bias, nnz = r.unpack(_REGRESSOR)
+    if not math.isfinite(bias):
+        raise ModelFormatError(f"regressor bias is not finite: {bias}")
     reg = LinearRegressor(learning_rate)
     reg.update_count = update_count
     reg.bias = bias
-    reg.weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
+    reg.weights = weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
+    # One sum screens the weights. Only a sum that is not finite, from a
+    # non-finite weight or from an overflow, is checked weight by weight.
+    if not math.isfinite(sum(weights.values())) and not all(map(math.isfinite, weights.values())):
+        raise ModelFormatError("regressor weight is not finite")
     return reg
 
 
@@ -190,6 +199,14 @@ def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
     return est
 
 
+def _pecoc():
+    """The pecoc module, imported on first use: it needs numpy, which the
+    tree, oaa and table modes never load."""
+    from . import pecoc
+
+    return pecoc
+
+
 def _encode_pecoc(est: PecocModel, structure: BinaryIO, weights: BinaryIO) -> None:
     structure.write(_PECOC_HEAD.pack(est.t, est.n_labels))
     for label, _col in sorted(est.label_map.items(), key=lambda kv: kv[1]):
@@ -200,7 +217,7 @@ def _encode_pecoc(est: PecocModel, structure: BinaryIO, weights: BinaryIO) -> No
 
 def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
     t, n = s.unpack(_PECOC_HEAD)
-    est = PecocModel([s.string() for _ in range(n)], cfg.eta)
+    est = _pecoc().PecocModel([s.string() for _ in range(n)], cfg.eta)
     if est.t != t:
         raise ModelFormatError("code size does not match label count")
     est.row_regressors = [_read_regressor(w) for _ in range(est.size - 1)]
@@ -221,7 +238,7 @@ def _encode_kway(est: KWayTree, structure: BinaryIO, weights: BinaryIO) -> None:
 
 def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
     k, depth, n = s.unpack(_KWAY_HEAD)
-    est = KWayTree([s.string() for _ in range(n)], k, cfg.eta)
+    est = _pecoc().KWayTree([s.string() for _ in range(n)], k, cfg.eta)
     if est.depth != depth:
         raise ModelFormatError("tree depth does not match label count")
     (node_count,) = s.unpack(_U32)
@@ -291,8 +308,10 @@ _MODES = {
     "cpt-fixed": _tree_mode(lambda cfg, labels: CondProbTree.balanced(
         labels, alpha=1.0, learning_rate=cfg.eta)),
     "oaa": (lambda cfg, labels: OneAgainstAll(cfg.eta), _encode_oaa, _decode_oaa),
-    "pecoc": (lambda cfg, labels: PecocModel(labels, cfg.eta), _encode_pecoc, _decode_pecoc),
-    "kway": (lambda cfg, labels: KWayTree(labels, cfg.k, cfg.eta), _encode_kway, _decode_kway),
+    "pecoc": (lambda cfg, labels: _pecoc().PecocModel(labels, cfg.eta),
+              _encode_pecoc, _decode_pecoc),
+    "kway": (lambda cfg, labels: _pecoc().KWayTree(labels, cfg.k, cfg.eta),
+             _encode_kway, _decode_kway),
     "table": (lambda cfg, labels: TableBaseline(), _encode_table, _decode_table),
 }
 MODES = tuple(_MODES)

@@ -213,6 +213,20 @@ def test_inspect_single_label_model(tmp_path):
     assert code == 0 and "max depth: 0" in text
 
 
+def test_inspect_kway_model(tmp_path):
+    train = tmp_path / "train.txt"
+    write_lines(train, [f"y{i} | f{i}" for i in range(5)])
+    model = tmp_path / "m.bin"
+    assert run_cli("train", "--mode", "kway", "--k", "4", "--train", str(train),
+                   "--model", str(model))[0] == 0
+    code, text = run_cli("inspect", "--model", str(model))
+    assert code == 0
+    assert text.splitlines() == [
+        "mode: kway", "labels: 5", "k: 4", "depth: 2", "slots: 16",
+        "regressors per node: 3", "active nodes: 3",
+    ]
+
+
 def test_inspect_rejects_non_tree_models(streams, tmp_path):
     train, _ = streams
     model = tmp_path / "m.bin"

@@ -218,6 +218,56 @@ def test_non_finite_learning_rate_in_a_regressor_record_is_rejected(tmp_path):
         load_model(path)
 
 
+def _root_regressor_file(tmp_path, edits):
+    """Save the tree root(A, B), trained on two one-feature contexts, and
+    overwrite 8-byte reals of its weights section: edits maps offset to value.
+
+    The weights section opens with the 8-byte update counter. The root's
+    regressor record follows: learning rate, update count, bias at 24, a
+    weight count of 2 at 32, then two (feature, weight) pairs with their
+    weights at 40 and 52.
+    """
+    est = CondProbTree()
+    path = _saved(tmp_path, "cpt-online", est, ["A", "B"], xs=TASK.features[:2])
+    _, _, structure, weights = read_sections(path)
+    assert struct.unpack_from("<I", weights, 32) == (2,)
+    edited = bytearray(weights)
+    for offset, value in edits.items():
+        struct.pack_into("<d", edited, offset, value)
+    _replace_sections(path, structure, bytes(edited))
+    return path, est
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({24: float("nan")}, "regressor bias is not finite"),
+        ({52: float("inf")}, "regressor weight is not finite"),
+        ({40: 1e308, 52: float("-inf")}, "regressor weight is not finite"),
+    ],
+    ids=["nan-bias", "inf-weight", "inf-weight-after-a-large-one"],
+)
+def test_non_finite_regressor_state_is_rejected(edits, message, tmp_path):
+    path, _ = _root_regressor_file(tmp_path, edits)
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+# Two weights of 1e308 sum to inf, yet each is finite: the file must load.
+@pytest.mark.parametrize("edits", [{}, {40: 1e308, 52: 1e308}], ids=["unedited", "overflowing-sum"])
+def test_finite_regressor_state_loads(edits, tmp_path):
+    path, est = _root_regressor_file(tmp_path, edits)
+    loaded = load_model(path).estimator
+    expected = edits.values() if edits else est.nodes[est.root].reg.weights.values()
+    assert sorted(loaded.nodes[loaded.root].reg.weights.values()) == sorted(expected)
+    for x in TASK.features[:2]:
+        for label in ("A", "B"):
+            score = loaded.score(x, label)
+            assert 0.0 <= score <= 1.0
+            if not edits:
+                assert score == est.score(x, label)
+
+
 def _edited_model(tmp_path, mode, est, labels, old, new, xs=(TRAIN[0].x,)):
     """Save est trained on labels, then replace the one occurrence of old in
     its structure section with new, which has the same length."""
@@ -353,7 +403,8 @@ def test_mutated_files_load_or_raise_model_format_error(tmp_path):
             try:
                 loaded = load_model(path)
                 for example in HELD_OUT[:5]:
-                    loaded.estimator.score(example.x, example.y)
+                    score = loaded.estimator.score(example.x, example.y)
+                    assert 0.0 <= score <= 1.0, (mode, score)
                 loaded_modes.add(mode)
             except ModelFormatError:
                 rejected_modes.add(mode)
