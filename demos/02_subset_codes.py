@@ -16,7 +16,7 @@ from cptree import (
     loss_multiplier,
 )
 
-code = hadamard_code(2)
+code = np.array(hadamard_code(2))
 print("code for 4 labels:")
 print(code)
 
@@ -24,7 +24,7 @@ print(code)
 rng = np.random.default_rng(0)
 p = rng.dirichlet(np.ones(4))
 rows = code.astype(float) @ p
-decoded = [decode_probability(code, rows, y) for y in range(4)]
+decoded = [decode_probability(code[:, y], rows) for y in range(4)]
 print(f"\ntrue P   : {np.round(p, 6)}")
 print(f"decoded  : {np.round(decoded, 6)}")
 
@@ -33,7 +33,7 @@ delta = 0.05
 signs = np.where(code[:, 2] == 1, 1.0, -1.0)
 signs[0] = 0.0
 noisy = rows + delta * signs
-realized = (decode_probability(code, noisy, 2) - p[2]) ** 2
+realized = (decode_probability(code[:, 2], noisy) - p[2]) ** 2
 errors = np.array([0.0, delta, delta, delta])
 print(f"\nrealized squared error: {realized:.6f}")
 print(f"worst-case bound:       {decode_loss_bound(errors):.6f}")

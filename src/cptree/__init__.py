@@ -31,6 +31,7 @@ from .features import (
     hash_feature,
 )
 from .model_io import LoadedModel, ModelConfig, build_estimator, load_model, read_sections, save_model
+from .pecoc import KWayTree, PecocModel, decode_loss_bound, decode_probability, hadamard_code, loss_multiplier
 from .regressor import LinearRegressor
 from .tree import (
     CondProbTree,
@@ -44,15 +45,9 @@ from .tree import (
     total_depth_bound,
 )
 
-# Exports of the two modules that import numpy, which the tree, oaa and table
-# modes never need: each resolves on first access (PEP 562), then stays bound.
+# Exports of the module that imports numpy, which no estimator mode needs:
+# each resolves on first access (PEP 562), then stays bound.
 _LAZY = {
-    "KWayTree": "pecoc",
-    "PecocModel": "pecoc",
-    "decode_loss_bound": "pecoc",
-    "decode_probability": "pecoc",
-    "hadamard_code": "pecoc",
-    "loss_multiplier": "pecoc",
     "OracleEstimator": "synthetic",
     "SyntheticTask": "synthetic",
     "install_oracle_regressors": "synthetic",

@@ -10,6 +10,7 @@ import time
 from .data import ParseError, format_example_line, read_example_file
 from .evaluation import EmptyStreamError, EvalReport, progressive_validate
 from .model_io import LABELED_MODES, MODES, ModelConfig, build_estimator, load_model, save_model
+from .pecoc import loss_multiplier
 from .tree import CondProbTree, max_depth_bound, max_side_fraction, total_depth_bound
 
 REPORT_COLUMNS = ("mode", "examples", "sq_loss", "ci", "equivalent",
@@ -134,8 +135,6 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_tradeoff(args, out) -> int:
-    from .pecoc import loss_multiplier  # imports numpy, which the tree modes never load
-
     ks = [int(v) for v in args.k_list.split(",") if v.strip()]
     if not ks:
         raise CliError("--k-list must contain at least one value")

@@ -58,9 +58,18 @@ def parse_example_line(
 
 
 def format_example_line(label: str, features: Iterable[tuple[str, float]]) -> str:
+    """The line that parse_example_line reads back as (label, features).
+
+    A name containing ':' always carries its weight, since the parser takes
+    the text after the last colon as the weight.
+    """
+    if label.split() != [label] or "|" in label:
+        raise ValueError(f"label must be one token without '|', got {label!r}")
     parts = [label, "|"]
     for name, weight in features:
-        parts.append(name if weight == 1.0 else f"{name}:{weight!r}")
+        if name.split() != [name]:
+            raise ValueError(f"feature name must be one token, got {name!r}")
+        parts.append(name if weight == 1.0 and ":" not in name else f"{name}:{weight!r}")
     return " ".join(parts)
 
 

@@ -3,7 +3,7 @@
 Progressive validation scores every example before learning on it, which makes
 the running mean squared loss an unbiased estimate of online performance. The
 synthetic tasks and exact regrets live in ``synthetic``, the package's one
-numpy user besides ``pecoc``.
+numpy user.
 """
 
 from __future__ import annotations

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from functools import partial
 from io import BytesIO
 from itertools import starmap
-from typing import TYPE_CHECKING, BinaryIO, Sequence
+from typing import BinaryIO, Sequence
 
 from .evaluation import OneAgainstAll, TableBaseline
+from .features import MAX_HASH_BITS, MIN_HASH_BITS
+from .pecoc import KWayTree, PecocModel
 from .regressor import LinearRegressor
 from .tree import CondProbTree, CorruptTreeError, _Node
-
-if TYPE_CHECKING:
-    from .pecoc import KWayTree, PecocModel
 
 MAGIC = b"CPTM"
 FORMAT_VERSION = 1
@@ -199,14 +198,6 @@ def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
     return est
 
 
-def _pecoc():
-    """The pecoc module, imported on first use: it needs numpy, which the
-    tree, oaa and table modes never load."""
-    from . import pecoc
-
-    return pecoc
-
-
 def _encode_pecoc(est: PecocModel, structure: BinaryIO, weights: BinaryIO) -> None:
     structure.write(_PECOC_HEAD.pack(est.t, est.n_labels))
     for label, _col in sorted(est.label_map.items(), key=lambda kv: kv[1]):
@@ -217,7 +208,7 @@ def _encode_pecoc(est: PecocModel, structure: BinaryIO, weights: BinaryIO) -> No
 
 def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
     t, n = s.unpack(_PECOC_HEAD)
-    est = _pecoc().PecocModel([s.string() for _ in range(n)], cfg.eta)
+    est = PecocModel([s.string() for _ in range(n)], cfg.eta)
     if est.t != t:
         raise ModelFormatError("code size does not match label count")
     est.row_regressors = [_read_regressor(w) for _ in range(est.size - 1)]
@@ -238,7 +229,7 @@ def _encode_kway(est: KWayTree, structure: BinaryIO, weights: BinaryIO) -> None:
 
 def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
     k, depth, n = s.unpack(_KWAY_HEAD)
-    est = _pecoc().KWayTree([s.string() for _ in range(n)], k, cfg.eta)
+    est = KWayTree([s.string() for _ in range(n)], k, cfg.eta)
     if est.depth != depth:
         raise ModelFormatError("tree depth does not match label count")
     (node_count,) = s.unpack(_U32)
@@ -308,10 +299,8 @@ _MODES = {
     "cpt-fixed": _tree_mode(lambda cfg, labels: CondProbTree.balanced(
         labels, alpha=1.0, learning_rate=cfg.eta)),
     "oaa": (lambda cfg, labels: OneAgainstAll(cfg.eta), _encode_oaa, _decode_oaa),
-    "pecoc": (lambda cfg, labels: _pecoc().PecocModel(labels, cfg.eta),
-              _encode_pecoc, _decode_pecoc),
-    "kway": (lambda cfg, labels: _pecoc().KWayTree(labels, cfg.k, cfg.eta),
-             _encode_kway, _decode_kway),
+    "pecoc": (lambda cfg, labels: PecocModel(labels, cfg.eta), _encode_pecoc, _decode_pecoc),
+    "kway": (lambda cfg, labels: KWayTree(labels, cfg.k, cfg.eta), _encode_kway, _decode_kway),
     "table": (lambda cfg, labels: TableBaseline(), _encode_table, _decode_table),
 }
 MODES = tuple(_MODES)
@@ -362,6 +351,10 @@ def read_sections(path) -> tuple[str, ModelConfig, bytes, bytes]:
     if mode not in MODES:
         raise ModelFormatError(f"unknown mode tag {mode!r}")
     config = ModelConfig(*r.unpack(_CONFIG))
+    if not MIN_HASH_BITS <= config.hash_bits <= MAX_HASH_BITS:
+        raise ModelFormatError(
+            f"hash_bits must be in [{MIN_HASH_BITS}, {MAX_HASH_BITS}], got {config.hash_bits}"
+        )
     structure = r.take(r.unpack(_U64)[0])
     weights = r.take(r.unpack(_U64)[0])
     r.finish("weights section")

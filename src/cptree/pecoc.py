@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .features import SparseVector, clip01
 from .regressor import LinearRegressor
 from .tree import UnknownLabelError
@@ -20,32 +18,38 @@ from .tree import UnknownLabelError
 MAX_CODE_EXPONENT = 16  # practical cap: codes up to 65536 columns
 
 
-def hadamard_code(t: int) -> np.ndarray:
-    """Binary 2^t x 2^t code: all-ones first row, every other row half ones,
-    and any two distinct non-first rows agreeing on exactly half the columns.
+def code_column(size: int, column: int) -> list[int]:
+    """One column of the size x size code (size a power of two), as 0/1 ints.
 
-    Built by the doubling recursion [[C, C], [C, 1-C]] from [[1, 1], [1, 0]].
+    Entry (row, column) is 1 - popcount(row & column) mod 2: the doubling
+    recursion [[C, C], [C, 1-C]] from [[1, 1], [1, 0]], written directly. The
+    code is symmetric, so column c is also row c.
+    """
+    return [1 - ((row & column).bit_count() & 1) for row in range(size)]
+
+
+def hadamard_code(t: int) -> list[list[int]]:
+    """Binary 2^t x 2^t code, as a list of rows: all-ones first row, every
+    other row half ones, and any two distinct non-first rows agreeing on
+    exactly half the columns.
     """
     if not 1 <= t <= MAX_CODE_EXPONENT:
         raise ValueError(f"code exponent must be in [1, {MAX_CODE_EXPONENT}], got {t}")
-    code = np.array([[1, 1], [1, 0]], dtype=np.uint8)
-    for _ in range(t - 1):
-        code = np.block([[code, code], [code, 1 - code]])
-    return code
+    size = 1 << t
+    return [code_column(size, row) for row in range(size)]
 
 
-def decode_probability(code: np.ndarray, row_values: Sequence[float], column: int) -> float:
+def decode_probability(bits: Sequence[int], row_values: Sequence[float]) -> float:
     """Decode one label's probability estimate from per-row subset predictions.
 
-    row_values[i] estimates P(label in subset of row i | x); row 0 is the
-    trivial all-labels subset and is conventionally pinned to 1. The result is
-    exact when the row values are exact, but may fall outside [0, 1] otherwise;
-    callers clip as needed.
+    bits is the label's code column: bits[i] is 1 when the label lies in the
+    subset of row i. row_values[i] estimates P(label in subset of row i | x);
+    row 0 is the trivial all-labels subset and is conventionally pinned to 1.
+    The result is exact when the row values are exact, but may fall outside
+    [0, 1] otherwise; callers clip as needed.
     """
-    bits = code[:, column].astype(np.float64)
-    vals = np.asarray(row_values, dtype=np.float64)
-    agree = bits * vals + (1.0 - bits) * (1.0 - vals)
-    return 2.0 * float(agree.mean()) - 1.0
+    agree = sum(v if b else 1.0 - v for b, v in zip(bits, row_values, strict=True))
+    return 2.0 * (agree / len(bits)) - 1.0
 
 
 def decode_loss_bound(row_errors: Sequence[float]) -> float:
@@ -55,13 +59,13 @@ def decode_loss_bound(row_errors: Sequence[float]) -> float:
     the squared errors of the remaining n - 1 rows and is tight when they are
     all equal (in the label's subset orientation).
     """
-    errors = np.asarray(row_errors, dtype=np.float64)
-    n = errors.size
+    n = len(row_errors)
     if n < 2:
         raise ValueError("need at least two rows")
-    if errors[0] != 0.0:
+    if row_errors[0] != 0.0:
         raise ValueError("the trivial row has no estimation error; errors[0] must be 0")
-    return 4.0 * ((n - 1) / n) ** 2 * float(np.mean(errors[1:] ** 2))
+    mean_square = sum(e * e for e in row_errors[1:]) / (n - 1)
+    return 4.0 * ((n - 1) / n) ** 2 * mean_square
 
 
 def loss_multiplier(n: int, k: int) -> float:
@@ -123,7 +127,8 @@ class PecocModel:
         if not ordered:
             raise ValueError("need at least one label")
         self.t = _padded_exponent(len(ordered))
-        self.code = hadamard_code(self.t)
+        if self.t > MAX_CODE_EXPONENT:
+            raise ValueError(f"at most {1 << MAX_CODE_EXPONENT} labels, got {len(ordered)}")
         self.size = 1 << self.t
         self.label_map: dict[str, int] = {y: c for c, y in enumerate(ordered)}
         self.learning_rate = learning_rate
@@ -136,7 +141,7 @@ class PecocModel:
 
     def learn(self, x: SparseVector, y: str) -> None:
         col = _slot_of(self.label_map, y, self.size)
-        column_bits = self.code[1:, col]
+        column_bits = code_column(self.size, col)[1:]
         for reg, bit in zip(self.row_regressors, column_bits):
             reg.update(x, float(bit))
         self.updates += self.size - 1
@@ -146,11 +151,8 @@ class PecocModel:
         col = self.label_map.get(y)
         if col is None:
             raise UnknownLabelError(y)
-        row_values = np.empty(self.size, dtype=np.float64)
-        row_values[0] = 1.0
-        for i, reg in enumerate(self.row_regressors):
-            row_values[i + 1] = reg.predict(x)
-        return decode_probability(self.code, row_values, col)
+        row_values = [1.0] + [reg.predict(x) for reg in self.row_regressors]
+        return decode_probability(code_column(self.size, col), row_values)
 
     def score(self, x: SparseVector, y: str) -> float:
         """Clipped probability estimate; labels never seen score 0."""
@@ -172,14 +174,14 @@ class KWayTree:
     def __init__(self, labels: Sequence[str], k: int, learning_rate: float = 0.1):
         if k < 2 or k & (k - 1):
             raise ValueError(f"k must be a power of two >= 2, got {k}")
+        if k > 1 << MAX_CODE_EXPONENT:
+            raise ValueError(f"k must be at most {1 << MAX_CODE_EXPONENT}, got {k}")
         ordered = list(labels)
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate labels")
         if len(ordered) < 2:
             raise ValueError("need at least two labels")
         self.k = k
-        self.t = k.bit_length() - 1
-        self.code = hadamard_code(self.t)
         self.depth = 1
         capacity = k
         while capacity < len(ordered):
@@ -226,7 +228,7 @@ class KWayTree:
     def learn(self, x: SparseVector, y: str) -> None:
         slot = _slot_of(self.label_map, y, self.capacity)
         for level, index, digit in self._path(slot):
-            column_bits = self.code[1:, self._column(digit)]
+            column_bits = code_column(self.k, self._column(digit))[1:]
             for reg, bit in zip(self.regressors_at(level, index), column_bits):
                 reg.update(x, float(bit))
         self.updates += (self.k - 1) * self.depth
@@ -240,12 +242,9 @@ class KWayTree:
             # prediction (or its complement), so compute it directly.
             r = regs[0].predict(x) if regs else 0.0
             return r if digit == 1 else 1.0 - r
-        row_values = np.zeros(self.k, dtype=np.float64)
-        row_values[0] = 1.0
-        if regs:
-            for i, reg in enumerate(regs):
-                row_values[i + 1] = reg.predict(x)
-        return clip01(decode_probability(self.code, row_values, self._column(digit)))
+        predictions = [reg.predict(x) for reg in regs] if regs else [0.0] * (self.k - 1)
+        bits = code_column(self.k, self._column(digit))
+        return clip01(decode_probability(bits, [1.0, *predictions]))
 
     def score(self, x: SparseVector, y: str) -> float:
         """Product of per-node child estimates; labels never seen score 0."""

@@ -200,34 +200,34 @@ def test_a03_subset_code_decode_suite():
     rng = np.random.default_rng(303)
     worst_exact = 0.0
     for t, n in ((1, 2), (2, 4), (3, 8), (4, 16)):
-        code = hadamard_code(t).astype(np.float64)
+        code = np.array(hadamard_code(t), dtype=np.float64)
         for _ in range(100):
             p = rng.dirichlet(np.ones(n))
             rows = code @ p
             for y in range(n):
-                worst_exact = max(worst_exact, abs(decode_probability(code, rows, y) - p[y]))
+                worst_exact = max(worst_exact, abs(decode_probability(code[:, y], rows) - p[y]))
     bound_violations = 0
     for _ in range(10_000):
         t = int(rng.integers(1, 5))
         n = 2**t
-        code = hadamard_code(t).astype(np.float64)
+        code = np.array(hadamard_code(t), dtype=np.float64)
         p = rng.dirichlet(np.ones(n))
         errors = rng.uniform(-0.25, 0.25, size=n)
         errors[0] = 0.0
         y = int(rng.integers(n))
-        realized = (decode_probability(code, code @ p + errors, y) - p[y]) ** 2
+        realized = (decode_probability(code[:, y], code @ p + errors) - p[y]) ** 2
         if realized > decode_loss_bound(errors) + 1e-12:
             bound_violations += 1
     worst_equality = 0.0
     for t in (1, 2, 3, 4):
         n = 2**t
-        code = hadamard_code(t).astype(np.float64)
+        code = np.array(hadamard_code(t), dtype=np.float64)
         p = rng.dirichlet(np.ones(n))
         y = int(rng.integers(n))
         signs = np.where(code[:, y] == 1, 1.0, -1.0)
         signs[0] = 0.0
         delta = 0.04
-        realized = (decode_probability(code, code @ p + delta * signs, y) - p[y]) ** 2
+        realized = (decode_probability(code[:, y], code @ p + delta * signs) - p[y]) ** 2
         errors = np.full(n, delta)
         errors[0] = 0.0
         worst_equality = max(worst_equality, abs(realized - decode_loss_bound(errors)))
@@ -246,7 +246,7 @@ def test_a03_subset_code_decode_suite():
 def test_a04_code_invariants_up_to_64():
     bad = 0
     for t in range(1, 7):
-        code = hadamard_code(t)
+        code = np.array(hadamard_code(t))
         size = 2**t
         if not (code[0] == 1).all():
             bad += 1

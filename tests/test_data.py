@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cptree import ParseError, format_example_line, parse_example_line, read_examples
+from cptree import ParseError, format_example_line, from_tokens, parse_example_line, read_examples
 from cptree.features import hash_feature
 
 
@@ -64,6 +64,35 @@ def test_round_trip_through_formatting():
     example = parse_example_line(line)
     assert example.y == "lbl"
     assert len(example.x) == 2
+
+
+@pytest.mark.parametrize(
+    "label, features",
+    [
+        ("lbl", [("alpha", 1.0), ("beta", 0.25)]),
+        ("y", [("a:2", 1.0)]),
+        ("y", [("a:b", 1.0), ("a:b:c", -0.5)]),
+        ("y", [(":x", 1.0), ("x:", 3.0)]),
+        ("a:b", []),
+    ],
+    ids=["plain", "numeric-suffix", "inner-colons", "edge-colons", "colon-label"],
+)
+def test_formatted_lines_parse_back_to_their_inputs(label, features):
+    example = parse_example_line(format_example_line(label, features))
+    assert example.y == label
+    assert example.x == from_tokens(features)
+
+
+@pytest.mark.parametrize(
+    "label, features",
+    [("", []), ("a b", []), ("a\tb", []), ("a|b", []),
+     ("y", [("", 1.0)]), ("y", [("f g", 1.0)]), ("y", [("f\ng", 2.0)])],
+    ids=["empty-label", "spaced-label", "tabbed-label", "piped-label",
+         "empty-name", "spaced-name", "newline-name"],
+)
+def test_unparseable_labels_and_names_are_not_formatted(label, features):
+    with pytest.raises(ValueError):
+        format_example_line(label, features)
 
 
 def test_reader_skips_blank_lines_and_numbers_errors():

@@ -4,11 +4,13 @@ import random
 import re
 import signal
 import struct
+import tracemalloc
 
 import pytest
 
 from cptree import (
     CondProbTree,
+    KWayTree,
     ModelConfig,
     OneAgainstAll,
     SyntheticTask,
@@ -113,6 +115,22 @@ def test_truncated_file_is_rejected(tmp_path):
     path.write_bytes(raw[: len(raw) - 5])
     with pytest.raises(ModelFormatError):
         load_model(path)
+
+
+@pytest.mark.parametrize("hash_bits", [9, 31, 99])
+def test_unusable_hash_bits_are_rejected(hash_bits, tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, "oaa", ModelConfig(hash_bits=hash_bits), OneAgainstAll())
+    message = rf"^hash_bits must be in \[10, 30\], got {hash_bits}$"
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("hash_bits", [10, 30])
+def test_boundary_hash_bits_load(hash_bits, tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, "oaa", ModelConfig(hash_bits=hash_bits), OneAgainstAll())
+    assert load_model(path).config.hash_bits == hash_bits
 
 
 def test_loaded_tree_keeps_learning_consistently(tmp_path):
@@ -346,6 +364,21 @@ def test_malformed_kway_node_keys_are_rejected(position, key, message, tmp_path)
 def test_kway_node_keys_inside_the_tree_load(key, tmp_path):
     loaded = load_model(_kway_file(tmp_path, 3, key)).estimator
     assert sorted(loaded._node_regs) == [(0, 0), (1, 0), (1, 1), key]
+
+
+def test_kway_fanout_edited_upward_is_rejected_without_a_dense_code(tmp_path):
+    # A 2-label k = 2 file whose fan-out now reads 4096 holds one regressor
+    # where 4095 are due. A dense 4096 x 4096 code alone would take 16 MiB.
+    path = _edited_model(tmp_path, "kway", KWayTree(["A", "B"], 2), ["A", "B"],
+                         struct.pack("<III", 2, 1, 2), struct.pack("<III", 4096, 1, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match="truncated model file"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("total", [1, 3])

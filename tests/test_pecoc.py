@@ -15,6 +15,7 @@ from cptree import (
     hadamard_code,
     loss_multiplier,
 )
+from cptree.pecoc import MAX_CODE_EXPONENT, code_column
 
 from _support import ConstantRegressor, ContextRegressor, tiny_task, vec
 
@@ -22,11 +23,11 @@ from _support import ConstantRegressor, ContextRegressor, tiny_task, vec
 # --- code construction -------------------------------------------------------
 
 def test_smallest_code():
-    assert hadamard_code(1).tolist() == [[1, 1], [1, 0]]
+    assert hadamard_code(1) == [[1, 1], [1, 0]]
 
 
 def test_doubled_code():
-    assert hadamard_code(2).tolist() == [
+    assert hadamard_code(2) == [
         [1, 1, 1, 1],
         [1, 0, 1, 0],
         [1, 1, 0, 0],
@@ -36,7 +37,7 @@ def test_doubled_code():
 
 def test_code_invariants_by_brute_force():
     for t in range(1, 7):
-        code = hadamard_code(t)
+        code = np.array(hadamard_code(t))
         size = 2**t
         assert code.shape == (size, size)
         assert (code[0] == 1).all()
@@ -52,6 +53,12 @@ def test_code_matches_sign_matrix_construction():
     for t in range(1, 7):
         sign = scipy.linalg.hadamard(2**t)
         assert np.array_equal(hadamard_code(t), ((1 + sign) // 2).astype(np.uint8))
+
+
+def test_code_columns_match_sign_matrix_at_size_1024():
+    sign = scipy.linalg.hadamard(1024)
+    for column in (0, 1, 513, 1023):
+        assert code_column(1024, column) == ((1 + sign[:, column]) // 2).tolist()
 
 
 def test_code_exponent_domain():
@@ -90,28 +97,28 @@ def test_two_label_decode_reduces_to_the_row_regressor():
 
 def test_uninformative_rows_decode_to_zero():
     for t in (1, 2, 3):
-        code = hadamard_code(t)
+        code = np.array(hadamard_code(t))
         size = 2**t
         for y in range(size):
-            assert decode_probability(code, [0.5] * size, y) == 0.0
+            assert decode_probability(code[:, y], [0.5] * size) == 0.0
 
 
 def test_oracle_rows_decode_exactly():
     rng = np.random.default_rng(21)
     for t, n in ((1, 2), (2, 4), (3, 8), (4, 16)):
-        code = hadamard_code(t).astype(np.float64)
+        code = np.array(hadamard_code(t), dtype=np.float64)
         for _ in range(100):
             p = rng.dirichlet(np.ones(n))
             oracle_rows = code @ p  # per-row subset probability
             for y in range(n):
-                assert abs(decode_probability(code, oracle_rows, y) - p[y]) < 1e-12
+                assert abs(decode_probability(code[:, y], oracle_rows) - p[y]) < 1e-12
 
 
 def test_model_with_oracle_rows_is_exact_even_when_padded():
     task = tiny_task(contexts=3, labels=6, seed=4)  # pads to 8 columns
     model = PecocModel(task.labels)
     padded = np.zeros((model.size,))
-    code = model.code.astype(np.float64)
+    code = np.array(hadamard_code(model.t), dtype=np.float64)
     for row in range(1, model.size):
         by_key = {}
         for c in range(task.context_count):
@@ -141,13 +148,13 @@ def test_realized_decode_loss_never_exceeds_bound():
     for _ in range(10_000):
         t = int(rng.integers(1, 5))
         n = 2**t
-        code = hadamard_code(t).astype(np.float64)
+        code = np.array(hadamard_code(t), dtype=np.float64)
         p = rng.dirichlet(np.ones(n))
         errors = rng.uniform(-0.25, 0.25, size=n)
         errors[0] = 0.0
         rows = code @ p + errors
         y = int(rng.integers(n))
-        realized = (decode_probability(code, rows, y) - p[y]) ** 2
+        realized = (decode_probability(code[:, y], rows) - p[y]) ** 2
         # Equality is attainable, so allow float rounding at that boundary.
         assert realized <= decode_loss_bound(errors) + 1e-12
 
@@ -156,14 +163,14 @@ def test_decode_loss_bound_is_tight_for_uniform_oriented_errors():
     rng = np.random.default_rng(23)
     for t in (1, 2, 3, 4):
         n = 2**t
-        code = hadamard_code(t).astype(np.float64)
+        code = np.array(hadamard_code(t), dtype=np.float64)
         p = rng.dirichlet(np.ones(n))
         delta = 0.05
         y = int(rng.integers(n))
         signs = np.where(code[:, y] == 1, 1.0, -1.0)
         signs[0] = 0.0
         rows = code @ p + delta * signs
-        realized = (decode_probability(code, rows, y) - p[y]) ** 2
+        realized = (decode_probability(code[:, y], rows) - p[y]) ** 2
         errors = np.full(n, delta)
         errors[0] = 0.0
         assert abs(realized - decode_loss_bound(errors)) < 1e-9
@@ -173,7 +180,7 @@ def test_decode_is_symmetric_under_row_complement():
     rng = np.random.default_rng(24)
     for t in (1, 2, 3):
         n = 2**t
-        code = hadamard_code(t)
+        code = np.array(hadamard_code(t))
         rows = rng.uniform(0, 1, size=n)
         rows[0] = 1.0
         for flip in range(1, n):
@@ -182,8 +189,8 @@ def test_decode_is_symmetric_under_row_complement():
             flipped_rows = rows.copy()
             flipped_rows[flip] = 1.0 - flipped_rows[flip]
             for y in range(n):
-                a = decode_probability(code, rows, y)
-                b = decode_probability(flipped_code, flipped_rows, y)
+                a = decode_probability(code[:, y], rows)
+                b = decode_probability(flipped_code[:, y], flipped_rows)
                 assert math.isclose(a, b, abs_tol=1e-12)
 
 
@@ -225,6 +232,14 @@ def test_kway_rejects_bad_fanout():
         KWayTree(["a", "b", "c"], 3)
     with pytest.raises(ValueError):
         KWayTree(["a"], 2)
+
+
+def test_code_size_caps_still_hold():
+    cap = 1 << MAX_CODE_EXPONENT
+    with pytest.raises(ValueError, match=f"^k must be at most {cap}, got {2 * cap}$"):
+        KWayTree(["a", "b"], 1 << 17)
+    with pytest.raises(ValueError, match=f"^at most {cap} labels, got {cap + 1}$"):
+        PecocModel([f"y{i}" for i in range(cap + 1)])
 
 
 def test_binary_kway_matches_binary_tree_bit_for_bit():
@@ -271,7 +286,7 @@ def test_kway_with_oracle_nodes_recovers_true_conditionals():
                         continue
                     value = 0.0
                     for child in range(k):
-                        if tree.code[row, tree._column(child)] == 1:
+                        if code_column(k, tree._column(child))[row] == 1:
                             value += child_mass[c, child]
                     by_key[task.features[c].key_bytes()] = value / node_mass[c]
                 regs.append(ContextRegressor(by_key))

@@ -1,8 +1,8 @@
-"""Start-up cost: the tree, oaa and table modes run without importing numpy,
-which loads only with the subset-code modes and the synthetic tasks; and the
-package's lazy exports resolve to the objects of their defining modules.
+"""Start-up cost: every estimator mode runs without importing numpy, which
+loads only with the synthetic tasks; and the package's lazy exports resolve to
+the objects of their defining modules.
 
-The start-up checks run in fresh interpreters, since this test process has
+The start-up check runs in a fresh interpreter, since this test process has
 imported numpy long before.
 """
 
@@ -20,40 +20,23 @@ ROOT = Path(__file__).resolve().parent.parent
 STREAM = ["A | c0", "B | c1", "C | c2", "A | c0 c1:0.5", "B | c1 c2:0.25", "C | c2"]
 
 # argv: train stream, test stream, work directory.
-TREE_MODES_CHILD = """
+NUMPY_FREE_CHILD = """
 import sys
 from cptree.cli import main
 
 train, test, work = sys.argv[1:]
-cpt = work + "/cpt.bin"
 runs = [
-    ["train", "--mode", "cpt-online", "--train", train, "--model", cpt],
-    ["eval", "--model", cpt, "--test", test, "--freeze"],
-    ["inspect", "--model", cpt],
-    ["compare", "--modes", "cpt-online,cpt-random,cpt-fixed,oaa,table", "--test", test],
+    ["compare", "--modes", "cpt-online,cpt-random,cpt-fixed,oaa,pecoc,table", "--test", test],
+    ["tradeoff", "--n", "16", "--k-list", "2,4,16"],
 ]
-for mode in ("oaa", "table"):
+for mode in ("cpt-online", "cpt-random", "cpt-fixed", "oaa", "pecoc", "kway", "table"):
     model = f"{work}/{mode}.bin"
-    runs += [["train", "--mode", mode, "--train", train, "--model", model],
-             ["eval", "--model", model, "--test", test]]
+    runs += [["train", "--mode", mode, "--k", "2", "--train", train, "--model", model],
+             ["eval", "--model", model, "--test", test, "--freeze"]]
+runs += [["inspect", "--model", f"{work}/{mode}.bin"] for mode in ("cpt-online", "kway")]
 for argv in runs:
     assert main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy was imported"
-"""
-
-KWAY_CHILD = """
-import sys
-from cptree import load_model, read_example_file
-from cptree.cli import main
-
-train, work = sys.argv[1:]
-model = work + "/kway.bin"
-assert "numpy" not in sys.modules, "numpy was imported before kway ran"
-assert main(["train", "--mode", "kway", "--k", "2", "--train", train, "--model", model]) == 0
-assert "numpy" in sys.modules, "kway ran without numpy"
-loaded = load_model(model)
-example = next(read_example_file(train, loaded.config.hash_bits))
-assert 0.0 < loaded.estimator.score(example.x, example.y) <= 1.0
 """
 
 
@@ -74,12 +57,8 @@ def stream(tmp_path):
     return path
 
 
-def test_tree_oaa_and_table_commands_run_without_numpy(stream, tmp_path):
-    _run_child(TREE_MODES_CHILD, stream, stream, tmp_path)
-
-
-def test_kway_imports_numpy_on_first_use(stream, tmp_path):
-    _run_child(KWAY_CHILD, stream, tmp_path)
+def test_every_mode_and_tradeoff_run_without_numpy(stream, tmp_path):
+    _run_child(NUMPY_FREE_CHILD, stream, stream, tmp_path)
 
 
 # The one export that has no __module__ of its own.
