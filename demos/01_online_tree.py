@@ -8,11 +8,11 @@ import numpy as np
 
 from cptree import (
     CondProbTree,
-    SyntheticTask,
     max_depth_bound,
     max_side_fraction,
     total_depth_bound,
 )
+from cptree.synthetic import SyntheticTask
 
 task = SyntheticTask.clustered(groups=6, contexts_per_group=4, labels_per_group=8, seed=1)
 print(f"task: {task.context_count} contexts, {task.label_count} labels")

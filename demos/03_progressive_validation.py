@@ -7,14 +7,12 @@ with known ground truth, so the unavoidable loss is known exactly.
 from cptree import (
     CondProbTree,
     OneAgainstAll,
-    OracleEstimator,
-    SyntheticTask,
     TableBaseline,
     equivalent_labels,
     grid_search,
     progressive_validate,
-    true_regret,
 )
+from cptree.synthetic import OracleEstimator, SyntheticTask, true_regret
 
 task = SyntheticTask.crossed(seed=7)
 examples = task.sample(8_000, seed=8)

@@ -7,7 +7,8 @@ stream introduces more and more labels.
 
 import time
 
-from cptree import CondProbTree, OneAgainstAll, SyntheticTask
+from cptree import CondProbTree, OneAgainstAll
+from cptree.synthetic import SyntheticTask
 
 task = SyntheticTask.random(contexts=32, labels=2_000, seed=11, concentration=2.0)
 examples = task.sample(6_000, seed=12)

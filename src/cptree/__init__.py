@@ -3,11 +3,9 @@
 The package provides an online binary label tree whose per-node regressors
 factor P(y | x) into a product along the root-to-leaf path, subset-code
 estimators (flat and k-way) that trade extra computation for a tighter loss
-multiplier, standard baselines, and a progressive-validation harness with
-exact-regret measurement against synthetic tasks.
+multiplier, standard baselines, and a progressive-validation harness. The
+synthetic tasks and exact regrets are in ``cptree.synthetic``, not re-exported.
 """
-
-import importlib
 
 from .data import ParseError, format_example_line, parse_example_line, read_example_file, read_examples
 from .evaluation import (
@@ -45,26 +43,6 @@ from .tree import (
     total_depth_bound,
 )
 
-# Exports of the module that imports numpy, which no estimator mode needs:
-# each resolves on first access (PEP 562), then stays bound.
-_LAZY = {
-    "OracleEstimator": "synthetic",
-    "SyntheticTask": "synthetic",
-    "install_oracle_regressors": "synthetic",
-    "node_conditionals": "synthetic",
-    "node_regret": "synthetic",
-    "true_regret": "synthetic",
-}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -81,11 +59,9 @@ __all__ = [
     "LoadedModel",
     "ModelConfig",
     "OneAgainstAll",
-    "OracleEstimator",
     "ParseError",
     "PecocModel",
     "SparseVector",
-    "SyntheticTask",
     "TableBaseline",
     "UnknownLabelError",
     "build_estimator",
@@ -102,13 +78,10 @@ __all__ = [
     "hoeffding_halfwidth",
     "insert_direction",
     "insert_objective",
-    "install_oracle_regressors",
     "load_model",
     "loss_multiplier",
     "max_depth_bound",
     "max_side_fraction",
-    "node_conditionals",
-    "node_regret",
     "parse_example_line",
     "progressive_validate",
     "read_example_file",
@@ -116,5 +89,4 @@ __all__ = [
     "read_sections",
     "save_model",
     "total_depth_bound",
-    "true_regret",
 ]

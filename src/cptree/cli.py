@@ -7,8 +7,8 @@ import math
 import sys
 import time
 
-from .data import ParseError, format_example_line, read_example_file
-from .evaluation import EmptyStreamError, EvalReport, progressive_validate
+from .data import format_example_line, read_example_file
+from .evaluation import EvalReport, progressive_validate
 from .model_io import LABELED_MODES, MODES, ModelConfig, build_estimator, load_model, save_model
 from .pecoc import loss_multiplier
 from .tree import CondProbTree, max_depth_bound, max_side_fraction, total_depth_bound
@@ -44,14 +44,10 @@ def _new_estimator(mode: str, cfg: ModelConfig, path):
 
 def _train_estimator(mode: str, cfg: ModelConfig, train_path):
     est = _new_estimator(mode, cfg, train_path)
-    for pass_index in range(cfg.passes):
+    # Later passes see only labels the first one inserted: a tree keeps its shape.
+    for _ in range(cfg.passes):
         for example in read_example_file(train_path, cfg.hash_bits):
-            if pass_index > 0 and isinstance(est, CondProbTree):
-                # Later passes keep the tree structure fixed and only
-                # retrain the regressors along each example's path.
-                est.train_known(example.x, example.y)
-            else:
-                est.learn(example.x, example.y)
+            est.learn(example.x, example.y)
     return est
 
 
@@ -313,10 +309,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, out)
-    except (CliError, ParseError, EmptyStreamError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,7 @@ consumers only ever see canonical sparse vectors.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable, Iterator
 
@@ -69,6 +70,8 @@ def format_example_line(label: str, features: Iterable[tuple[str, float]]) -> st
     for name, weight in features:
         if name.split() != [name]:
             raise ValueError(f"feature name must be one token, got {name!r}")
+        if not math.isfinite(weight):
+            raise ValueError(f"feature weight must be finite, got {weight!r}")
         parts.append(name if weight == 1.0 and ":" not in name else f"{name}:{weight!r}")
     return " ".join(parts)
 

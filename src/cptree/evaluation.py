@@ -103,7 +103,7 @@ class TableBaseline:
     """
 
     def __init__(self) -> None:
-        self.counts: dict[tuple[bytes, str], int] = {}
+        self.counts: dict[bytes, dict[str, int]] = {}  # context -> label -> count
         self.context_totals: dict[bytes, int] = {}
         self.updates = 0
 
@@ -112,11 +112,12 @@ class TableBaseline:
         total = self.context_totals.get(key)
         if not total:
             return 0.0
-        return self.counts.get((key, y), 0) / total
+        return self.counts[key].get(y, 0) / total
 
     def learn(self, x: SparseVector, y: str) -> None:
         key = x.key_bytes()
-        self.counts[(key, y)] = self.counts.get((key, y), 0) + 1
+        labels = self.counts.setdefault(key, {})
+        labels[y] = labels.get(y, 0) + 1
         self.context_totals[key] = self.context_totals.get(key, 0) + 1
         self.updates += 1
 

@@ -48,7 +48,7 @@ class LoadedModel:
 
 
 class ModelFormatError(ValueError):
-    """Raised when a model file fails validation."""
+    """Raised when a model file, or a model about to be saved, fails validation."""
 
 
 # Every fixed-width record of format v1, little-endian and unpadded.
@@ -102,23 +102,29 @@ class _Reader:
             raise ModelFormatError(f"trailing bytes after {section}")
 
 
+def _check_finite(reg: LinearRegressor) -> None:
+    if not math.isfinite(reg.bias):
+        raise ModelFormatError(f"regressor bias is not finite: {reg.bias}")
+    # One sum screens the weights. Only a sum that is not finite, from a
+    # non-finite weight or from an overflow, is checked weight by weight.
+    weights = reg.weights.values()
+    if not math.isfinite(sum(weights)) and not all(map(math.isfinite, weights)):
+        raise ModelFormatError("regressor weight is not finite")
+
+
 def _write_regressor(out: BinaryIO, reg: LinearRegressor) -> None:
+    _check_finite(reg)
     out.write(_REGRESSOR.pack(reg.learning_rate, reg.update_count, reg.bias, len(reg.weights)))
     out.writelines(starmap(_WEIGHT.pack, sorted(reg.weights.items())))
 
 
 def _read_regressor(r: _Reader) -> LinearRegressor:
     learning_rate, update_count, bias, nnz = r.unpack(_REGRESSOR)
-    if not math.isfinite(bias):
-        raise ModelFormatError(f"regressor bias is not finite: {bias}")
     reg = LinearRegressor(learning_rate)
     reg.update_count = update_count
     reg.bias = bias
-    reg.weights = weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
-    # One sum screens the weights. Only a sum that is not finite, from a
-    # non-finite weight or from an overflow, is checked weight by weight.
-    if not math.isfinite(sum(weights.values())) and not all(map(math.isfinite, weights.values())):
-        raise ModelFormatError("regressor weight is not finite")
+    reg.weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
+    _check_finite(reg)
     return reg
 
 
@@ -244,12 +250,9 @@ def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
 
 
 def _encode_table(est: TableBaseline, structure: BinaryIO, weights: BinaryIO) -> None:
-    by_context: dict[bytes, list[tuple[str, int]]] = {}
-    for (key, label), count in est.counts.items():
-        by_context.setdefault(key, []).append((label, count))
-    structure.write(_U64.pack(len(by_context)))
-    for key in sorted(by_context):
-        entries = sorted(by_context[key])
+    structure.write(_U64.pack(len(est.counts)))
+    for key in sorted(est.counts):
+        entries = sorted(est.counts[key].items())
         _w_bytes(structure, key)
         structure.write(_TABLE_CONTEXT.pack(est.context_totals[key], len(entries)))
         for label, count in entries:
@@ -262,20 +265,19 @@ def _decode_table(cfg: ModelConfig, s: _Reader, w: _Reader) -> TableBaseline:
     (n_contexts,) = s.unpack(_U64)
     for _ in range(n_contexts):
         key = s.raw_bytes()
-        if key in est.context_totals:
+        if key in est.counts:
             raise ModelFormatError("context appears twice")
+        labels = est.counts[key] = {}
         est.context_totals[key], n_labels = s.unpack(_TABLE_CONTEXT)
-        counted = 0
         for _ in range(n_labels):
-            pair = (key, s.string())
-            if pair in est.counts:
-                raise ModelFormatError(f"label {pair[1]!r} appears twice in one context")
+            label = s.string()
+            if label in labels:
+                raise ModelFormatError(f"label {label!r} appears twice in one context")
             (count,) = w.unpack(_U64)
             if count == 0:
-                raise ModelFormatError(f"label {pair[1]!r} has count 0")
-            est.counts[pair] = count
-            counted += count
-        if counted != est.context_totals[key]:
+                raise ModelFormatError(f"label {label!r} has count 0")
+            labels[label] = count
+        if sum(labels.values()) != est.context_totals[key]:
             raise ModelFormatError("context total differs from the sum of its label counts")
     return est
 
@@ -296,8 +298,7 @@ _MODES = {
     "cpt-random": _tree_mode(lambda cfg, labels: CondProbTree(
         alpha=cfg.alpha, learning_rate=cfg.eta, policy="random", seed=cfg.seed)),
     # Fixed trees are balanced whatever the configured alpha.
-    "cpt-fixed": _tree_mode(lambda cfg, labels: CondProbTree.balanced(
-        labels, alpha=1.0, learning_rate=cfg.eta)),
+    "cpt-fixed": _tree_mode(lambda cfg, labels: CondProbTree.balanced(labels, cfg.eta)),
     "oaa": (lambda cfg, labels: OneAgainstAll(cfg.eta), _encode_oaa, _decode_oaa),
     "pecoc": (lambda cfg, labels: PecocModel(labels, cfg.eta), _encode_pecoc, _decode_pecoc),
     "kway": (lambda cfg, labels: KWayTree(labels, cfg.k, cfg.eta), _encode_kway, _decode_kway),
@@ -315,9 +316,18 @@ def build_estimator(mode: str, config: ModelConfig, labels: Sequence[str] = ()):
     return _MODES[mode][0](config, labels)
 
 
+def _check_config(config: ModelConfig) -> None:
+    if not MIN_HASH_BITS <= config.hash_bits <= MAX_HASH_BITS:
+        raise ModelFormatError(
+            f"hash_bits must be in [{MIN_HASH_BITS}, {MAX_HASH_BITS}], got {config.hash_bits}"
+        )
+
+
 def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
+    """Write estimator to path, encoded and checked as load_model checks it."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode: {mode}")
+    _check_config(config)
     structure, weights = BytesIO(), BytesIO()
     # The update counter is training state, not shape; keeping it in the
     # weights section lets structure sections compare byte-for-byte across
@@ -351,10 +361,7 @@ def read_sections(path) -> tuple[str, ModelConfig, bytes, bytes]:
     if mode not in MODES:
         raise ModelFormatError(f"unknown mode tag {mode!r}")
     config = ModelConfig(*r.unpack(_CONFIG))
-    if not MIN_HASH_BITS <= config.hash_bits <= MAX_HASH_BITS:
-        raise ModelFormatError(
-            f"hash_bits must be in [{MIN_HASH_BITS}, {MAX_HASH_BITS}], got {config.hash_bits}"
-        )
+    _check_config(config)
     structure = r.take(r.unpack(_U64)[0])
     weights = r.take(r.unpack(_U64)[0])
     r.finish("weights section")

@@ -74,22 +74,30 @@ def loss_multiplier(n: int, k: int) -> float:
     At k = 2 this is (log2 n)^2, matching the binary tree's depth-squared
     factor; at k = n it is 4((n-1)/n)^2, the flat decoder's constant.
     """
-    exponent = _exact_log(n, k)
-    return 4.0 * exponent**2 * ((k - 1) / k) ** 2
-
-
-def _exact_log(n: int, k: int) -> int:
     if k < 2 or k & (k - 1):
         raise ValueError(f"k must be a power of two >= 2, got {k}")
     if n < k:
         raise ValueError(f"need k <= n, got k={k}, n={n}")
-    e, cap = 1, k
-    while cap < n:
-        cap *= k
-        e += 1
-    if cap != n:
+    e = _levels(n, k)
+    if k**e != n:
         raise ValueError(f"n must be a power of k, got n={n}, k={k}")
+    return 4.0 * e**2 * ((k - 1) / k) ** 2
+
+
+def _levels(n: int, k: int) -> int:
+    """Smallest e >= 1 with k**e >= n: the levels of a k-way code over n labels."""
+    e = 1
+    while k**e < n:
+        e += 1
     return e
+
+
+def _label_slots(labels: Sequence[str]) -> dict[str, int]:
+    """Each label's slot, in order; the labels must be distinct."""
+    label_map = {y: s for s, y in enumerate(labels)}
+    if len(label_map) != len(labels):
+        raise ValueError("duplicate labels")
+    return label_map
 
 
 def _slot_of(label_map: dict[str, int], y: str, capacity: int) -> int:
@@ -103,14 +111,6 @@ def _slot_of(label_map: dict[str, int], y: str, capacity: int) -> int:
     return slot
 
 
-def _padded_exponent(n: int) -> int:
-    """Smallest t with 2^t >= max(n, 2)."""
-    t = 1
-    while (1 << t) < n:
-        t += 1
-    return t
-
-
 class PecocModel:
     """Flat subset-code estimator over a label set known up front.
 
@@ -121,16 +121,13 @@ class PecocModel:
     """
 
     def __init__(self, labels: Sequence[str], learning_rate: float = 0.1):
-        ordered = list(labels)
-        if len(set(ordered)) != len(ordered):
-            raise ValueError("duplicate labels")
-        if not ordered:
+        self.label_map = _label_slots(labels)
+        if not self.label_map:
             raise ValueError("need at least one label")
-        self.t = _padded_exponent(len(ordered))
+        self.t = _levels(self.n_labels, 2)
         if self.t > MAX_CODE_EXPONENT:
-            raise ValueError(f"at most {1 << MAX_CODE_EXPONENT} labels, got {len(ordered)}")
+            raise ValueError(f"at most {1 << MAX_CODE_EXPONENT} labels, got {self.n_labels}")
         self.size = 1 << self.t
-        self.label_map: dict[str, int] = {y: c for c, y in enumerate(ordered)}
         self.learning_rate = learning_rate
         self.row_regressors = [LinearRegressor(learning_rate) for _ in range(self.size - 1)]
         self.updates = 0
@@ -176,19 +173,12 @@ class KWayTree:
             raise ValueError(f"k must be a power of two >= 2, got {k}")
         if k > 1 << MAX_CODE_EXPONENT:
             raise ValueError(f"k must be at most {1 << MAX_CODE_EXPONENT}, got {k}")
-        ordered = list(labels)
-        if len(set(ordered)) != len(ordered):
-            raise ValueError("duplicate labels")
-        if len(ordered) < 2:
+        self.label_map = _label_slots(labels)
+        if self.n_labels < 2:
             raise ValueError("need at least two labels")
         self.k = k
-        self.depth = 1
-        capacity = k
-        while capacity < len(ordered):
-            capacity *= k
-            self.depth += 1
-        self.capacity = capacity
-        self.label_map: dict[str, int] = {y: s for s, y in enumerate(ordered)}
+        self.depth = _levels(self.n_labels, k)
+        self.capacity = k**self.depth
         self.learning_rate = learning_rate
         # Regressors per internal node, keyed by (level, node index), created
         # lazily so dummy-only subtrees cost nothing.

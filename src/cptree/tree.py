@@ -59,22 +59,23 @@ def max_side_fraction(alpha: float) -> float:
     return 1.0 / (1.0 + 2.0 ** (1.0 - 1.0 / alpha))
 
 
-def max_depth_bound(n_labels: int, side_fraction: float) -> float:
-    """Worst-case tree depth for n labels under the insertion rule."""
+def _check_bound_args(bound: str, n_labels: int, side_fraction: float) -> None:
     if n_labels < 2:
-        raise ValueError("depth bound needs at least 2 labels")
+        raise ValueError(f"{bound} needs at least 2 labels")
     if not 0.5 <= side_fraction < 1.0:
         raise ValueError(f"side_fraction must be in [1/2, 1), got {side_fraction}")
+
+
+def max_depth_bound(n_labels: int, side_fraction: float) -> float:
+    """Worst-case tree depth for n labels under the insertion rule."""
+    _check_bound_args("depth bound", n_labels, side_fraction)
     return math.log(n_labels) / math.log(1.0 / side_fraction) + 2.0
 
 
 def total_depth_bound(n_labels: int, side_fraction: float) -> float:
     """Bound on the sum of all leaf depths for an n-leaf tree whose nodes
     split no worse than side_fraction : (1 - side_fraction)."""
-    if n_labels < 2:
-        raise ValueError("total depth bound needs at least 2 labels")
-    if not 0.5 <= side_fraction < 1.0:
-        raise ValueError(f"side_fraction must be in [1/2, 1), got {side_fraction}")
+    _check_bound_args("total depth bound", n_labels, side_fraction)
     k = side_fraction
     entropy = -(k * math.log(k) + (1.0 - k) * math.log(1.0 - k))
     return n_labels * math.log(n_labels) / entropy
@@ -132,7 +133,6 @@ class CondProbTree:
         self.alpha = alpha
         self.learning_rate = learning_rate
         self.policy = policy
-        self.seed = seed
         self._rng = random.Random(seed)
         self._factory = regressor_factory or (lambda: LinearRegressor(learning_rate))
         self.nodes: list[_Node] = []
@@ -148,19 +148,17 @@ class CondProbTree:
     def balanced(
         cls,
         labels: Sequence[str],
-        alpha: float = 1.0,
         learning_rate: float = 0.1,
         regressor_factory: Callable[[], LinearRegressor] | None = None,
     ) -> "CondProbTree":
         """Build a fixed balanced tree over labels known up front (untrained).
 
         Labels occupy leaves left to right; later online inserts still work and
-        follow the configured objective.
+        follow the objective at alpha = 1.
         """
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
-        tree = cls(alpha=alpha, learning_rate=learning_rate,
-                   regressor_factory=regressor_factory)
+        tree = cls(alpha=1.0, learning_rate=learning_rate, regressor_factory=regressor_factory)
         if not labels:
             return tree
 
@@ -228,8 +226,6 @@ class CondProbTree:
 
     def train_known(self, x: SparseVector, y: str) -> None:
         """Update the regressors along y's path; y must already be a leaf."""
-        if y not in self.leaf_index:
-            raise UnknownLabelError(y)
         count = 0
         nodes = self.nodes
         for node_id, go_right in self.path_to(y):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from cptree import SparseVector, SyntheticTask, from_tokens
+from cptree import SparseVector, from_tokens
+from cptree.synthetic import SyntheticTask
 
 # One line per acceptance criterion, echoed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []

@@ -25,7 +25,6 @@ from cptree import (
     CondProbTree,
     KWayTree,
     OneAgainstAll,
-    SyntheticTask,
     decode_loss_bound,
     decode_probability,
     equivalent_labels,
@@ -34,9 +33,9 @@ from cptree import (
     loss_multiplier,
     max_depth_bound,
     max_side_fraction,
-    node_conditionals,
     progressive_validate,
 )
+from cptree.synthetic import SyntheticTask, node_conditionals
 
 from _support import ACCEPTANCE_LINES, ConstantRegressor, vec
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -86,9 +87,11 @@ def test_formatted_lines_parse_back_to_their_inputs(label, features):
 @pytest.mark.parametrize(
     "label, features",
     [("", []), ("a b", []), ("a\tb", []), ("a|b", []),
-     ("y", [("", 1.0)]), ("y", [("f g", 1.0)]), ("y", [("f\ng", 2.0)])],
+     ("y", [("", 1.0)]), ("y", [("f g", 1.0)]), ("y", [("f\ng", 2.0)]),
+     ("y", [("a", math.nan)]), ("y", [("a", math.inf)]), ("y", [("a", -math.inf)])],
     ids=["empty-label", "spaced-label", "tabbed-label", "piped-label",
-         "empty-name", "spaced-name", "newline-name"],
+         "empty-name", "spaced-name", "newline-name",
+         "nan-weight", "inf-weight", "minus-inf-weight"],
 )
 def test_unparseable_labels_and_names_are_not_formatted(label, features):
     with pytest.raises(ValueError):

@@ -9,15 +9,17 @@ from cptree import (
     EmptyStreamError,
     Example,
     OneAgainstAll,
-    OracleEstimator,
-    SyntheticTask,
     TableBaseline,
     equivalent_labels,
     grid_search,
     hoeffding_halfwidth,
+    progressive_validate,
+)
+from cptree.synthetic import (
+    OracleEstimator,
+    SyntheticTask,
     install_oracle_regressors,
     node_regret,
-    progressive_validate,
     true_regret,
 )
 from _support import CallRecorder, ContextRegressor, tiny_task, vec

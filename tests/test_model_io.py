@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import math
 import random
 import re
 import signal
@@ -13,14 +14,15 @@ from cptree import (
     KWayTree,
     ModelConfig,
     OneAgainstAll,
-    SyntheticTask,
     TableBaseline,
     build_estimator,
+    from_tokens,
     load_model,
     read_sections,
     save_model,
 )
 from cptree.model_io import MODES, ModelFormatError
+from cptree.synthetic import SyntheticTask
 
 
 TASK = SyntheticTask.random(contexts=6, labels=12, seed=50)
@@ -117,13 +119,62 @@ def test_truncated_file_is_rejected(tmp_path):
         load_model(path)
 
 
+def _hash_bits_message(hash_bits):
+    return rf"^hash_bits must be in \[10, 30\], got {hash_bits}$"
+
+
 @pytest.mark.parametrize("hash_bits", [9, 31, 99])
 def test_unusable_hash_bits_are_rejected(hash_bits, tmp_path):
     path = tmp_path / "model.bin"
-    save_model(path, "oaa", ModelConfig(hash_bits=hash_bits), OneAgainstAll())
-    message = rf"^hash_bits must be in \[10, 30\], got {hash_bits}$"
-    with pytest.raises(ModelFormatError, match=message):
+    save_model(path, "oaa", ModelConfig(), OneAgainstAll())
+    # hash_bits follows the magic, the version, the 4-byte length and 3 bytes
+    # of the "oaa" tag, and the config's alpha and eta.
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", raw, 31) == (ModelConfig().hash_bits,)
+    struct.pack_into("<I", raw, 31, hash_bits)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ModelFormatError, match=_hash_bits_message(hash_bits)):
         load_model(path)
+
+
+@pytest.mark.parametrize("hash_bits", [9, 31, 99])
+def test_unusable_hash_bits_are_not_saved(hash_bits, tmp_path):
+    path = tmp_path / "model.bin"
+    with pytest.raises(ValueError, match=_hash_bits_message(hash_bits)):
+        save_model(path, "oaa", ModelConfig(hash_bits=hash_bits), OneAgainstAll())
+    assert not path.exists()
+
+
+def _diverged_tree():
+    # At eta 0.5 and a feature weight of 30 each update multiplies a
+    # regressor's error by 1 - 0.5 * (30**2 + 1) = -449.5: the regressors
+    # overflow to inf, and then to nan.
+    tree = CondProbTree(learning_rate=0.5)
+    x = from_tokens([("f", 30.0)])
+    for i in range(200):
+        tree.learn(x, "AB"[i % 2])
+    return tree
+
+
+def _infinite_weight_oaa():
+    est = OneAgainstAll()
+    est.learn(TRAIN[0].x, "A")
+    weights = est.regressors["A"].weights
+    weights[next(iter(weights))] = math.inf
+    return est
+
+
+@pytest.mark.parametrize(
+    "mode, make, message",
+    [("cpt-online", _diverged_tree, "regressor bias is not finite: nan"),
+     ("oaa", _infinite_weight_oaa, "regressor weight is not finite")],
+    ids=["diverged-tree", "inf-weight"],
+)
+def test_non_finite_regressor_state_is_not_saved(mode, make, message, tmp_path):
+    path = tmp_path / "model.bin"
+    with pytest.raises(ValueError, match=message):
+        save_model(path, mode, ModelConfig(), make())
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("hash_bits", [10, 30])
@@ -217,6 +268,17 @@ def _replace_sections(path, structure, weights):
 def test_malformed_tree_records_are_rejected(offset, patch, message, tmp_path):
     path = _two_leaf_tree_file(tmp_path, offset, patch)
     with _time_limit(2), pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+def test_tree_whose_root_is_a_leaf_fails_the_leaf_recount(tmp_path):
+    # The root record now reads as leaf "C": leaves A and B stay indexed, but
+    # no node names them, so the traversal from the root finds one leaf.
+    path = _saved(tmp_path, "cpt-online", CondProbTree(), ["A", "B"])
+    _, _, structure, weights = read_sections(path)
+    root_leaf = struct.pack("<IB", 0, 1) + _label_record("C")
+    _replace_sections(path, structure[:16] + root_leaf + structure[45:], weights)
+    with pytest.raises(ModelFormatError, match="1 leaves found but 3 labels indexed"):
         load_model(path)
 
 
@@ -364,6 +426,14 @@ def test_malformed_kway_node_keys_are_rejected(position, key, message, tmp_path)
 def test_kway_node_keys_inside_the_tree_load(key, tmp_path):
     loaded = load_model(_kway_file(tmp_path, 3, key)).estimator
     assert sorted(loaded._node_regs) == [(0, 0), (1, 0), (1, 1), key]
+
+
+def test_kway_depth_that_disagrees_with_its_label_count_is_rejected(tmp_path):
+    # Two labels at k = 2 make a depth-1 tree; the head now says depth 2.
+    path = _edited_model(tmp_path, "kway", KWayTree(["A", "B"], 2), ["A", "B"],
+                         struct.pack("<III", 2, 1, 2), struct.pack("<III", 2, 2, 2))
+    with pytest.raises(ModelFormatError, match="tree depth does not match label count"):
+        load_model(path)
 
 
 def test_kway_fanout_edited_upward_is_rejected_without_a_dense_code(tmp_path):

@@ -10,6 +10,7 @@ from cptree import (
     CondProbTree,
     KWayTree,
     PecocModel,
+    UnknownLabelError,
     decode_loss_bound,
     decode_probability,
     hadamard_code,
@@ -93,6 +94,13 @@ def test_two_label_decode_reduces_to_the_row_regressor():
         model.row_regressors = [ConstantRegressor(q)]
         assert math.isclose(model.decode(vec(("a", 1.0)), "one"), q, abs_tol=1e-15)
         assert math.isclose(model.decode(vec(("a", 1.0)), "two"), 1 - q, abs_tol=1e-15)
+
+
+def test_decoding_an_unknown_label_raises():
+    model = PecocModel(["one", "two"])
+    with pytest.raises(UnknownLabelError):
+        model.decode(vec(("a", 1.0)), "three")
+    assert model.score(vec(("a", 1.0)), "three") == 0.0
 
 
 def test_uninformative_rows_decode_to_zero():

@@ -13,11 +13,11 @@ from cptree import (
     UnknownLabelError,
     insert_direction,
     insert_objective,
-    install_oracle_regressors,
     max_depth_bound,
     max_side_fraction,
     total_depth_bound,
 )
+from cptree.synthetic import install_oracle_regressors
 
 from _support import ConstantRegressor, product_bounds, tiny_task, vec
 
