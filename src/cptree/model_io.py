@@ -205,25 +205,25 @@ def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
 
 
 def _encode_pecoc(est: PecocModel, structure: BinaryIO, weights: BinaryIO) -> None:
-    structure.write(_PECOC_HEAD.pack(est.t, est.n_labels))
-    for label, _col in sorted(est.label_map.items(), key=lambda kv: kv[1]):
+    structure.write(_PECOC_HEAD.pack(est.k.bit_length() - 1, est.n_labels))
+    for label in est.label_map:  # slots fill in insertion order
         _w_bytes(structure, label.encode("utf-8"))
-    for reg in est.row_regressors:
+    for reg in est.regressors_at(0, 0):
         _write_regressor(weights, reg)
 
 
 def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
     t, n = s.unpack(_PECOC_HEAD)
     est = PecocModel([s.string() for _ in range(n)], cfg.eta)
-    if est.t != t:
+    if est.k.bit_length() - 1 != t:
         raise ModelFormatError("code size does not match label count")
-    est.row_regressors = [_read_regressor(w) for _ in range(est.size - 1)]
+    est._node_regs[(0, 0)] = [_read_regressor(w) for _ in range(est.k - 1)]
     return est
 
 
 def _encode_kway(est: KWayTree, structure: BinaryIO, weights: BinaryIO) -> None:
     structure.write(_KWAY_HEAD.pack(est.k, est.depth, est.n_labels))
-    for label, _slot in sorted(est.label_map.items(), key=lambda kv: kv[1]):
+    for label in est.label_map:  # slots fill in insertion order
         _w_bytes(structure, label.encode("utf-8"))
     keys = sorted(est._node_regs)
     structure.write(_U32.pack(len(keys)))
@@ -321,6 +321,10 @@ def _check_config(config: ModelConfig) -> None:
         raise ModelFormatError(
             f"hash_bits must be in [{MIN_HASH_BITS}, {MAX_HASH_BITS}], got {config.hash_bits}"
         )
+    if not 0.0 < config.alpha <= 1.0:
+        raise ModelFormatError(f"alpha must be in (0, 1], got {config.alpha}")
+    if not 0.0 < config.eta < math.inf:
+        raise ModelFormatError(f"eta must be positive and finite, got {config.eta}")
 
 
 def save_model(path, mode: str, config: ModelConfig, estimator) -> None:

@@ -2,9 +2,9 @@
 
 A code matrix turns an n-label problem into one subset-membership regression
 per row; a label's probability is decoded as a shifted average of the row
-predictions. The flat decoder uses one code over all labels; the k-way tree
-arranges smaller codes at the nodes of a balanced k-ary tree, interpolating
-between the binary label tree (k = 2) and the flat decoder (k = n).
+predictions. The k-way tree arranges size-k codes at the nodes of a balanced
+k-ary tree, interpolating between the binary label tree (k = 2) and the flat
+decoder (k >= n, depth 1), which is PecocModel: one code over all labels.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .features import SparseVector, clip01
 from .regressor import LinearRegressor
-from .tree import UnknownLabelError
 
 MAX_CODE_EXPONENT = 16  # practical cap: codes up to 65536 columns
 
@@ -92,72 +91,6 @@ def _levels(n: int, k: int) -> int:
     return e
 
 
-def _label_slots(labels: Sequence[str]) -> dict[str, int]:
-    """Each label's slot, in order; the labels must be distinct."""
-    label_map = {y: s for s, y in enumerate(labels)}
-    if len(label_map) != len(labels):
-        raise ValueError("duplicate labels")
-    return label_map
-
-
-def _slot_of(label_map: dict[str, int], y: str, capacity: int) -> int:
-    """y's slot, taking the next free one for a new label. Slots fill in
-    arrival order and are never freed, so the next free one is len(label_map)."""
-    slot = label_map.get(y)
-    if slot is None:
-        if len(label_map) >= capacity:
-            raise ValueError(f"label capacity {capacity} exhausted; cannot add {y!r}")
-        slot = label_map[y] = len(label_map)
-    return slot
-
-
-class PecocModel:
-    """Flat subset-code estimator over a label set known up front.
-
-    The code is padded to the next power of two; spare columns act as dummy
-    labels that never receive training data and are never predicted. One
-    regressor is trained per non-trivial row (the all-ones row is pinned to
-    probability 1 and excluded from training).
-    """
-
-    def __init__(self, labels: Sequence[str], learning_rate: float = 0.1):
-        self.label_map = _label_slots(labels)
-        if not self.label_map:
-            raise ValueError("need at least one label")
-        self.t = _levels(self.n_labels, 2)
-        if self.t > MAX_CODE_EXPONENT:
-            raise ValueError(f"at most {1 << MAX_CODE_EXPONENT} labels, got {self.n_labels}")
-        self.size = 1 << self.t
-        self.learning_rate = learning_rate
-        self.row_regressors = [LinearRegressor(learning_rate) for _ in range(self.size - 1)]
-        self.updates = 0
-
-    @property
-    def n_labels(self) -> int:
-        return len(self.label_map)
-
-    def learn(self, x: SparseVector, y: str) -> None:
-        col = _slot_of(self.label_map, y, self.size)
-        column_bits = code_column(self.size, col)[1:]
-        for reg, bit in zip(self.row_regressors, column_bits):
-            reg.update(x, float(bit))
-        self.updates += self.size - 1
-
-    def decode(self, x: SparseVector, y: str) -> float:
-        """Raw decoded estimate; may lie outside [0, 1]."""
-        col = self.label_map.get(y)
-        if col is None:
-            raise UnknownLabelError(y)
-        row_values = [1.0] + [reg.predict(x) for reg in self.row_regressors]
-        return decode_probability(code_column(self.size, col), row_values)
-
-    def score(self, x: SparseVector, y: str) -> float:
-        """Clipped probability estimate; labels never seen score 0."""
-        if y not in self.label_map:
-            return 0.0
-        return clip01(self.decode(x, y))
-
-
 class KWayTree:
     """Balanced k-ary tree with a size-k code and k - 1 regressors per node.
 
@@ -173,9 +106,12 @@ class KWayTree:
             raise ValueError(f"k must be a power of two >= 2, got {k}")
         if k > 1 << MAX_CODE_EXPONENT:
             raise ValueError(f"k must be at most {1 << MAX_CODE_EXPONENT}, got {k}")
-        self.label_map = _label_slots(labels)
-        if self.n_labels < 2:
-            raise ValueError("need at least two labels")
+        # Slots fill in arrival order and are never freed: the next is len(label_map).
+        self.label_map = {y: s for s, y in enumerate(labels)}
+        if len(self.label_map) != len(labels):
+            raise ValueError("duplicate labels")
+        if not self.label_map:
+            raise ValueError("need at least one label")
         self.k = k
         self.depth = _levels(self.n_labels, k)
         self.capacity = k**self.depth
@@ -216,7 +152,11 @@ class KWayTree:
         return self.k - 1 - digit
 
     def learn(self, x: SparseVector, y: str) -> None:
-        slot = _slot_of(self.label_map, y, self.capacity)
+        slot = self.label_map.get(y)
+        if slot is None:
+            if self.n_labels >= self.capacity:
+                raise ValueError(f"label capacity {self.capacity} exhausted; cannot add {y!r}")
+            slot = self.label_map[y] = self.n_labels
         for level, index, digit in self._path(slot):
             column_bits = code_column(self.k, self._column(digit))[1:]
             for reg, bit in zip(self.regressors_at(level, index), column_bits):
@@ -229,9 +169,9 @@ class KWayTree:
         # An untouched node behaves like fresh regressors, which predict 0.
         if self.k == 2:
             # With one trained row the decode reduces exactly to that row's
-            # prediction (or its complement), so compute it directly.
+            # prediction (column 0, all ones) or its complement (column 1).
             r = regs[0].predict(x) if regs else 0.0
-            return r if digit == 1 else 1.0 - r
+            return r if self._column(digit) == 0 else 1.0 - r
         predictions = [reg.predict(x) for reg in regs] if regs else [0.0] * (self.k - 1)
         bits = code_column(self.k, self._column(digit))
         return clip01(decode_probability(bits, [1.0, *predictions]))
@@ -245,3 +185,23 @@ class KWayTree:
         for level, index, digit in self._path(slot):
             q *= self._child_estimate(self._node_regs.get((level, index)), digit, x)
         return q
+
+
+class PecocModel(KWayTree):
+    """Flat subset-code estimator: a depth-1 k-way tree whose one code spans
+    every label.
+
+    The fan-out k is the label count padded to the next power of two; spare
+    columns act as dummy labels that never receive training data and are
+    never predicted. One regressor is trained per non-trivial row (the
+    all-ones row is pinned to probability 1 and excluded from training).
+    """
+
+    def __init__(self, labels: Sequence[str], learning_rate: float = 0.1):
+        if len(labels) > 1 << MAX_CODE_EXPONENT:
+            raise ValueError(f"at most {1 << MAX_CODE_EXPONENT} labels, got {len(labels)}")
+        super().__init__(labels, 1 << _levels(len(labels), 2), learning_rate)
+
+    # Columns follow slot order: label slot s decodes with code column s.
+    def _column(self, digit: int) -> int:
+        return digit

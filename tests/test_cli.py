@@ -334,7 +334,7 @@ def test_kway_requires_fanout(streams, tmp_path, capsys):
 
 @pytest.mark.parametrize("mode, message", [
     ("pecoc", "need at least one label"),
-    ("kway", "need at least two labels"),
+    ("kway", "need at least one label"),
 ])
 def test_labeled_mode_on_an_empty_stream_is_a_one_line_error(mode, message, tmp_path, capsys):
     empty = tmp_path / "empty.txt"
@@ -342,6 +342,20 @@ def test_labeled_mode_on_an_empty_stream_is_a_one_line_error(mode, message, tmp_
     assert run_cli("train", "--mode", mode, "--k", "4", "--train", str(empty),
                    "--model", str(tmp_path / "m.bin"))[0] == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["pecoc", "kway"])
+def test_one_label_stream_trains_and_evals(mode, tmp_path):
+    stream = tmp_path / "one.txt"
+    write_lines(stream, ["A | c0", "A | c1", "A | c0 c1:0.5"])
+    model = tmp_path / "m.bin"
+    assert run_cli("train", "--mode", mode, "--k", "4", "--train", str(stream),
+                   "--model", str(model))[0] == 0
+    assert run_cli("eval", "--model", str(model), "--test", str(stream), "--freeze")[0] == 0
+    loaded = load_model(model)
+    assert loaded.estimator.n_labels == 1
+    for example in read_example_file(stream, loaded.config.hash_bits):
+        assert 0.0 < loaded.estimator.score(example.x, example.y) <= 1.0
 
 
 def test_synth_emits_parseable_stream(tmp_path):

@@ -60,6 +60,27 @@ def test_model_bytes_match_golden_hashes(mode, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[mode]
 
 
+# sha256 of the "<d"-packed scores of build(mode) over HELD_OUT, recorded at
+# commit 3c3517e. Golden bytes alone miss a change to scoring that leaves
+# training as it was.
+GOLDEN_SCORES_SHA256 = {
+    "cpt-online": "7e11e95175998fff8d56dd81b110cb77cc2fd8e8ce2134e1396e7ff79fba347f",
+    "cpt-random": "b563e29cdd51cb745b8768110715b61652b8fbe5b2f702ca33097827588d15c8",
+    "cpt-fixed": "e6ba8d6d01d8fea4485f83ef1c0657297adfc28c4f2dddaee0ad4d13c430279a",
+    "oaa": "3a46a090aa0e7aa42295623820d9ec1a4b76f8deaf90dbd7e354132ce67049c1",
+    "pecoc": "78ea79948b13bd5b0a2b28310fe5fa978faa9398021d8e9ace6037c72fbd3d6c",
+    "kway": "292b9d881c9f48f2861beae74372927d8f9885944062c948c771805a9274a42b",
+    "table": "308cc6540b4e342231f5052ef3a1c4b6f222beef5c3d9df5f6abff77dd80f7fd",
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scores_match_golden_hashes(mode):
+    _, est = build(mode)
+    scores = struct.pack(f"<{len(HELD_OUT)}d", *(est.score(e.x, e.y) for e in HELD_OUT))
+    assert hashlib.sha256(scores).hexdigest() == GOLDEN_SCORES_SHA256[mode]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_round_trip_reproduces_predictions_exactly(mode, tmp_path):
     cfg, est = build(mode)
@@ -142,6 +163,44 @@ def test_unusable_hash_bits_are_not_saved(hash_bits, tmp_path):
     path = tmp_path / "model.bin"
     with pytest.raises(ValueError, match=_hash_bits_message(hash_bits)):
         save_model(path, "oaa", ModelConfig(hash_bits=hash_bits), OneAgainstAll())
+    assert not path.exists()
+
+
+_BAD_CONFIG_FIELDS = [
+    ("alpha", 15, 2.0, r"^alpha must be in \(0, 1\], got 2.0$"),
+    ("alpha", 15, 0.0, r"^alpha must be in \(0, 1\], got 0.0$"),
+    ("alpha", 15, math.nan, r"^alpha must be in \(0, 1\], got nan$"),
+    ("eta", 23, math.nan, r"^eta must be positive and finite, got nan$"),
+    ("eta", 23, math.inf, r"^eta must be positive and finite, got inf$"),
+    ("eta", 23, 0.0, r"^eta must be positive and finite, got 0.0$"),
+    ("eta", 23, -0.1, r"^eta must be positive and finite, got -0.1$"),
+]
+_BAD_CONFIG_IDS = ["alpha-2", "alpha-0", "alpha-nan", "eta-nan", "eta-inf", "eta-0", "eta-neg"]
+
+
+@pytest.mark.parametrize("field, offset, value, message", _BAD_CONFIG_FIELDS, ids=_BAD_CONFIG_IDS)
+def test_config_outside_its_domain_is_rejected(field, offset, value, message, tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, "oaa", ModelConfig(), OneAgainstAll())
+    # alpha and eta are the config's first two reals, after the magic, the
+    # version, the 4-byte length and 3 bytes of the "oaa" tag.
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<d", raw, offset) == (getattr(ModelConfig(), field),)
+    struct.pack_into("<d", raw, offset, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+# A tree decoder builds its empty tree from the config's alpha, and a pecoc
+# decoder its regressors, lazily, from the config's eta.
+@pytest.mark.parametrize("mode", ["cpt-online", "pecoc"])
+@pytest.mark.parametrize("field, offset, value, message", _BAD_CONFIG_FIELDS, ids=_BAD_CONFIG_IDS)
+def test_config_outside_its_domain_is_not_saved(mode, field, offset, value, message, tmp_path):
+    path = tmp_path / "model.bin"
+    est = build_estimator(mode, ModelConfig(), ["A", "B"])
+    with pytest.raises(ModelFormatError, match=message):
+        save_model(path, mode, ModelConfig(**{field: value}), est)
     assert not path.exists()
 
 
