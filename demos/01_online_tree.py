@@ -28,7 +28,7 @@ print(f"max depth:          {stats.max_depth}")
 print(f"depth bound:        {max_depth_bound(stats.n_leaves, side):.2f}")
 print(f"total leaf depth:   {stats.total_leaf_depth}")
 print(f"total depth bound:  {total_depth_bound(stats.n_leaves, side):.2f}")
-print(f"disagreements:      {stats.disagreements} (cannot exceed total leaf depth)")
+print(f"disagreements:      {tree.disagreement_count} (cannot exceed total leaf depth)")
 print(f"leaves per depth:   {dict(sorted(stats.depth_histogram.items()))}")
 
 # Per-context estimates form a (near-)distribution over the labels; show the

@@ -161,7 +161,7 @@ def cmd_inspect(args, out) -> int:
         print(f"labels: {n}", file=out)
         print(f"max depth: {stats.max_depth}", file=out)
         print(f"total leaf depth: {stats.total_leaf_depth}", file=out)
-        print(f"disagreements: {stats.disagreements}", file=out)
+        print(f"disagreements: {est.disagreement_count}", file=out)
         if n >= 2:
             side = max_side_fraction(est.alpha)
             depth_cap = max_depth_bound(n, side)
@@ -194,10 +194,11 @@ def cmd_synth(args, out) -> int:
     from .synthetic import SyntheticTask
 
     if args.task == "clustered":
+        per_group = max(1, args.groups)  # clustered() rejects groups < 1
         task = SyntheticTask.clustered(
             groups=args.groups,
-            contexts_per_group=max(1, args.contexts // args.groups),
-            labels_per_group=max(1, args.labels // args.groups),
+            contexts_per_group=max(1, args.contexts // per_group),
+            labels_per_group=max(1, args.labels // per_group),
             skew=args.skew,
             noise=args.noise,
             seed=args.seed,

@@ -114,9 +114,11 @@ class Example:
 
 
 def clip01(value: float) -> float:
-    """Clamp to [0, 1]; probabilities are kept in range by construction."""
+    """Clamp to [0, 1]; NaN is no probability and raises ValueError."""
+    if 0.0 <= value <= 1.0:
+        return value
     if value < 0.0:
         return 0.0
     if value > 1.0:
         return 1.0
-    return value
+    raise ValueError(f"cannot clip {value} to a probability")

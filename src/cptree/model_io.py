@@ -182,7 +182,7 @@ def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTre
         else:
             raise ModelFormatError(f"unknown node kind {kind}")
         node.reg = _read_regressor(w)
-    tree.max_depth = tree.depth_stats().max_depth  # validates counts against a recount
+    tree.depth_stats()  # validates counts against a recount
     return tree
 
 

@@ -45,11 +45,17 @@ class LinearRegressor:
         return clip01(self.raw(x))
 
     def update(self, x: SparseVector, target: float) -> None:
-        """One gradient step toward target; target must be in [0, 1]."""
+        """One gradient step toward target; target must be in [0, 1].
+
+        Raises ValueError, leaving the regressor as it was, if the step is not
+        finite: the learning rate is too large for the feature scale.
+        """
         if not 0.0 <= target <= 1.0:
             raise ValueError(f"target must be in [0, 1], got {target}")
         delta = self.learning_rate * (target - self.raw(x))
         if delta != 0.0:
+            if not -math.inf < delta < math.inf:
+                raise ValueError(f"regressor diverged: step {delta} is not finite")
             weights = self.weights
             for i, v in zip(x.indices, x.values):
                 weights[i] = weights.get(i, 0.0) + delta * v

@@ -41,6 +41,8 @@ class SyntheticTask:
         c, n = self.conditional.shape
         if len(self.context_tokens) != c or len(self.labels) != n:
             raise ValueError("table shape does not match labels/contexts")
+        if not ((self.conditional >= 0.0).all() and (self.context_probs >= 0.0).all()):
+            raise ValueError("conditional and context probabilities must not be negative")
         if not np.allclose(self.conditional.sum(axis=1), 1.0, atol=1e-12):
             raise ValueError("conditional rows must sum to 1")
         if not math.isclose(float(self.context_probs.sum()), 1.0, abs_tol=1e-12):
@@ -104,6 +106,8 @@ class SyntheticTask:
         hash_bits: int = DEFAULT_HASH_BITS,
     ) -> "SyntheticTask":
         """Dirichlet conditionals over uniform contexts."""
+        if contexts < 1:
+            raise ValueError(f"contexts must be at least 1, got {contexts}")
         rng = np.random.default_rng(seed)
         table = rng.dirichlet([concentration] * labels, size=contexts)
         return cls(
@@ -132,6 +136,8 @@ class SyntheticTask:
         discover the group structure. Context frequencies and within-group
         label weights follow power laws with the given skew exponent.
         """
+        if min(groups, contexts_per_group, labels_per_group) < 1:
+            raise ValueError("groups, contexts_per_group and labels_per_group must be at least 1")
         rng = np.random.default_rng(seed)
         n_ctx = groups * contexts_per_group
         n_lab = groups * labels_per_group

@@ -105,7 +105,6 @@ class DepthStats:
     n_leaves: int
     max_depth: int
     total_leaf_depth: int
-    disagreements: int
     depth_histogram: dict[int, int]
 
 
@@ -139,7 +138,6 @@ class CondProbTree:
         self.root: int | None = None
         self.leaf_index: dict[str, int] = {}
         self.disagreement_count = 0
-        self.max_depth = 0
         self.updates = 0  # total regressor updates, for complexity accounting
         self.last_example_updates = 0
         self.last_insert_path: list[int] = []
@@ -159,32 +157,38 @@ class CondProbTree:
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
         tree = cls(alpha=1.0, learning_rate=learning_rate, regressor_factory=regressor_factory)
-        if not labels:
-            return tree
 
-        def build(lo: int, hi: int, parent: int | None, depth: int) -> int:
-            node_id = len(tree.nodes)
-            node = _Node(None, tree._factory(), parent)
-            tree.nodes.append(node)
+        def build(lo: int, hi: int, parent: int | None) -> int:
             count = hi - lo
-            if count == 1:
-                node.label = labels[lo]
-                tree.leaf_index[labels[lo]] = node_id
-                tree.max_depth = max(tree.max_depth, depth)
-                return node_id
-            mid = lo + (count + 1) // 2
-            node.left = build(lo, mid, node_id, depth + 1)
-            node.right = build(mid, hi, node_id, depth + 1)
-            node.n_left = mid - lo
-            node.n_right = hi - mid
+            node_id = tree._add_node(labels[lo] if count == 1 else None, parent)
+            if count > 1:
+                mid = lo + (count + 1) // 2
+                node = tree.nodes[node_id]
+                node.left = build(lo, mid, node_id)
+                node.right = build(mid, hi, node_id)
+                node.n_left, node.n_right = mid - lo, hi - mid
             return node_id
 
-        tree.root = build(0, len(labels), None, 0)
+        if labels:
+            tree.root = build(0, len(labels), None)
         return tree
+
+    def _add_node(self, label: str | None, parent: int | None, reg=None) -> int:
+        """Append a node, with a fresh regressor unless reg is given; index it if a leaf."""
+        node_id = len(self.nodes)
+        self.nodes.append(_Node(label, self._factory() if reg is None else reg, parent))
+        if label is not None:
+            self.leaf_index[label] = node_id
+        return node_id
 
     @property
     def n_labels(self) -> int:
         return len(self.leaf_index)
+
+    @property
+    def max_depth(self) -> int:
+        """Depth of the deepest leaf, recounted by depth_stats() on every read."""
+        return self.depth_stats().max_depth
 
     def path_to(self, y: str) -> list[tuple[int, int]]:
         """Internal nodes from root toward y's leaf, each with its direction
@@ -226,87 +230,57 @@ class CondProbTree:
 
     def train_known(self, x: SparseVector, y: str) -> None:
         """Update the regressors along y's path; y must already be a leaf."""
-        count = 0
         nodes = self.nodes
-        for node_id, go_right in self.path_to(y):
+        path = self.path_to(y)
+        for node_id, go_right in path:
             nodes[node_id].reg.update(x, 1.0 if go_right else 0.0)
-            count += 1
         nodes[self.leaf_index[y]].reg.update(x, 0.0)
-        count += 1
-        self.updates += count
-        self.last_example_updates = count
+        self.updates += len(path) + 1
+        self.last_example_updates = len(path) + 1
 
     def insert_label(self, x: SparseVector, y: str) -> int:
-        """Add a new leaf for y, training every regressor passed on the way.
-
-        Returns the new leaf's node id.
-        """
+        """Add a new leaf for y, training every regressor passed; returns its id."""
         if y in self.leaf_index:
             raise ValueError(f"label already present: {y}")
-        count = 0
         path: list[int] = []
-        nodes = self.nodes
-
         if self.root is None:
-            reg = self._factory()
-            node = _Node(y, reg, None)
-            self.nodes.append(node)
-            self.root = 0
-            self.leaf_index[y] = 0
-            reg.update(x, 0.0)
-            self.updates += 1
-            self.last_example_updates = 1
-            self.last_insert_path = []
-            return 0
-
-        cur = self.root
-        node = nodes[cur]
-        while not node.is_leaf:
-            p = node.reg.predict(x)
-            if self.policy == "random":
-                go_right = 1 if self._rng.random() < 0.5 else 0
-            else:
-                go_right = insert_direction(p, node.n_left, node.n_right, self.alpha)
-            # p == 1/2 counts as preferring left, matching the tie-break.
-            prefers_right = 1 if p > 0.5 else 0
-            if go_right != prefers_right:
-                self.disagreement_count += 1
-            node.reg.update(x, float(go_right))
-            count += 1
-            path.append(cur)
-            if go_right:
-                node.n_right += 1
-                cur = node.right
-            else:
-                node.n_left += 1
-                cur = node.left
+            self.root = leaf_id = self._add_node(y, None)
+        else:
+            nodes = self.nodes
+            cur = self.root
             node = nodes[cur]
-
-        # Split the reached leaf: old label moves left with a copy of the
-        # regressor taken before this node's final update, new label goes right.
-        old_label = node.label
-        left_id = len(nodes)
-        nodes.append(_Node(old_label, node.reg.copy(), cur))
-        right_id = len(nodes)
-        new_reg = self._factory()
-        nodes.append(_Node(y, new_reg, cur))
-        node.label = None
-        node.left = left_id
-        node.right = right_id
-        node.n_left = 1
-        node.n_right = 1
-        self.leaf_index[old_label] = left_id
-        self.leaf_index[y] = right_id
-        new_reg.update(x, 0.0)
-        node.reg.update(x, 1.0)
-        count += 2
-        path.append(cur)
-
-        self.max_depth = max(self.max_depth, len(path))
-        self.updates += count
-        self.last_example_updates = count
+            while not node.is_leaf:
+                p = node.reg.predict(x)
+                if self.policy == "random":
+                    go_right = 1 if self._rng.random() < 0.5 else 0
+                else:
+                    go_right = insert_direction(p, node.n_left, node.n_right, self.alpha)
+                # p == 1/2 counts as preferring left, matching the tie-break.
+                if go_right != (p > 0.5):
+                    self.disagreement_count += 1
+                node.reg.update(x, float(go_right))
+                path.append(cur)
+                if go_right:
+                    node.n_right += 1
+                    cur = node.right
+                else:
+                    node.n_left += 1
+                    cur = node.left
+                node = nodes[cur]
+            # Split the reached leaf: old label moves left with a copy of the
+            # regressor taken before this node's final update, new label goes right.
+            path.append(cur)
+            node.left = self._add_node(node.label, cur, node.reg.copy())
+            node.right = leaf_id = self._add_node(y, cur)
+            node.label = None
+            node.n_left = node.n_right = 1
+            node.reg.update(x, 1.0)
+        self.nodes[leaf_id].reg.update(x, 0.0)
+        # One update per internal node on the new leaf's path, and its own.
+        self.updates += len(path) + 1
+        self.last_example_updates = len(path) + 1
         self.last_insert_path = path
-        return right_id
+        return leaf_id
 
     def preorder(self) -> list[tuple[int, int]]:
         """Every node as (node id, depth), each parent before its children and
@@ -353,7 +327,6 @@ class CondProbTree:
             n_leaves=leaves,
             max_depth=max(histogram, default=0),
             total_leaf_depth=sum(depth * count for depth, count in histogram.items()),
-            disagreements=self.disagreement_count,
             depth_histogram=histogram,
         )
 

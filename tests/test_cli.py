@@ -298,6 +298,17 @@ def test_nan_learning_rate_is_a_one_line_error(streams, tmp_path, capsys):
     assert "learning_rate" in err
 
 
+def test_diverging_training_is_a_one_line_error_and_writes_no_model(tmp_path, capsys):
+    train = tmp_path / "train.txt"
+    write_lines(train, [f"{'AB'[i % 2]} | f:30" for i in range(200)])
+    model = tmp_path / "m.bin"
+    assert run_cli("train", "--mode", "cpt-online", "--train", str(train),
+                   "--model", str(model), "--eta", "0.5")[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: regressor diverged") and err.count("\n") == 1
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "inspect"])
 def test_corrupt_child_id_is_a_one_line_error(command, streams, tmp_path, capsys):
     train, test = streams
@@ -370,6 +381,21 @@ def test_synth_emits_parseable_stream(tmp_path):
     assert run_cli("train", "--mode", "cpt-online", "--train", str(out_path),
                    "--model", str(model))[0] == 0
     assert load_model(model).estimator.n_labels > 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--contexts", "0"],
+     ["--task", "clustered", "--groups", "0"],
+     ["--task", "clustered", "--noise", "2"]],
+    ids=["no-contexts", "no-groups", "negative-table"],
+)
+def test_synth_rejects_a_task_that_is_not_a_distribution(argv, tmp_path, capsys):
+    out_path = tmp_path / "synth.txt"
+    assert run_cli("synth", *argv, "--examples", "10", "--out", str(out_path))[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_synth_is_deterministic(tmp_path):

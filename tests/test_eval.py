@@ -167,6 +167,17 @@ def test_node_regret_zero_for_uniform_task_with_half_regressors():
         assert np.allclose(probs, 0.5)
 
 
+@pytest.mark.parametrize(
+    "conditional, context_probs",
+    [([[0.5, 0.5], [1.25, -0.25]], [0.5, 0.5]), ([[0.5, 0.5], [0.5, 0.5]], [1.5, -0.5])],
+    ids=["conditional", "context-probs"],
+)
+def test_synthetic_task_rejects_a_negative_probability(conditional, context_probs):
+    # Each row and the context weights still sum to 1.
+    with pytest.raises(ValueError, match="negative"):
+        SyntheticTask(["a", "b"], [["c0"], ["c1"]], conditional, context_probs)
+
+
 def test_node_regret_of_unreachable_subtree_is_zero():
     # Labels c and d have zero mass everywhere, so the node above them is
     # never reached and its regret is defined as 0.

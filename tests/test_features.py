@@ -130,3 +130,8 @@ def test_clip01():
     assert clip01(-0.5) == 0.0
     assert clip01(1.7) == 1.0
     assert clip01(0.25) == 0.25
+
+
+def test_clip01_rejects_nan():
+    with pytest.raises(ValueError):
+        clip01(math.nan)

@@ -206,12 +206,13 @@ def test_config_outside_its_domain_is_not_saved(mode, field, offset, value, mess
 
 def _diverged_tree():
     # At eta 0.5 and a feature weight of 30 each update multiplies a
-    # regressor's error by 1 - 0.5 * (30**2 + 1) = -449.5: the regressors
-    # overflow to inf, and then to nan.
+    # regressor's error by 1 - 0.5 * (30**2 + 1) = -449.5: a weight overflows
+    # to inf, and the next step, no longer finite, stops learning.
     tree = CondProbTree(learning_rate=0.5)
     x = from_tokens([("f", 30.0)])
-    for i in range(200):
-        tree.learn(x, "AB"[i % 2])
+    with pytest.raises(ValueError, match="regressor diverged"):
+        for i in range(200):
+            tree.learn(x, "AB"[i % 2])
     return tree
 
 
@@ -225,7 +226,7 @@ def _infinite_weight_oaa():
 
 @pytest.mark.parametrize(
     "mode, make, message",
-    [("cpt-online", _diverged_tree, "regressor bias is not finite: nan"),
+    [("cpt-online", _diverged_tree, "regressor weight is not finite"),
      ("oaa", _infinite_weight_oaa, "regressor weight is not finite")],
     ids=["diverged-tree", "inf-weight"],
 )

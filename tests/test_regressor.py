@@ -106,6 +106,23 @@ def test_target_domain_enforced():
             reg.update(vec(("a", 1.0)), bad)
 
 
+def test_non_finite_step_raises_and_leaves_the_regressor_unchanged():
+    reg = LinearRegressor(0.5)
+    x = vec(("a", 30.0))
+    reg.weights[x.indices[0]] = math.inf
+    with pytest.raises(ValueError, match="regressor diverged"):
+        reg.update(x, 0.0)
+    assert reg.weights == {x.indices[0]: math.inf} and reg.bias == 0.0
+
+
+def test_opposite_infinite_weights_raise_on_predict():
+    reg = LinearRegressor()
+    x = vec(("a", 1.0), ("b", 1.0))
+    reg.weights.update({x.indices[0]: math.inf, x.indices[1]: -math.inf})
+    with pytest.raises(ValueError):
+        reg.predict(x)
+
+
 def test_copy_is_independent():
     reg = LinearRegressor(0.2)
     x = vec(("a", 1.0))

@@ -269,8 +269,7 @@ def test_disagreements_never_exceed_total_leaf_depth():
         tree = CondProbTree(alpha=alpha)
         for i in range(rng.randrange(5, 60)):
             tree.learn(vec((f"f{rng.randrange(3)}", rng.uniform(-2, 2))), f"y{i}")
-        stats = tree.depth_stats()
-        assert stats.disagreements <= stats.total_leaf_depth
+        assert tree.disagreement_count <= tree.depth_stats().total_leaf_depth
 
 
 def test_per_example_update_budget():
@@ -283,6 +282,17 @@ def test_per_example_update_budget():
         tree.learn(vec((f"f{rng.randrange(6)}", 1.0)), y)
         if tree.n_labels >= 2:
             assert tree.last_example_updates <= max_depth_bound(tree.n_labels, kappa) + 1
+
+
+def test_diverging_learning_raises_before_any_prediction_leaves_unit_interval():
+    # eta 0.5 on a feature of weight 30 multiplies each error by -449.5.
+    tree = CondProbTree(learning_rate=0.5)
+    x = vec(("f", 30.0))
+    with pytest.raises(ValueError, match="regressor diverged"):
+        for i in range(200):
+            tree.learn(x, "AB"[i % 2])
+            for y in "AB":
+                assert 0.0 <= tree.predict(x, y) <= 1.0
 
 
 # --- structural statistics ---------------------------------------------------
