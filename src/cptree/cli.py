@@ -193,12 +193,20 @@ def cmd_inspect(args, out) -> int:
 def cmd_synth(args, out) -> int:
     from .synthetic import SyntheticTask
 
-    if args.task == "clustered":
-        per_group = max(1, args.groups)  # clustered() rejects groups < 1
+    # Sizes are split evenly over the groups, so each must cover every group.
+    clustered = args.task == "clustered"
+    if clustered and args.groups < 1:
+        raise ValueError(f"--groups must be at least 1, got {args.groups}")
+    least = args.groups if clustered else 1
+    for flag, size in (("--contexts", args.contexts), ("--labels", args.labels)):
+        if size < least:
+            per_group = " (one per group)" if clustered else ""
+            raise ValueError(f"{flag} must be at least {least}{per_group}, got {size}")
+    if clustered:
         task = SyntheticTask.clustered(
             groups=args.groups,
-            contexts_per_group=max(1, args.contexts // per_group),
-            labels_per_group=max(1, args.labels // per_group),
+            contexts_per_group=args.contexts // args.groups,
+            labels_per_group=args.labels // args.groups,
             skew=args.skew,
             noise=args.noise,
             seed=args.seed,

@@ -22,6 +22,13 @@ class EmptyStreamError(ValueError):
 
 
 class Estimator(Protocol):
+    """What progressive validation calls: score(x, y), then learn(x, y).
+
+    learn(x, y) right after score(x, y) on the same x object reuses the
+    scored path: the tree estimators step each regressor from the raw score
+    that score computed. Any other order recomputes, with the same result.
+    """
+
     def score(self, x: SparseVector, y: str) -> float: ...
     def learn(self, x: SparseVector, y: str) -> None: ...
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .features import SparseVector, clip01
-from .regressor import LinearRegressor
+from .regressor import LinearRegressor, scored_path
 
 MAX_CODE_EXPONENT = 16  # practical cap: codes up to 65536 columns
 
@@ -99,6 +99,8 @@ class KWayTree:
     probability of each of its children conditioned on reaching the node, and
     a label's estimate is the product of the clipped per-node child estimates
     along its path, costing (k - 1) * depth regressor touches per example.
+    Like CondProbTree, score keeps a one-entry memo of the raw scores on y's
+    path, which learn(x, y) with the same x object steps from.
     """
 
     def __init__(self, labels: Sequence[str], k: int, learning_rate: float = 0.1):
@@ -120,6 +122,7 @@ class KWayTree:
         # lazily so dummy-only subtrees cost nothing.
         self._node_regs: dict[tuple[int, int], list[LinearRegressor]] = {}
         self.updates = 0
+        self._memo = None  # (x, y, updates, path, raws) of the last score
 
     @property
     def n_labels(self) -> int:
@@ -152,38 +155,47 @@ class KWayTree:
         return self.k - 1 - digit
 
     def learn(self, x: SparseVector, y: str) -> None:
-        slot = self.label_map.get(y)
-        if slot is None:
-            if self.n_labels >= self.capacity:
-                raise ValueError(f"label capacity {self.capacity} exhausted; cannot add {y!r}")
-            slot = self.label_map[y] = self.n_labels
-        for level, index, digit in self._path(slot):
+        scored = scored_path(self._memo, x, y, self.updates)
+        self._memo = None
+        if scored is None:
+            slot = self.label_map.get(y)
+            if slot is None:
+                if self.n_labels >= self.capacity:
+                    raise ValueError(f"label capacity {self.capacity} exhausted; cannot add {y!r}")
+                slot = self.label_map[y] = self.n_labels
+            scored = self._path(slot), [[None] * (self.k - 1)] * self.depth
+        for (level, index, digit), node_raws in zip(*scored):
             column_bits = code_column(self.k, self._column(digit))[1:]
-            for reg, bit in zip(self.regressors_at(level, index), column_bits):
-                reg.update(x, float(bit))
+            for reg, bit, raw in zip(self.regressors_at(level, index), column_bits, node_raws):
+                reg.update(x, float(bit), raw)
         self.updates += (self.k - 1) * self.depth
 
-    def _child_estimate(
-        self, regs: list[LinearRegressor] | None, digit: int, x: SparseVector
-    ) -> float:
-        # An untouched node behaves like fresh regressors, which predict 0.
+    def _child_estimate(self, raws: list[float], digit: int) -> float:
         if self.k == 2:
             # With one trained row the decode reduces exactly to that row's
             # prediction (column 0, all ones) or its complement (column 1).
-            r = regs[0].predict(x) if regs else 0.0
+            r = clip01(raws[0])
             return r if self._column(digit) == 0 else 1.0 - r
-        predictions = [reg.predict(x) for reg in regs] if regs else [0.0] * (self.k - 1)
         bits = code_column(self.k, self._column(digit))
-        return clip01(decode_probability(bits, [1.0, *predictions]))
+        return clip01(decode_probability(bits, [1.0, *map(clip01, raws)]))
 
     def score(self, x: SparseVector, y: str) -> float:
         """Product of per-node child estimates; labels never seen score 0."""
         slot = self.label_map.get(y)
         if slot is None:
+            self._memo = None
             return 0.0
+        # An untouched node has no regressors yet; fresh ones would score 0.
+        untouched = [0.0] * (self.k - 1)
+        path = self._path(slot)
+        raws = []
         q = 1.0
-        for level, index, digit in self._path(slot):
-            q *= self._child_estimate(self._node_regs.get((level, index)), digit, x)
+        for level, index, digit in path:
+            regs = self._node_regs.get((level, index))
+            node_raws = [reg.raw(x) for reg in regs] if regs else untouched
+            raws.append(node_raws)
+            q *= self._child_estimate(node_raws, digit)
+        self._memo = (x, y, self.updates, path, raws)
         return q
 
 

@@ -1,5 +1,11 @@
 """Online linear probability regressor trained by incremental gradient descent
-on squared loss."""
+on squared loss.
+
+Every node regressor the estimators hold, and every test or oracle stand-in
+for one, has the same four calls: raw(x), the unclipped score; predict(x),
+equal to clip01(raw(x)); update(x, target, raw=None), one step toward
+target, given raw(x) when the caller already has it; and copy().
+"""
 
 from __future__ import annotations
 
@@ -44,15 +50,20 @@ class LinearRegressor:
     def predict(self, x: SparseVector) -> float:
         return clip01(self.raw(x))
 
-    def update(self, x: SparseVector, target: float) -> None:
+    def update(self, x: SparseVector, target: float, raw: float | None = None) -> None:
         """One gradient step toward target; target must be in [0, 1].
+
+        raw, when given, must be raw(x) as the regressor stands now; a caller
+        that has just scored x passes it to save recomputing it.
 
         Raises ValueError, leaving the regressor as it was, if the step is not
         finite: the learning rate is too large for the feature scale.
         """
         if not 0.0 <= target <= 1.0:
             raise ValueError(f"target must be in [0, 1], got {target}")
-        delta = self.learning_rate * (target - self.raw(x))
+        if raw is None:
+            raw = self.raw(x)
+        delta = self.learning_rate * (target - raw)
         if delta != 0.0:
             if not -math.inf < delta < math.inf:
                 raise ValueError(f"regressor diverged: step {delta} is not finite")
@@ -68,3 +79,12 @@ class LinearRegressor:
         dup.bias = self.bias
         dup.update_count = self.update_count
         return dup
+
+
+def scored_path(memo, x: SparseVector, y: str, updates: int):
+    """(path, raws) from memo, the (x, y, updates, path, raws) of the last
+    score, if learn(x, y) may step from them: the same x object, the same y
+    and no update since. Otherwise None."""
+    if memo is not None and memo[0] is x and memo[1] == y and memo[2] == updates:
+        return memo[3], memo[4]
+    return None

@@ -276,7 +276,9 @@ class OracleNodeRegressor:
     def predict(self, x: SparseVector) -> float:
         return float(self.right_probs[self.task.context_of(x)])
 
-    def update(self, x: SparseVector, target: float) -> None:
+    raw = predict
+
+    def update(self, x: SparseVector, target: float, raw: float | None = None) -> None:
         pass
 
     def copy(self) -> "OracleNodeRegressor":

@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .features import SparseVector
-from .regressor import LinearRegressor
+from .features import SparseVector, clip01
+from .regressor import LinearRegressor, scored_path
 
 
 class UnknownLabelError(KeyError):
@@ -113,8 +113,12 @@ class CondProbTree:
 
     policy "online" inserts new labels with the balance/agreement objective;
     policy "random" makes a fair coin flip at each node instead, but trains the
-    traversed regressors the same way. Training is strictly sequential;
-    prediction is read-only and may run concurrently between training phases.
+    traversed regressors the same way. Training is strictly sequential.
+    predict is read-only and may run concurrently between training phases.
+    score keeps a one-entry memo of y's path and the raw score of x at each
+    node on it, which the next learn consumes: learn(x, y) right after
+    score(x, y), with the same x object, steps those regressors from the
+    stored values instead of walking the path and scoring x again.
     """
 
     def __init__(
@@ -141,6 +145,7 @@ class CondProbTree:
         self.updates = 0  # total regressor updates, for complexity accounting
         self.last_example_updates = 0
         self.last_insert_path: list[int] = []
+        self._memo = None  # (x, y, updates, path, raws) of the last score
 
     @classmethod
     def balanced(
@@ -220,20 +225,42 @@ class CondProbTree:
 
     # Estimator interface used by the evaluation harness.
     def score(self, x: SparseVector, y: str) -> float:
-        return self.predict(x, y)
+        """predict(x, y), remembering y's path and its raw scores for learn."""
+        if y not in self.leaf_index:
+            self._memo = None
+            return 0.0
+        nodes = self.nodes
+        path = self.path_to(y)
+        raws = [nodes[node_id].reg.raw(x) for node_id, _ in path]
+        q = 1.0
+        for (_, go_right), r in zip(path, raws):
+            f = clip01(r)
+            q *= f if go_right else 1.0 - f
+        self._memo = (x, y, self.updates, path, raws)
+        return q
 
     def learn(self, x: SparseVector, y: str) -> None:
-        if y in self.leaf_index:
+        scored = scored_path(self._memo, x, y, self.updates)
+        self._memo = None
+        if scored is not None:
+            self.train_known(x, y, *scored)
+        elif y in self.leaf_index:
             self.train_known(x, y)
         else:
             self.insert_label(x, y)
 
-    def train_known(self, x: SparseVector, y: str) -> None:
-        """Update the regressors along y's path; y must already be a leaf."""
+    def train_known(self, x: SparseVector, y: str, path=None, raws=None) -> None:
+        """Update the regressors along y's path; y must already be a leaf.
+
+        path and raws, when given, are path_to(y) and each of its nodes' raw
+        score of x, taken since the last update.
+        """
         nodes = self.nodes
-        path = self.path_to(y)
-        for node_id, go_right in path:
-            nodes[node_id].reg.update(x, 1.0 if go_right else 0.0)
+        if path is None:
+            path = self.path_to(y)
+            raws = [None] * len(path)
+        for (node_id, go_right), raw in zip(path, raws):
+            nodes[node_id].reg.update(x, 1.0 if go_right else 0.0, raw)
         nodes[self.leaf_index[y]].reg.update(x, 0.0)
         self.updates += len(path) + 1
         self.last_example_updates = len(path) + 1
@@ -250,7 +277,8 @@ class CondProbTree:
             cur = self.root
             node = nodes[cur]
             while not node.is_leaf:
-                p = node.reg.predict(x)
+                raw = node.reg.raw(x)
+                p = clip01(raw)
                 if self.policy == "random":
                     go_right = 1 if self._rng.random() < 0.5 else 0
                 else:
@@ -258,7 +286,7 @@ class CondProbTree:
                 # p == 1/2 counts as preferring left, matching the tie-break.
                 if go_right != (p > 0.5):
                     self.disagreement_count += 1
-                node.reg.update(x, float(go_right))
+                node.reg.update(x, float(go_right), raw)
                 path.append(cur)
                 if go_right:
                     node.n_right += 1

@@ -22,7 +22,9 @@ class ConstantRegressor:
     def predict(self, x) -> float:
         return self.value
 
-    def update(self, x, target: float) -> None:
+    raw = predict
+
+    def update(self, x, target: float, raw: float | None = None) -> None:
         self.targets.append(target)
         self.update_count += 1
 
@@ -40,7 +42,9 @@ class ContextRegressor:
     def predict(self, x: SparseVector) -> float:
         return self.by_key[x.key_bytes()]
 
-    def update(self, x, target: float) -> None:
+    raw = predict
+
+    def update(self, x, target: float, raw: float | None = None) -> None:
         pass
 
     def copy(self) -> "ContextRegressor":

@@ -398,6 +398,22 @@ def test_synth_rejects_a_task_that_is_not_a_distribution(argv, tmp_path, capsys)
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--task", "clustered", "--labels", "0"],
+      "--labels must be at least 8 (one per group), got 0"),
+     (["--task", "clustered", "--contexts", "0"],
+      "--contexts must be at least 8 (one per group), got 0"),
+     (["--labels", "0"], "--labels must be at least 1, got 0")],
+    ids=["clustered-no-labels", "clustered-no-contexts", "random-no-labels"],
+)
+def test_synth_rejects_a_size_it_cannot_build(argv, message, tmp_path, capsys):
+    out_path = tmp_path / "synth.txt"
+    assert run_cli("synth", *argv, "--examples", "5", "--out", str(out_path))[0] == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
 def test_synth_is_deterministic(tmp_path):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
     for path in (a, b):

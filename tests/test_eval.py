@@ -8,6 +8,8 @@ from cptree import (
     CondProbTree,
     EmptyStreamError,
     Example,
+    KWayTree,
+    LinearRegressor,
     OneAgainstAll,
     TableBaseline,
     equivalent_labels,
@@ -70,6 +72,50 @@ def test_freeze_disables_learning():
     recorder = CallRecorder()
     progressive_validate(toy_stream(10), recorder, learn=False)
     assert recorder.calls == ["score"] * 10
+
+
+def _count_raw_calls(monkeypatch) -> list[int]:
+    """Count every LinearRegressor.raw call from now on, in calls[0]."""
+    calls = [0]
+    raw = LinearRegressor.raw
+
+    def counted(reg, x):
+        calls[0] += 1
+        return raw(reg, x)
+
+    monkeypatch.setattr(LinearRegressor, "raw", counted)
+    return calls
+
+
+def test_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
+    # One raw per node on y's path, taken by score and reused by learn, and
+    # one for the leaf's own update: as many raws as updates per example.
+    stream = tiny_task(contexts=4, labels=12, seed=5).sample(400, seed=6)
+    tree = CondProbTree(alpha=0.5)
+    calls = _count_raw_calls(monkeypatch)
+    seen = []
+
+    def watched():
+        for example in stream:
+            start = calls[0]
+            yield example
+            seen.append((calls[0] - start, tree.last_example_updates))
+
+    progressive_validate(watched(), tree)
+    assert len(seen) == 400 and tree.n_labels == 12
+    assert all(raws == updates for raws, updates in seen), seen
+
+
+def test_kway_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
+    task = tiny_task(contexts=4, labels=12, seed=5)
+    stream = task.sample(300, seed=6)
+    tree = KWayTree(task.labels, 4)
+    for example in stream:  # every node on a label's path now has regressors
+        tree.learn(example.x, example.y)
+    updates = tree.updates
+    calls = _count_raw_calls(monkeypatch)
+    progressive_validate(stream, tree)
+    assert calls[0] == tree.updates - updates == 300 * 3 * tree.depth
 
 
 def test_oracle_loss_matches_closed_form_within_ci():

@@ -227,6 +227,15 @@ def test_kway_update_count():
     assert tree.updates == 10 * (4 - 1) * 2  # (k-1) * depth per example
 
 
+def test_fresh_kway_tree_scores_every_label_from_untouched_nodes():
+    # An untouched node scores like fresh regressors: every row predicts 0.
+    x = vec(("a", 1.0))
+    two = KWayTree(["A", "B"], 2)
+    assert [two.score(x, y) for y in "AB"] == [1.0, 0.0]
+    four = KWayTree(["A", "B", "C"], 4)
+    assert [four.score(x, y) for y in "ABC"] == [0.5, 0.5, 0.5]
+
+
 def test_kway_rejects_bad_fanout():
     with pytest.raises(ValueError):
         KWayTree(["a", "b", "c"], 3)

@@ -6,10 +6,12 @@ the same number of regressors; at the end they must have the same shape,
 the same regressor state node by node and bit-identical predictions.
 """
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cptree import CondProbTree, from_tokens
+from cptree import CondProbTree, KWayTree, ModelConfig, from_tokens, save_model
 
 from reference_cpt import ReferenceCPT
 
@@ -64,3 +66,104 @@ def test_tree_matches_reference(drawn, alpha, policy, seed):
         for label in range(n_labels + 1):  # the last label is never seen
             y = f"y{label}"
             assert tree.predict(x, y).hex() == ref.predict(x, y).hex(), y
+
+
+# --- score, then learn --------------------------------------------------------
+#
+# score keeps a memo of y's path and its raw scores, which the next learn(x, y)
+# steps from. Each example below runs one of five call orders on an estimator
+# that scores before it learns, while a twin makes the same learning calls
+# with no score. The two must end bit for bit the same.
+PLAIN, EQUAL_X, OTHER_X, OTHER_LABEL, UPDATE_BETWEEN = range(5)
+ORDERS = st.lists(st.integers(PLAIN, UPDATE_BETWEEN), min_size=120, max_size=120)
+
+
+def _asked(x, y, order, other):
+    """The (x, y) that order scores: (other x, y), (x, other label) or (x, y)."""
+    return (other[0] if order == OTHER_X else x), (other[1] if order == OTHER_LABEL else y)
+
+
+def _score_then_learn(scored, plain, x, y, order, other, update):
+    """score, then learn, on scored; the same learning calls on plain.
+
+    other is another (x, y) of the stream. PLAIN scores (x, y). EQUAL_X then
+    learns from an equal but distinct x. OTHER_X and OTHER_LABEL score the
+    other x or the other label instead. UPDATE_BETWEEN runs update(est, x,
+    other label) on both estimators between the score and the learn.
+    Returns the score.
+    """
+    q = scored.score(*_asked(x, y, order, other))
+    if order == UPDATE_BETWEEN:
+        update(scored, x, other[1])
+        update(plain, x, other[1])
+    scored.learn(dataclasses.replace(x) if order == EQUAL_X else x, y)
+    plain.learn(x, y)
+    return q
+
+
+def _train_or_insert(tree, x, y):
+    """The tree's own training calls, which leave the score's memo in place."""
+    if y in tree.leaf_index:
+        tree.train_known(x, y)
+    else:
+        tree.insert_label(x, y)
+
+
+def _saved(directory, mode, config, estimator) -> bytes:
+    path = directory / f"{mode}.bin"
+    save_model(path, mode, config, estimator)
+    return path.read_bytes()
+
+
+def _state(reg) -> tuple:
+    return reg.bias.hex(), sorted((i, w.hex()) for i, w in reg.weights.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=streams(),
+    orders=ORDERS,
+    alpha=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    policy=st.sampled_from(["online", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders, alpha, policy, seed):
+    _, stream = drawn
+    scored, plain = (
+        CondProbTree(alpha=alpha, learning_rate=ETA, policy=policy, seed=seed) for _ in range(2)
+    )
+    for i, ((x, y), order) in enumerate(zip(stream, orders)):
+        other = stream[(7 * i + 3) % len(stream)]
+        # The twin's predict is read-only, so it leaves the twin memo-free.
+        expected = plain.predict(*_asked(x, y, order, other))
+        q = _score_then_learn(scored, plain, x, y, order, other, _train_or_insert)
+        assert q.hex() == expected.hex()
+        assert scored.last_example_updates == plain.last_example_updates
+    assert scored.structure_signature() == plain.structure_signature()
+    states = [[_state(node.reg) for node in tree.nodes] for tree in (scored, plain)]
+    assert states[0] == states[1]
+    directory = tmp_path_factory.mktemp("cpt")
+    mode = f"cpt-{policy}"
+    config = ModelConfig(alpha=alpha, eta=ETA, seed=seed)
+    assert _saved(directory, mode, config, scored) == _saved(directory, mode, config, plain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=streams(), orders=ORDERS, k=st.sampled_from([2, 4, 16]), known=st.integers(1, 40))
+def test_kway_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders, k, known):
+    _, stream = drawn
+    # The first labels are given up front; the rest take free slots as they arrive.
+    scored, plain = (KWayTree([f"y{i}" for i in range(known)], k, ETA) for _ in range(2))
+    stream = [(x, f"y{int(y[1:]) % scored.capacity}") for x, y in stream]
+    for i, ((x, y), order) in enumerate(zip(stream, orders)):
+        other = stream[(7 * i + 3) % len(stream)]
+        # KWayTree changes only in learn, which takes the memo with it.
+        _score_then_learn(scored, plain, x, y, order, other, KWayTree.learn)
+    assert scored.label_map == plain.label_map
+    assert scored.updates == plain.updates
+    assert sorted(scored._node_regs) == sorted(plain._node_regs)
+    for key, regs in scored._node_regs.items():
+        assert [_state(reg) for reg in regs] == [_state(reg) for reg in plain._node_regs[key]]
+    directory = tmp_path_factory.mktemp("kway")
+    config = ModelConfig(k=k, eta=ETA)
+    assert _saved(directory, "kway", config, scored) == _saved(directory, "kway", config, plain)

@@ -272,6 +272,22 @@ def test_disagreements_never_exceed_total_leaf_depth():
         assert tree.disagreement_count <= tree.depth_stats().total_leaf_depth
 
 
+def test_a_tie_at_one_half_goes_left_and_is_no_disagreement():
+    tree = grown(["a", "b", "c"], alpha=0.5, factory=lambda: ConstantRegressor(0.5))
+    root = tree.nodes[tree.root]
+    # At the root p = 1/2 with one leaf a side: the objective is 0, so "c"
+    # goes left, which agrees with a regressor that has no preference.
+    assert (root.n_left, root.n_right) == (2, 1)
+    assert tree.nodes[root.right].label == "b"
+    assert tree.disagreement_count == 0
+
+
+def test_alpha_outside_the_unit_interval_is_rejected():
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            CondProbTree(alpha=bad)
+
+
 def test_per_example_update_budget():
     rng = random.Random(15)
     tree = CondProbTree(alpha=0.6)
