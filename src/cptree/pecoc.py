@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .features import SparseVector, clip01
-from .regressor import LinearRegressor, scored_path
+from .regressor import LinearRegressor
 
 MAX_CODE_EXPONENT = 16  # practical cap: codes up to 65536 columns
 
@@ -99,8 +99,11 @@ class KWayTree:
     probability of each of its children conditioned on reaching the node, and
     a label's estimate is the product of the clipped per-node child estimates
     along its path, costing (k - 1) * depth regressor touches per example.
-    Like CondProbTree, score keeps a one-entry memo of the raw scores on y's
-    path, which learn(x, y) with the same x object steps from.
+    score keeps a one-entry memo for the x object it last saw: the raw scores
+    of x at every node it has evaluated since the last learn, which is the
+    only call that changes a regressor and clears the memo. Scoring every
+    label of one x so evaluates each node once, and learn(x, y) with the same
+    x object steps from the raw scores on y's path.
     """
 
     def __init__(self, labels: Sequence[str], k: int, learning_rate: float = 0.1):
@@ -122,7 +125,8 @@ class KWayTree:
         # lazily so dummy-only subtrees cost nothing.
         self._node_regs: dict[tuple[int, int], list[LinearRegressor]] = {}
         self.updates = 0
-        self._memo = None  # (x, y, updates, path, raws) of the last score
+        # (x, {(level, index): raw scores of x}) of score; learn clears it.
+        self._memo = None
 
     @property
     def n_labels(self) -> int:
@@ -155,17 +159,19 @@ class KWayTree:
         return self.k - 1 - digit
 
     def learn(self, x: SparseVector, y: str) -> None:
-        scored = scored_path(self._memo, x, y, self.updates)
+        memo = self._memo
         self._memo = None
-        if scored is None:
-            slot = self.label_map.get(y)
-            if slot is None:
-                if self.n_labels >= self.capacity:
-                    raise ValueError(f"label capacity {self.capacity} exhausted; cannot add {y!r}")
-                slot = self.label_map[y] = self.n_labels
-            scored = self._path(slot), [[None] * (self.k - 1)] * self.depth
-        for (level, index, digit), node_raws in zip(*scored):
+        # Raw scores that score computed for this x object since the last learn.
+        raws = memo[1] if memo is not None and memo[0] is x else {}
+        slot = self.label_map.get(y)
+        if slot is None:
+            if self.n_labels >= self.capacity:
+                raise ValueError(f"label capacity {self.capacity} exhausted; cannot add {y!r}")
+            slot = self.label_map[y] = self.n_labels
+        unscored = [None] * (self.k - 1)
+        for level, index, digit in self._path(slot):
             column_bits = code_column(self.k, self._column(digit))[1:]
+            node_raws = raws.get((level, index), unscored)
             for reg, bit, raw in zip(self.regressors_at(level, index), column_bits, node_raws):
                 reg.update(x, float(bit), raw)
         self.updates += (self.k - 1) * self.depth
@@ -183,19 +189,21 @@ class KWayTree:
         """Product of per-node child estimates; labels never seen score 0."""
         slot = self.label_map.get(y)
         if slot is None:
-            self._memo = None
             return 0.0
+        memo = self._memo
+        if memo is None or memo[0] is not x:
+            memo = self._memo = (x, {})
+        raws = memo[1]
         # An untouched node has no regressors yet; fresh ones would score 0.
         untouched = [0.0] * (self.k - 1)
-        path = self._path(slot)
-        raws = []
         q = 1.0
-        for level, index, digit in path:
-            regs = self._node_regs.get((level, index))
-            node_raws = [reg.raw(x) for reg in regs] if regs else untouched
-            raws.append(node_raws)
+        for level, index, digit in self._path(slot):
+            key = (level, index)
+            node_raws = raws.get(key)
+            if node_raws is None:
+                regs = self._node_regs.get(key)
+                node_raws = raws[key] = [reg.raw(x) for reg in regs] if regs else untouched
             q *= self._child_estimate(node_raws, digit)
-        self._memo = (x, y, self.updates, path, raws)
         return q
 
 

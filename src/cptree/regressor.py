@@ -5,6 +5,12 @@ Every node regressor the estimators hold, and every test or oracle stand-in
 for one, has the same four calls: raw(x), the unclipped score; predict(x),
 equal to clip01(raw(x)); update(x, target, raw=None), one step toward
 target, given raw(x) when the caller already has it; and copy().
+
+The estimators cache work on the x object they last saw (CondProbTree.score
+and predict, KWayTree.score) and trust that a node regressor changes only
+through their own learning. Code that swaps or edits a CondProbTree node's
+regressor by hand must then call tree.regressors_changed(), as
+install_oracle_regressors does.
 """
 
 from __future__ import annotations
@@ -80,11 +86,3 @@ class LinearRegressor:
         dup.update_count = self.update_count
         return dup
 
-
-def scored_path(memo, x: SparseVector, y: str, updates: int):
-    """(path, raws) from memo, the (x, y, updates, path, raws) of the last
-    score, if learn(x, y) may step from them: the same x object, the same y
-    and no update since. Otherwise None."""
-    if memo is not None and memo[0] is x and memo[1] == y and memo[2] == updates:
-        return memo[3], memo[4]
-    return None

@@ -290,6 +290,7 @@ def install_oracle_regressors(tree: CondProbTree, task: SyntheticTask) -> None:
     _, right = node_conditionals(tree, task)
     for node_id, probs in right.items():
         tree.nodes[node_id].reg = OracleNodeRegressor(task, probs)
+    tree.regressors_changed()
 
 
 def true_regret(estimator: Estimator, task: SyntheticTask) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cptree import SparseVector, from_tokens
+from cptree import LinearRegressor, SparseVector, from_tokens
 from cptree.synthetic import SyntheticTask
 
 # One line per acceptance criterion, echoed in the terminal summary.
@@ -65,6 +65,19 @@ class CallRecorder:
 
     def learn(self, x, y) -> None:
         self.calls.append("learn")
+
+
+def count_raw_calls(monkeypatch) -> list[int]:
+    """Count every LinearRegressor.raw call from now on, in calls[0]."""
+    calls = [0]
+    raw = LinearRegressor.raw
+
+    def counted(reg, x):
+        calls[0] += 1
+        return raw(reg, x)
+
+    monkeypatch.setattr(LinearRegressor, "raw", counted)
+    return calls
 
 
 def vec(*pairs: tuple[str, float], hash_bits: int = 18) -> SparseVector:

@@ -9,7 +9,6 @@ from cptree import (
     EmptyStreamError,
     Example,
     KWayTree,
-    LinearRegressor,
     OneAgainstAll,
     TableBaseline,
     equivalent_labels,
@@ -24,7 +23,7 @@ from cptree.synthetic import (
     node_regret,
     true_regret,
 )
-from _support import CallRecorder, ContextRegressor, tiny_task, vec
+from _support import CallRecorder, ContextRegressor, count_raw_calls, tiny_task, vec
 
 
 class FixedScore:
@@ -74,25 +73,12 @@ def test_freeze_disables_learning():
     assert recorder.calls == ["score"] * 10
 
 
-def _count_raw_calls(monkeypatch) -> list[int]:
-    """Count every LinearRegressor.raw call from now on, in calls[0]."""
-    calls = [0]
-    raw = LinearRegressor.raw
-
-    def counted(reg, x):
-        calls[0] += 1
-        return raw(reg, x)
-
-    monkeypatch.setattr(LinearRegressor, "raw", counted)
-    return calls
-
-
 def test_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
     # One raw per node on y's path, taken by score and reused by learn, and
     # one for the leaf's own update: as many raws as updates per example.
     stream = tiny_task(contexts=4, labels=12, seed=5).sample(400, seed=6)
     tree = CondProbTree(alpha=0.5)
-    calls = _count_raw_calls(monkeypatch)
+    calls = count_raw_calls(monkeypatch)
     seen = []
 
     def watched():
@@ -113,9 +99,37 @@ def test_kway_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
     for example in stream:  # every node on a label's path now has regressors
         tree.learn(example.x, example.y)
     updates = tree.updates
-    calls = _count_raw_calls(monkeypatch)
+    calls = count_raw_calls(monkeypatch)
     progressive_validate(stream, tree)
     assert calls[0] == tree.updates - updates == 300 * 3 * tree.depth
+
+
+def test_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(monkeypatch):
+    # The first predict on an x walks its label's path; later ones on the
+    # same x object evaluate each internal node at most once between them.
+    task = tiny_task(contexts=4, labels=24, seed=5)
+    tree = CondProbTree(alpha=0.5)
+    for example in task.sample(600, seed=6):
+        tree.learn(example.x, example.y)
+    n = tree.n_labels
+    calls = count_raw_calls(monkeypatch)
+    x = task.features[1]
+    scores = [tree.predict(x, y) for y in tree.leaf_index]
+    assert n == 24 and abs(math.fsum(scores) - 1.0) <= 1e-12
+    assert calls[0] <= n - 1 + tree.max_depth
+
+
+def test_kway_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(monkeypatch):
+    task = tiny_task(contexts=4, labels=12, seed=5)
+    tree = KWayTree(task.labels, 4)
+    for example in task.sample(300, seed=6):
+        tree.learn(example.x, example.y)
+    internal = {step[:2] for slot in tree.label_map.values() for step in tree._path(slot)}
+    calls = count_raw_calls(monkeypatch)
+    for y in tree.label_map:
+        tree.score(task.features[1], y)
+    assert len(internal) == 4  # the root and the 3 children its 12 labels fill
+    assert calls[0] <= (tree.k - 1) * len(internal)
 
 
 def test_oracle_loss_matches_closed_form_within_ci():

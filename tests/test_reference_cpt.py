@@ -7,6 +7,8 @@ the same regressor state node by node and bit-identical predictions.
 """
 
 import dataclasses
+import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,14 +70,59 @@ def test_tree_matches_reference(drawn, alpha, policy, seed):
             assert tree.predict(x, y).hex() == ref.predict(x, y).hex(), y
 
 
+# --- every label of one x -----------------------------------------------------
+#
+# predict caches the products along the paths it has walked for the x object
+# it last saw. Scoring every label of one x, in any order, with learning and
+# calls on an equal but distinct x in between, must still give the reference's
+# value bit for bit.
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=streams(),
+    alpha=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+    policy=st.sampled_from(["online", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_of_every_label_matches_reference(drawn, alpha, policy, seed):
+    n_labels, stream = drawn
+    tree = CondProbTree(alpha=alpha, learning_rate=ETA, policy=policy, seed=seed)
+    ref = ReferenceCPT(alpha, ETA, policy, seed)
+    rng = random.Random(seed)
+    labels = [f"y{label}" for label in range(n_labels + 1)]  # the last is never seen
+    for i, (x, y) in enumerate(stream):
+        tree.learn(x, y)
+        ref.learn(x, y)
+        if i % 8 != 7 and i != len(stream) - 1:
+            continue
+        # Pass 1 learns once on this x object at a random point of the
+        # order; pass 2 leaves the model as it is and must sum to 1.
+        for learn_at in (rng.randrange(len(labels)), None):
+            order = rng.sample(labels, len(labels))
+            scores = []
+            for j, label in enumerate(order):
+                if j == learn_at:
+                    other = rng.choice(stream)[1]
+                    tree.learn(x, other)
+                    ref.learn(x, other)
+                if rng.random() < 0.2:
+                    twin = dataclasses.replace(x)
+                    assert tree.predict(twin, label).hex() == ref.predict(twin, label).hex()
+                q = tree.predict(x, label)
+                assert q.hex() == ref.predict(x, label).hex(), label
+                scores.append(q)
+        assert abs(math.fsum(scores) - 1.0) <= 1e-12
+
+
 # --- score, then learn --------------------------------------------------------
 #
 # score keeps a memo of y's path and its raw scores, which the next learn(x, y)
-# steps from. Each example below runs one of five call orders on an estimator
-# that scores before it learns, while a twin makes the same learning calls
-# with no score. The two must end bit for bit the same.
-PLAIN, EQUAL_X, OTHER_X, OTHER_LABEL, UPDATE_BETWEEN = range(5)
+# steps from. Each example below runs one of five call orders (six for
+# KWayTree, which adds SCORE_ALL) on an estimator that scores before it
+# learns, while a twin makes the same learning calls with no score. The two
+# must end bit for bit the same.
+PLAIN, EQUAL_X, OTHER_X, OTHER_LABEL, UPDATE_BETWEEN, SCORE_ALL = range(6)
 ORDERS = st.lists(st.integers(PLAIN, UPDATE_BETWEEN), min_size=120, max_size=120)
+KWAY_ORDERS = st.lists(st.integers(PLAIN, SCORE_ALL), min_size=120, max_size=120)
 
 
 def _asked(x, y, order, other):
@@ -149,7 +196,7 @@ def test_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders, alp
 
 
 @settings(max_examples=100, deadline=None)
-@given(drawn=streams(), orders=ORDERS, k=st.sampled_from([2, 4, 16]), known=st.integers(1, 40))
+@given(drawn=streams(), orders=KWAY_ORDERS, k=st.sampled_from([2, 4, 16]), known=st.integers(1, 40))
 def test_kway_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders, k, known):
     _, stream = drawn
     # The first labels are given up front; the rest take free slots as they arrive.
@@ -157,6 +204,20 @@ def test_kway_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders
     stream = [(x, f"y{int(y[1:]) % scored.capacity}") for x, y in stream]
     for i, ((x, y), order) in enumerate(zip(stream, orders)):
         other = stream[(7 * i + 3) % len(stream)]
+        if order == SCORE_ALL:
+            # Every label of the other x, then of x, each in a rotated order,
+            # then learn(x, y). Each score of x must equal the twin's for an
+            # equal but distinct x, which its learn(x, y) does not reuse.
+            labels = list(scored.label_map)
+            labels = labels[i % len(labels):] + labels[:i % len(labels)]
+            twin = dataclasses.replace(x)
+            expected = [plain.score(twin, label).hex() for label in labels]
+            for label in labels:
+                scored.score(other[0], label)
+            assert [scored.score(x, label).hex() for label in labels] == expected
+            scored.learn(x, y)
+            plain.learn(x, y)
+            continue
         # KWayTree changes only in learn, which takes the memo with it.
         _score_then_learn(scored, plain, x, y, order, other, KWayTree.learn)
     assert scored.label_map == plain.label_map

@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -95,6 +98,101 @@ def test_oracle_node_regressors_recover_true_conditionals():
         assert abs(total - 1.0) < 1e-9
 
 
+def test_installing_oracle_regressors_drops_the_predict_cache():
+    task = tiny_task(contexts=4, labels=8, seed=2)
+    tree = CondProbTree.balanced(task.labels)
+    oracle = CondProbTree.balanced(task.labels)
+    install_oracle_regressors(oracle, task)
+    x = task.features[1]
+    first = task.labels[0]
+    # Two calls on one x object cache the untrained estimates on first's path.
+    assert tree.predict(x, first) == tree.predict(x, first) == 1.0
+    install_oracle_regressors(tree, task)
+    for y in task.labels:
+        assert tree.predict(x, y) == oracle.predict(dataclasses.replace(x), y), y
+    assert tree.predict(x, first) != 1.0
+
+
+def _trained_with_walked_values():
+    """A trained tree over two contexts, and every (context, label) value of
+    the path walk, which a call on a fresh copy of x gives."""
+    task = tiny_task(contexts=2, labels=24, seed=3)
+    tree = CondProbTree(alpha=0.5)
+    for example in task.sample(600, seed=4):
+        tree.learn(example.x, example.y)
+    walked = {
+        (c, y): tree.predict(dataclasses.replace(x), y)
+        for c, x in enumerate(task.features)
+        for y in tree.leaf_index
+    }
+    return task, tree, walked
+
+
+class _Interrupting:
+    """A node regressor whose next predict first runs interrupt(), as a
+    thread switch inside a walk would."""
+
+    def __init__(self, reg, interrupt):
+        self.reg = reg
+        self.interrupt = interrupt
+
+    def predict(self, x):
+        interrupt, self.interrupt = self.interrupt, None
+        if interrupt is not None:
+            interrupt()
+        return self.reg.predict(x)
+
+
+def test_predict_on_another_x_in_mid_walk_leaves_both_caches_right():
+    task, tree, walked = _trained_with_walked_values()
+    x, other = task.features
+    labels = list(tree.leaf_index)
+    target = max(labels, key=lambda y: len(tree.path_to(y)))
+    deepest = tree.nodes[tree.path_to(target)[-1][0]]
+    deepest.reg = _Interrupting(
+        deepest.reg, lambda: [tree.predict(other, y) for y in labels]
+    )
+    tree.regressors_changed()
+    side = tree.path_to(target)[0][1]
+    start = next(y for y in labels if tree.path_to(y)[0][1] != side)
+    tree.predict(x, start)
+    tree.predict(x, start)  # x's cache holds start's path, on the root's other side
+    # Mid-walk, another caller scores every label of other, replacing the cache.
+    assert tree.predict(x, target) == walked[0, target]
+    assert deepest.reg.interrupt is None
+    for c, y in [(1, y) for y in labels] + [(0, y) for y in labels]:
+        assert tree.predict(task.features[c], y) == walked[c, y], (c, y)
+
+
+def test_concurrent_predict_callers_get_the_path_walk_values():
+    # Threads share the predict cache: some score the same x object, others
+    # replace it with their own.
+    task, tree, walked = _trained_with_walked_values()
+    labels = list(tree.leaf_index)
+    wrong = []
+
+    def caller(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            c = rng.randrange(task.context_count)
+            for y in rng.sample(labels, len(labels)):
+                if tree.predict(task.features[c], y) != walked[c, y]:
+                    wrong.append((c, y))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
 # --- training --------------------------------------------------------------
 
 def test_training_left_label_sends_zero_target_to_root():
@@ -134,6 +232,16 @@ def test_repeated_training_raises_the_label_estimate_monotonically():
         assert cur >= last - 1e-12
         last = cur
     assert last > 0.99
+
+
+def test_default_balanced_tree_steps_at_rate_one_tenth():
+    tree = CondProbTree.balanced(["a", "b"])
+    tree.learn(X, "b")
+    root = tree.nodes[tree.root].reg
+    # One step from zero toward target 1: 0.1 * (1 - 0) on the bias and on q.
+    assert root.bias == 0.1
+    assert root.weights == {X.indices[0]: 0.1}
+    assert tree.predict(X, "b") == 0.2
 
 
 # --- insertion rule --------------------------------------------------------
