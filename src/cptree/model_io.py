@@ -20,7 +20,7 @@ from typing import BinaryIO, Sequence
 from .evaluation import OneAgainstAll, TableBaseline
 from .features import MAX_HASH_BITS, MIN_HASH_BITS
 from .pecoc import KWayTree, PecocModel
-from .regressor import LinearRegressor
+from .regressor import LinearRegressor, RegressorBlock
 from .tree import CondProbTree, CorruptTreeError, _Node
 
 MAGIC = b"CPTM"
@@ -217,7 +217,7 @@ def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
     est = PecocModel([s.string() for _ in range(n)], cfg.eta)
     if est.k.bit_length() - 1 != t:
         raise ModelFormatError("code size does not match label count")
-    est._node_regs[(0, 0)] = [_read_regressor(w) for _ in range(est.k - 1)]
+    est._node_regs[(0, 0)] = RegressorBlock([_read_regressor(w) for _ in range(est.k - 1)])
     return est
 
 
@@ -245,7 +245,7 @@ def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
             raise ModelFormatError(f"node {key} lies outside a depth-{depth} tree")
         if key in est._node_regs:
             raise ModelFormatError(f"node {key} appears twice")
-        est._node_regs[key] = [_read_regressor(w) for _ in range(k - 1)]
+        est._node_regs[key] = RegressorBlock([_read_regressor(w) for _ in range(k - 1)])
     return est
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .features import SparseVector, clip01
-from .regressor import LinearRegressor
+from .regressor import LinearRegressor, RegressorBlock
 
 MAX_CODE_EXPONENT = 16  # practical cap: codes up to 65536 columns
 
@@ -99,6 +99,10 @@ class KWayTree:
     probability of each of its children conditioned on reaching the node, and
     a label's estimate is the product of the clipped per-node child estimates
     along its path, costing (k - 1) * depth regressor touches per example.
+    A node's k - 1 regressors always score and step on the same x, so they
+    are stored as one RegressorBlock: one pass over x per node evaluation or
+    step, one lookup per feature for all k - 1 rows. A node steps all its
+    rows or, when one step is not finite, none of them.
     score keeps a one-entry memo for the x object it last saw: the raw scores
     of x at every node it has evaluated since the last learn, which is the
     only call that changes a regressor and clears the memo. Scoring every
@@ -123,7 +127,7 @@ class KWayTree:
         self.learning_rate = learning_rate
         # Regressors per internal node, keyed by (level, node index), created
         # lazily so dummy-only subtrees cost nothing.
-        self._node_regs: dict[tuple[int, int], list[LinearRegressor]] = {}
+        self._node_regs: dict[tuple[int, int], RegressorBlock] = {}
         self.updates = 0
         # (x, {(level, index): raw scores of x}) of score; learn clears it.
         self._memo = None
@@ -132,13 +136,13 @@ class KWayTree:
     def n_labels(self) -> int:
         return len(self.label_map)
 
-    def regressors_at(self, level: int, index: int) -> list[LinearRegressor]:
+    def regressors_at(self, level: int, index: int) -> RegressorBlock:
         key = (level, index)
-        regs = self._node_regs.get(key)
-        if regs is None:
-            regs = [LinearRegressor(self.learning_rate) for _ in range(self.k - 1)]
-            self._node_regs[key] = regs
-        return regs
+        block = self._node_regs.get(key)
+        if block is None:
+            rows = [LinearRegressor(self.learning_rate) for _ in range(self.k - 1)]
+            block = self._node_regs[key] = RegressorBlock(rows)
+        return block
 
     def _path(self, slot: int) -> list[tuple[int, int, int]]:
         """(level, node index, child digit) from the root to the slot's leaf."""
@@ -168,12 +172,9 @@ class KWayTree:
             if self.n_labels >= self.capacity:
                 raise ValueError(f"label capacity {self.capacity} exhausted; cannot add {y!r}")
             slot = self.label_map[y] = self.n_labels
-        unscored = [None] * (self.k - 1)
         for level, index, digit in self._path(slot):
-            column_bits = code_column(self.k, self._column(digit))[1:]
-            node_raws = raws.get((level, index), unscored)
-            for reg, bit, raw in zip(self.regressors_at(level, index), column_bits, node_raws):
-                reg.update(x, float(bit), raw)
+            targets = [float(bit) for bit in code_column(self.k, self._column(digit))[1:]]
+            self.regressors_at(level, index).update(x, targets, raws.get((level, index)))
         self.updates += (self.k - 1) * self.depth
 
     def _child_estimate(self, raws: list[float], digit: int) -> float:
@@ -194,15 +195,15 @@ class KWayTree:
         if memo is None or memo[0] is not x:
             memo = self._memo = (x, {})
         raws = memo[1]
-        # An untouched node has no regressors yet; fresh ones would score 0.
+        # An untouched node has no block yet; a fresh one would score 0.
         untouched = [0.0] * (self.k - 1)
         q = 1.0
         for level, index, digit in self._path(slot):
             key = (level, index)
             node_raws = raws.get(key)
             if node_raws is None:
-                regs = self._node_regs.get(key)
-                node_raws = raws[key] = [reg.raw(x) for reg in regs] if regs else untouched
+                block = self._node_regs.get(key)
+                node_raws = raws[key] = block.raws(x) if block is not None else untouched
             q *= self._child_estimate(node_raws, digit)
         return q
 

@@ -1,10 +1,16 @@
 """Online linear probability regressor trained by incremental gradient descent
-on squared loss.
+on squared loss, alone or as a block of rows that share every input.
 
 Every node regressor the estimators hold, and every test or oracle stand-in
 for one, has the same four calls: raw(x), the unclipped score; predict(x),
 equal to clip01(raw(x)); update(x, target, raw=None), one step toward
 target, given raw(x) when the caller already has it; and copy().
+
+A KWayTree node holds k - 1 rows that always score and step on the same x.
+It has the block form of that interface, RegressorBlock: raws(x), the raw
+scores of every row in one pass over x; update(x, targets, raws=None), one
+step of every row; iteration, which yields each row as a LinearRegressor;
+and a constructor from those rows.
 
 The estimators cache work on the x object they last saw (CondProbTree.score
 and predict, KWayTree.score) and trust that a node regressor changes only
@@ -16,6 +22,8 @@ install_oracle_regressors does.
 from __future__ import annotations
 
 import math
+from array import array
+from typing import Iterator, Sequence
 
 from .features import SparseVector, clip01
 
@@ -86,3 +94,116 @@ class LinearRegressor:
         dup.update_count = self.update_count
         return dup
 
+
+class RegressorBlock:
+    """The rows of one k-way node, stored as one block: each row computes what
+    a LinearRegressor would, bit for bit, at a fraction of the lookups.
+
+    Each feature maps to one array with a weight per row, so a pass over x
+    looks each feature up once for every row. A row that has not stored a
+    feature holds 0.0 there; for each feature that only some rows have
+    stored, _partial keeps the bitmask of those rows, so the rows read back
+    hold the same sparse weight sets as separate regressors would. Each row
+    sums bias + w * v in x's index order, and a row whose step is 0 is not
+    touched, as in LinearRegressor.
+    """
+
+    __slots__ = ("_weights", "_partial", "_full", "_biases", "_rates", "_counts",
+                 "_signed_zero_rows")
+
+    def __init__(self, rows: Sequence[LinearRegressor]):
+        size = len(rows)
+        self._full = (1 << size) - 1  # the mask of every row
+        self._biases = [reg.bias for reg in rows]
+        self._rates = [reg.learning_rate for reg in rows]
+        self._counts = [reg.update_count for reg in rows]
+        self._weights: dict[int, array] = {}
+        masks: dict[int, int] = {}
+        for r, reg in enumerate(rows):
+            for i, w in reg.weights.items():
+                if i not in self._weights:
+                    self._weights[i] = array("d", bytes(8 * size))
+                self._weights[i][r] = w
+                masks[i] = masks.get(i, 0) | 1 << r
+        self._partial = {i: mask for i, mask in masks.items() if mask != self._full}
+        # raws adds 0.0 * v for a feature that a row has not stored. That
+        # changes the row's sum only when the sum is -0.0, which needs a bias
+        # of -0.0: a model file can hold one, but no step makes one. raws
+        # recomputes such rows from their own weights alone.
+        self._signed_zero_rows = tuple(
+            r for r, b in enumerate(self._biases) if b == 0.0 and math.copysign(1.0, b) < 0.0
+        )
+
+    def raws(self, x: SparseVector) -> list[float]:
+        """Every row's unclipped score bias + w . x, in one pass over x."""
+        totals = list(self._biases)
+        weights = self._weights
+        for i, v in zip(x.indices, x.values):
+            row = weights.get(i)
+            if row is not None:
+                totals = [t + w * v for t, w in zip(totals, row)]
+        for r in self._signed_zero_rows:
+            totals[r] = self._row_raw(r, x)
+        return totals
+
+    def _row_raw(self, r: int, x: SparseVector) -> float:
+        """Row r's raw score from only the weights it has stored."""
+        total = self._biases[r]
+        for i, v in zip(x.indices, x.values):
+            row = self._weights.get(i)
+            if row is not None and self._partial.get(i, self._full) >> r & 1:
+                total += row[r] * v
+        return total
+
+    def update(self, x: SparseVector, targets: Sequence[float],
+               raws: Sequence[float] | None = None) -> None:
+        """One gradient step of every row toward its target, each in [0, 1].
+
+        raws, when given, must be raws(x) as the block stands now. Raises
+        ValueError, leaving every row as it was, if a target is out of range
+        or any row's step is not finite.
+        """
+        for target in targets:
+            if not 0.0 <= target <= 1.0:
+                raise ValueError(f"target must be in [0, 1], got {target}")
+        if raws is None:
+            raws = self.raws(x)
+        deltas = [rate * (t - raw) for rate, t, raw in zip(self._rates, targets, raws, strict=True)]
+        for delta in deltas:
+            if not -math.inf < delta < math.inf:
+                raise ValueError(f"regressor diverged: step {delta} is not finite")
+        self._counts = [count + 1 for count in self._counts]
+        steps = [(r, delta) for r, delta in enumerate(deltas) if delta != 0.0]
+        if not steps:
+            return
+        biases = self._biases
+        for r, delta in steps:
+            biases[r] += delta
+        weights, partial, full = self._weights, self._partial, self._full
+        stepped = sum(1 << r for r, _ in steps)
+        zeros = bytes(8 * len(deltas))
+        for i, v in zip(x.indices, x.values):
+            row = weights.get(i)
+            if row is None:
+                row = weights[i] = array("d", zeros)
+                mask = stepped
+            else:
+                mask = partial.get(i, full) | stepped
+            for r, delta in steps:
+                row[r] += delta * v
+            if mask == full:
+                partial.pop(i, None)
+            else:
+                partial[i] = mask
+
+    def __iter__(self) -> Iterator[LinearRegressor]:
+        """Each row as a LinearRegressor that owns a copy of its state."""
+        full = self._full
+        for r, bias in enumerate(self._biases):
+            reg = LinearRegressor(self._rates[r])
+            reg.bias = bias
+            reg.update_count = self._counts[r]
+            reg.weights = {
+                i: row[r] for i, row in self._weights.items() if self._partial.get(i, full) >> r & 1
+            }
+            yield reg

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cptree import LinearRegressor, SparseVector, from_tokens
+from cptree import KWayTree, LinearRegressor, PecocModel, SparseVector, from_tokens
 from cptree.synthetic import SyntheticTask
 
 # One line per acceptance criterion, echoed in the terminal summary.
@@ -67,16 +67,59 @@ class CallRecorder:
         self.calls.append("learn")
 
 
-def count_raw_calls(monkeypatch) -> list[int]:
-    """Count every LinearRegressor.raw call from now on, in calls[0]."""
+class RowList:
+    """A k-way node held as separate row regressors, behind RegressorBlock's
+    calls: the reference layout that the block must reproduce bit for bit,
+    and the one seam that puts stand-in rows at a node.
+    """
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def raws(self, x) -> list[float]:
+        return [row.raw(x) for row in self.rows]
+
+    def update(self, x, targets, raws=None) -> None:
+        if raws is None:
+            raws = self.raws(x)
+        for row, target, raw in zip(self.rows, targets, raws, strict=True):
+            row.update(x, target, raw)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+
+def install_rows(est: KWayTree, level: int, index: int, rows) -> None:
+    """Put rows (regressors or stand-ins, k - 1 of them) at one node of est."""
+    est._node_regs[(level, index)] = RowList(rows)
+
+
+class _RowListNodes:
+    def regressors_at(self, level: int, index: int) -> RowList:
+        key = (level, index)
+        if key not in self._node_regs:
+            install_rows(self, *key, (LinearRegressor(self.learning_rate) for _ in range(self.k - 1)))
+        return self._node_regs[key]
+
+
+class RowListKWayTree(_RowListNodes, KWayTree):
+    """KWayTree whose nodes are k - 1 separate LinearRegressors."""
+
+
+class RowListPecocModel(_RowListNodes, PecocModel):
+    """PecocModel whose one node is k - 1 separate LinearRegressors."""
+
+
+def count_calls(monkeypatch, owner: type, name: str) -> list[int]:
+    """Count every call of the method owner.name from now on, in calls[0]."""
     calls = [0]
-    raw = LinearRegressor.raw
+    method = getattr(owner, name)
 
-    def counted(reg, x):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return raw(reg, x)
+        return method(*args, **kwargs)
 
-    monkeypatch.setattr(LinearRegressor, "raw", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 

@@ -9,6 +9,7 @@ from cptree import (
     EmptyStreamError,
     Example,
     KWayTree,
+    LinearRegressor,
     OneAgainstAll,
     TableBaseline,
     equivalent_labels,
@@ -16,6 +17,7 @@ from cptree import (
     hoeffding_halfwidth,
     progressive_validate,
 )
+from cptree.regressor import RegressorBlock
 from cptree.synthetic import (
     OracleEstimator,
     SyntheticTask,
@@ -23,7 +25,7 @@ from cptree.synthetic import (
     node_regret,
     true_regret,
 )
-from _support import CallRecorder, ContextRegressor, count_raw_calls, tiny_task, vec
+from _support import CallRecorder, ContextRegressor, count_calls, tiny_task, vec
 
 
 class FixedScore:
@@ -78,7 +80,7 @@ def test_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
     # one for the leaf's own update: as many raws as updates per example.
     stream = tiny_task(contexts=4, labels=12, seed=5).sample(400, seed=6)
     tree = CondProbTree(alpha=0.5)
-    calls = count_raw_calls(monkeypatch)
+    calls = count_calls(monkeypatch, LinearRegressor, "raw")
     seen = []
 
     def watched():
@@ -99,9 +101,11 @@ def test_kway_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
     for example in stream:  # every node on a label's path now has regressors
         tree.learn(example.x, example.y)
     updates = tree.updates
-    calls = count_raw_calls(monkeypatch)
+    # One evaluation of each node on y's path, taken by score and reused by
+    # learn, for the k - 1 updates at that node.
+    calls = count_calls(monkeypatch, RegressorBlock, "raws")
     progressive_validate(stream, tree)
-    assert calls[0] == tree.updates - updates == 300 * 3 * tree.depth
+    assert calls[0] * (tree.k - 1) == tree.updates - updates == 300 * 3 * tree.depth
 
 
 def test_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(monkeypatch):
@@ -112,7 +116,7 @@ def test_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(monkeypa
     for example in task.sample(600, seed=6):
         tree.learn(example.x, example.y)
     n = tree.n_labels
-    calls = count_raw_calls(monkeypatch)
+    calls = count_calls(monkeypatch, LinearRegressor, "raw")
     x = task.features[1]
     scores = [tree.predict(x, y) for y in tree.leaf_index]
     assert n == 24 and abs(math.fsum(scores) - 1.0) <= 1e-12
@@ -125,11 +129,11 @@ def test_kway_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(mon
     for example in task.sample(300, seed=6):
         tree.learn(example.x, example.y)
     internal = {step[:2] for slot in tree.label_map.values() for step in tree._path(slot)}
-    calls = count_raw_calls(monkeypatch)
+    calls = count_calls(monkeypatch, RegressorBlock, "raws")
     for y in tree.label_map:
         tree.score(task.features[1], y)
     assert len(internal) == 4  # the root and the 3 children its 12 labels fill
-    assert calls[0] <= (tree.k - 1) * len(internal)
+    assert calls[0] <= len(internal)
 
 
 def test_oracle_loss_matches_closed_form_within_ci():

@@ -17,7 +17,7 @@ from cptree import (
 )
 from cptree.pecoc import MAX_CODE_EXPONENT, code_column
 
-from _support import ConstantRegressor, ContextRegressor, tiny_task, vec
+from _support import ConstantRegressor, ContextRegressor, install_rows, tiny_task, vec
 
 
 # --- code construction -------------------------------------------------------
@@ -72,7 +72,7 @@ def test_code_exponent_domain():
 def test_two_label_training_targets():
     model = PecocModel(["one", "two"])
     recorder = ConstantRegressor(0.0)
-    model.regressors_at(0, 0)[0] = recorder
+    install_rows(model, 0, 0, [recorder])
     x = vec(("a", 1.0))
     model.learn(x, "one")
     model.learn(x, "two")
@@ -90,7 +90,7 @@ def test_update_count_per_example():
 def test_two_label_decode_reduces_to_the_row_regressor():
     model = PecocModel(["one", "two"])
     for q in (0.0, 0.3, 0.71, 1.0):
-        model.regressors_at(0, 0)[0] = ConstantRegressor(q)
+        install_rows(model, 0, 0, [ConstantRegressor(q)])
         assert model.score(vec(("a", 1.0)), "one") == q
         assert model.score(vec(("a", 1.0)), "two") == 1 - q
 
@@ -119,12 +119,14 @@ def test_model_with_oracle_rows_is_exact_even_when_padded():
     model = PecocModel(task.labels)
     padded = np.zeros((model.k,))
     code = np.array([code_column(model.k, row) for row in range(model.k)], dtype=np.float64)
+    rows = []
     for row in range(1, model.k):
         by_key = {}
         for c in range(task.context_count):
             padded[: task.label_count] = task.conditional[c]
             by_key[task.features[c].key_bytes()] = float(code[row] @ padded)
-        model.regressors_at(0, 0)[row - 1] = ContextRegressor(by_key)
+        rows.append(ContextRegressor(by_key))
+    install_rows(model, 0, 0, rows)
     for c in range(task.context_count):
         x = task.features[c]
         for j, y in enumerate(task.labels):
@@ -212,11 +214,11 @@ def test_kway_shapes():
     assert four_way.depth == 2
     x = vec(("a", 1.0))
     four_way.learn(x, "y3")
-    assert all(len(regs) == 3 for regs in four_way._node_regs.values())
+    assert all(len(list(regs)) == 3 for regs in four_way._node_regs.values())
     flat = KWayTree([f"y{i}" for i in range(8)], 8)
     assert flat.depth == 1
     flat.learn(x, "y0")
-    assert len(flat._node_regs[(0, 0)]) == 7
+    assert len(list(flat._node_regs[(0, 0)])) == 7
 
 
 def test_kway_update_count():
@@ -297,11 +299,34 @@ def test_kway_with_oracle_nodes_recovers_true_conditionals():
                             value += child_mass[c, child]
                     by_key[task.features[c].key_bytes()] = value / node_mass[c]
                 regs.append(ContextRegressor(by_key))
-            tree._node_regs[(level, index)] = regs
+            install_rows(tree, level, index, regs)
     for c in range(task.context_count):
         x = task.features[c]
         for j, y in enumerate(task.labels):
             assert abs(tree.score(x, y) - task.conditional[c, j]) < 1e-9
+
+
+def test_kway_node_steps_every_row_or_none():
+    # The divergence repro at k = 4: eta 0.5 on a feature of weight 30. The
+    # rows' steps stop being finite at different examples; the learn whose
+    # step is not finite for one row must leave every row as it was.
+    labels = ["a", "b", "c", "d"]
+    tree = KWayTree(labels, 4, learning_rate=0.5)
+    x = vec(("f", 30.0))
+
+    def rows():
+        return [(reg.bias, reg.weights, reg.update_count) for reg in tree.regressors_at(0, 0)]
+
+    for n in range(1000):
+        before, updates = rows(), tree.updates
+        try:
+            tree.learn(x, labels[n % 4])
+        except ValueError as exc:
+            assert str(exc) == "regressor diverged: step -inf is not finite"
+            break
+    else:
+        pytest.fail("the repro did not diverge")
+    assert math.isfinite(before[0][0]) and rows() == before and tree.updates == updates
 
 
 def test_kway_unknown_label_scores_zero_and_capacity_is_enforced():

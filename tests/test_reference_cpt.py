@@ -4,17 +4,28 @@ Random streams over up to 40 labels and 1-4 features, for every alpha of the
 grid and both policies. After every example the two trees must have updated
 the same number of regressors; at the end they must have the same shape,
 the same regressor state node by node and bit-identical predictions.
+KWayTree and PecocModel, whose nodes store their rows as one block, are
+checked the same way against twins whose nodes are separate regressors.
 """
 
 import dataclasses
 import math
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cptree import CondProbTree, KWayTree, ModelConfig, from_tokens, save_model
+from cptree import (
+    CondProbTree,
+    KWayTree,
+    ModelConfig,
+    PecocModel,
+    from_tokens,
+    load_model,
+    save_model,
+)
 
+from _support import RowListKWayTree, RowListPecocModel
 from reference_cpt import ReferenceCPT
 
 ETA = 0.1
@@ -228,3 +239,50 @@ def test_kway_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders
     directory = tmp_path_factory.mktemp("kway")
     config = ModelConfig(k=k, eta=ETA)
     assert _saved(directory, "kway", config, scored) == _saved(directory, "kway", config, plain)
+
+
+# --- block nodes against separate row regressors --------------------------------
+#
+# A KWayTree node keeps its k - 1 rows in one RegressorBlock. Its twin here
+# keeps them as k - 1 LinearRegressors, the layout the block replaces. After
+# every example each node's raw scores, by float.hex, must be equal; at the
+# end, so must every row read back, every node's raws on the stream's first
+# x objects, the model bytes, and the bytes of the saved file loaded and saved
+# again. With one label in the stream, the rows whose code bit is 0 for it
+# never step.
+def _node_raws(est, x) -> dict:
+    return {key: [raw.hex() for raw in node.raws(x)] for key, node in est._node_regs.items()}
+
+
+NEVER_STEPPING = (2, [(features(9, 2), "y1"), (features(3, 2), "y1")] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@example(drawn=NEVER_STEPPING, k=16, known=1)
+@example(drawn=NEVER_STEPPING, k=None, known=3)
+@given(drawn=streams(), k=st.sampled_from([2, 4, 16, None]), known=st.integers(1, 40))
+def test_block_nodes_match_separate_row_regressors(tmp_path_factory, drawn, k, known):
+    # k None: a PecocModel over the known labels.
+    _, stream = drawn
+    labels = [f"y{i}" for i in range(known)]
+    if k is None:
+        mode, config = "pecoc", ModelConfig(eta=ETA)
+        block, rows = PecocModel(labels, ETA), RowListPecocModel(labels, ETA)
+    else:
+        mode, config = "kway", ModelConfig(k=k, eta=ETA)
+        block, rows = KWayTree(labels, k, ETA), RowListKWayTree(labels, k, ETA)
+    stream = [(x, f"y{int(y[1:]) % block.capacity}") for x, y in stream]
+    for x, y in stream:
+        block.learn(x, y)
+        rows.learn(x, y)
+        assert _node_raws(block, x) == _node_raws(rows, x)
+    assert sorted(block._node_regs) == sorted(rows._node_regs)
+    for key, node in block._node_regs.items():
+        assert [_state(reg) for reg in node] == [_state(reg) for reg in rows._node_regs[key]]
+    for x in list(dict.fromkeys(x for x, _ in stream))[:8]:
+        assert _node_raws(block, x) == _node_raws(rows, x)
+    directory = tmp_path_factory.mktemp(mode)
+    saved = _saved(directory, mode, config, block)
+    assert saved == _saved(directory, mode, config, rows)
+    loaded = load_model(directory / f"{mode}.bin").estimator
+    assert _saved(directory, mode, config, loaded) == saved

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from cptree import LinearRegressor
+from cptree import KWayTree, LinearRegressor, ModelConfig, load_model, save_model
+from cptree.regressor import RegressorBlock
 
-from _support import vec
+from _support import RowList, install_rows, vec
 
 
 def test_fresh_model_predicts_zero():
@@ -137,3 +138,69 @@ def test_learning_rate_must_be_positive():
     for bad in (float("nan"), float("inf"), 0.0, -0.1):
         with pytest.raises(ValueError, match="learning_rate"):
             LinearRegressor(bad)
+
+
+# --- the block form: the k - 1 rows of one k-way node ---------------------------
+
+def _row_state(reg) -> tuple:
+    weights = sorted((i, w.hex()) for i, w in reg.weights.items())
+    return reg.learning_rate, reg.update_count, reg.bias.hex(), weights
+
+
+def _odd_rows() -> list[LinearRegressor]:
+    """Rows as only a model file could give them: their own learning rates
+    and update counts, signed zeros, and features that only some rows hold."""
+    a, b, c = vec(("a", 1.0)).indices[0], vec(("b", 1.0)).indices[0], vec(("c", 1.0)).indices[0]
+    rows = [LinearRegressor(0.1), LinearRegressor(0.25), LinearRegressor(0.1)]
+    rows[0].bias, rows[0].update_count = -0.0, 7
+    rows[1].bias, rows[1].update_count, rows[1].weights = 0.5, 3, {a: 1.5, b: -0.0}
+    rows[2].bias, rows[2].update_count, rows[2].weights = -0.25, 9, {b: 2.0, c: -1.0, a: 0.0}
+    return rows
+
+
+def test_block_reads_back_its_rows_and_scores_them_bit_for_bit():
+    rows = _odd_rows()
+    block = RegressorBlock([row.copy() for row in rows])
+    assert [_row_state(reg) for reg in block] == [_row_state(reg) for reg in rows]
+    for pairs in ([], [("a", 2.0)], [("b", -1.0)], [("c", 3.0), ("a", -0.5)], [("z", 1.0)]):
+        x = vec(*pairs)
+        # Row 0 keeps its bias of -0.0 wherever it holds no weight of x.
+        assert [r.hex() for r in block.raws(x)] == [row.raw(x).hex() for row in rows], pairs
+
+
+def test_block_steps_as_separate_regressors_and_skips_zero_steps():
+    rows = _odd_rows()
+    block, twin = RegressorBlock([row.copy() for row in rows]), RowList(rows)
+    rng = random.Random(8)
+    for step in range(60):
+        x = vec(*[(name, rng.choice([-1.0, 0.5, 2.0])) for name in "abcd" if rng.random() < 0.6])
+        # Row 0 meets target 0 on a raw of 0 until it first steps: a zero step.
+        targets = [0.0 if step < 20 else 1.0, float(step % 2), 0.0]
+        block.update(x, targets)
+        twin.update(x, targets)
+        assert [r.hex() for r in block.raws(x)] == [r.hex() for r in twin.raws(x)]
+        assert [_row_state(reg) for reg in block] == [_row_state(reg) for reg in twin]
+
+
+def test_block_checks_every_step_before_it_changes_a_row():
+    rows = [LinearRegressor(0.5) for _ in range(3)]
+    x = vec(("a", 30.0))
+    rows[2].weights[x.indices[0]] = math.inf
+    block = RegressorBlock(rows)
+    before = [_row_state(reg) for reg in block]
+    with pytest.raises(ValueError, match="regressor diverged"):
+        block.update(x, [1.0, 1.0, 0.0])
+    for bad in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="target must be in"):
+            block.update(x, [1.0, 1.0, bad])
+    assert [_row_state(reg) for reg in block] == before
+
+
+def test_odd_rows_survive_a_kway_file_round_trip(tmp_path):
+    est = KWayTree(["p", "q", "r", "s"], 4, 0.1)
+    install_rows(est, 0, 0, _odd_rows())
+    config = ModelConfig(k=4, eta=0.1)
+    save_model(tmp_path / "rows.bin", "kway", config, est)
+    loaded = load_model(tmp_path / "rows.bin").estimator
+    save_model(tmp_path / "block.bin", "kway", config, loaded)
+    assert (tmp_path / "block.bin").read_bytes() == (tmp_path / "rows.bin").read_bytes()
