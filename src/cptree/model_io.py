@@ -5,11 +5,21 @@ sections (structure, weights). Each section is a sequence of fixed-width
 little-endian records, laid out by the ``struct.Struct`` constants below, and
 length-prefixed UTF-8 strings. All reals are 8-byte IEEE floats, so identical
 runs produce identical bytes and a reload reproduces predictions exactly.
+
+Format 2 stores only what a computation reads. A regressor record is a bias
+and its (feature, weight) pairs. It holds no learning rate, because every
+regressor of a model runs at the config's eta (save_model refuses an
+estimator or a regressor at another rate), and no update count, which
+nothing read. Leaf records hold no regressor: no example steps a leaf's,
+so the loader gives each leaf a fresh one. A cpt-random tree's header holds
+its coin's state, so a reloaded tree flips the coins the saved one would
+have. This build reads format 2 only; a format 1 model must be retrained.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +34,7 @@ from .regressor import LinearRegressor, RegressorBlock
 from .tree import CondProbTree, CorruptTreeError, _Node
 
 MAGIC = b"CPTM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -51,13 +61,14 @@ class ModelFormatError(ValueError):
     """Raised when a model file, or a model about to be saved, fails validation."""
 
 
-# Every fixed-width record of format v1, little-endian and unpadded.
+# Every fixed-width record of format v2, little-endian and unpadded.
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _CONFIG = struct.Struct("<ddIIIdQ")  # alpha, eta, hash_bits, passes, k, delta, seed
-_REGRESSOR = struct.Struct("<dQdI")  # learning rate, update count, bias, nnz
+_REGRESSOR = struct.Struct("<dI")  # bias, nnz
 _WEIGHT = struct.Struct("<Id")  # feature index, weight
 _TREE_HEAD = struct.Struct("<IIQ")  # node slots, node records, disagreements
+_COIN = struct.Struct("<625I")  # cpt-random only: 624 Mersenne Twister words, position
 _NODE_HEAD = struct.Struct("<IB")  # node id, kind (0 internal, 1 leaf)
 _INTERNAL = struct.Struct("<IIQQ")  # left, right, left leaves, right leaves
 _PECOC_HEAD = struct.Struct("<II")  # code exponent, labels
@@ -102,9 +113,12 @@ class _Reader:
             raise ModelFormatError(f"trailing bytes after {section}")
 
 
-def _check_finite(reg: LinearRegressor) -> None:
+def _check_regressor(reg: LinearRegressor) -> None:
     if not math.isfinite(reg.bias):
         raise ModelFormatError(f"regressor bias is not finite: {reg.bias}")
+    # No step makes a bias of -0.0, and RegressorBlock relies on that.
+    if reg.bias == 0.0 and math.copysign(1.0, reg.bias) < 0.0:
+        raise ModelFormatError("regressor bias is -0.0")
     # One sum screens the weights. Only a sum that is not finite, from a
     # non-finite weight or from an overflow, is checked weight by weight.
     weights = reg.weights.values()
@@ -112,25 +126,28 @@ def _check_finite(reg: LinearRegressor) -> None:
         raise ModelFormatError("regressor weight is not finite")
 
 
-def _write_regressor(out: BinaryIO, reg: LinearRegressor) -> None:
-    _check_finite(reg)
-    out.write(_REGRESSOR.pack(reg.learning_rate, reg.update_count, reg.bias, len(reg.weights)))
+def _write_regressor(out: BinaryIO, reg: LinearRegressor, eta: float) -> None:
+    _check_regressor(reg)
+    if reg.learning_rate != eta:  # the loader builds every regressor at eta
+        raise ModelFormatError(f"regressor learning_rate {reg.learning_rate} != eta {eta}")
+    out.write(_REGRESSOR.pack(reg.bias, len(reg.weights)))
     out.writelines(starmap(_WEIGHT.pack, sorted(reg.weights.items())))
 
 
-def _read_regressor(r: _Reader) -> LinearRegressor:
-    learning_rate, update_count, bias, nnz = r.unpack(_REGRESSOR)
-    reg = LinearRegressor(learning_rate)
-    reg.update_count = update_count
+def _read_regressor(r: _Reader, eta: float) -> LinearRegressor:
+    bias, nnz = r.unpack(_REGRESSOR)
+    reg = LinearRegressor(eta)
     reg.bias = bias
     reg.weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
-    _check_finite(reg)
+    _check_regressor(reg)
     return reg
 
 
 def _encode_tree(tree: CondProbTree, structure: BinaryIO, weights: BinaryIO) -> None:
     order = tree.preorder()
     structure.write(_TREE_HEAD.pack(len(tree.nodes), len(order), tree.disagreement_count))
+    if tree.policy == "random":
+        structure.write(_COIN.pack(*tree._rng.getstate()[1]))
     for node_id, _ in order:
         node = tree.nodes[node_id]
         if node.is_leaf:
@@ -139,12 +156,15 @@ def _encode_tree(tree: CondProbTree, structure: BinaryIO, weights: BinaryIO) -> 
         else:
             structure.write(_NODE_HEAD.pack(node_id, _INTERNAL_KIND))
             structure.write(_INTERNAL.pack(node.left, node.right, node.n_left, node.n_right))
-        _write_regressor(weights, node.reg)
+            _write_regressor(weights, node.reg, tree.learning_rate)
 
 
 def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTree:
     tree = build(cfg, [])
     n_nodes, n_order, tree.disagreement_count = s.unpack(_TREE_HEAD)
+    if tree.policy == "random":
+        # setstate raises ValueError on a coin position past the state's end.
+        tree._rng.setstate((random.Random.VERSION, s.unpack(_COIN), None))
     if n_order != n_nodes:
         raise ModelFormatError("node record count mismatch")
     if n_nodes * _NODE_HEAD.size > len(s.raw):
@@ -168,6 +188,7 @@ def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTre
             if label in tree.leaf_index:
                 raise ModelFormatError(f"label {label!r} appears twice")
             node.label = label
+            node.reg = tree._factory()
             tree.leaf_index[label] = node_id
         elif kind == _INTERNAL_KIND:
             node.left, node.right, node.n_left, node.n_right = s.unpack(_INTERNAL)
@@ -179,9 +200,9 @@ def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTre
                 if nodes[child].parent is not None:
                     raise ModelFormatError(f"node {child} is named as a child twice")
                 nodes[child].parent = node_id
+            node.reg = _read_regressor(w, cfg.eta)
         else:
             raise ModelFormatError(f"unknown node kind {kind}")
-        node.reg = _read_regressor(w)
     tree.depth_stats()  # validates counts against a recount
     return tree
 
@@ -190,7 +211,7 @@ def _encode_oaa(est: OneAgainstAll, structure: BinaryIO, weights: BinaryIO) -> N
     structure.write(_U32.pack(len(est.regressors)))
     for label, reg in est.regressors.items():
         _w_bytes(structure, label.encode("utf-8"))
-        _write_regressor(weights, reg)
+        _write_regressor(weights, reg, est.learning_rate)
 
 
 def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
@@ -200,7 +221,7 @@ def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
         label = s.string()
         if label in est.regressors:
             raise ModelFormatError(f"label {label!r} appears twice")
-        est.regressors[label] = _read_regressor(w)
+        est.regressors[label] = _read_regressor(w, cfg.eta)
     return est
 
 
@@ -209,7 +230,7 @@ def _encode_pecoc(est: PecocModel, structure: BinaryIO, weights: BinaryIO) -> No
     for label in est.label_map:  # slots fill in insertion order
         _w_bytes(structure, label.encode("utf-8"))
     for reg in est.regressors_at(0, 0):
-        _write_regressor(weights, reg)
+        _write_regressor(weights, reg, est.learning_rate)
 
 
 def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
@@ -217,7 +238,8 @@ def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
     est = PecocModel([s.string() for _ in range(n)], cfg.eta)
     if est.k.bit_length() - 1 != t:
         raise ModelFormatError("code size does not match label count")
-    est._node_regs[(0, 0)] = RegressorBlock([_read_regressor(w) for _ in range(est.k - 1)])
+    rows = [_read_regressor(w, cfg.eta) for _ in range(est.k - 1)]
+    est._node_regs[(0, 0)] = RegressorBlock(rows)
     return est
 
 
@@ -230,7 +252,7 @@ def _encode_kway(est: KWayTree, structure: BinaryIO, weights: BinaryIO) -> None:
     for key in keys:
         structure.write(_KWAY_NODE.pack(*key))
         for reg in est._node_regs[key]:
-            _write_regressor(weights, reg)
+            _write_regressor(weights, reg, est.learning_rate)
 
 
 def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
@@ -245,7 +267,8 @@ def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
             raise ModelFormatError(f"node {key} lies outside a depth-{depth} tree")
         if key in est._node_regs:
             raise ModelFormatError(f"node {key} appears twice")
-        est._node_regs[key] = RegressorBlock([_read_regressor(w) for _ in range(k - 1)])
+        rows = [_read_regressor(w, cfg.eta) for _ in range(k - 1)]
+        est._node_regs[key] = RegressorBlock(rows)
     return est
 
 
@@ -332,6 +355,9 @@ def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
     if mode not in _MODES:
         raise ValueError(f"unknown mode: {mode}")
     _check_config(config)
+    rate = getattr(estimator, "learning_rate", config.eta)  # a table has none
+    if rate != config.eta:
+        raise ModelFormatError(f"learning_rate {rate} differs from the config's eta {config.eta}")
     structure, weights = BytesIO(), BytesIO()
     # The update counter is training state, not shape; keeping it in the
     # weights section lets structure sections compare byte-for-byte across
@@ -360,7 +386,8 @@ def read_sections(path) -> tuple[str, ModelConfig, bytes, bytes]:
         raise ModelFormatError("bad magic; not a model file")
     (version,) = r.unpack(_U32)
     if version != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format version {version}")
+        raise ModelFormatError(f"unsupported format version {version}: this build reads"
+                               f" version {FORMAT_VERSION} only; retrain the model")
     mode = r.string()
     if mode not in MODES:
         raise ModelFormatError(f"unknown mode tag {mode!r}")
@@ -382,7 +409,8 @@ def load_model(path) -> LoadedModel:
         raise
     except (ValueError, CorruptTreeError) as exc:
         # Constructors reject decoded parameters (alpha, learning rate,
-        # duplicate labels, fan-out) and the tree recount rejects counts.
+        # duplicate labels, fan-out), the tree recount rejects counts and
+        # setstate a cpt-random coin state.
         raise ModelFormatError(f"invalid {mode} model: {exc}") from exc
     est.updates = updates
     s.finish("structure records")

@@ -2,15 +2,15 @@
 on squared loss, alone or as a block of rows that share every input.
 
 Every node regressor the estimators hold, and every test or oracle stand-in
-for one, has the same four calls: raw(x), the unclipped score; predict(x),
-equal to clip01(raw(x)); update(x, target, raw=None), one step toward
-target, given raw(x) when the caller already has it; and copy().
+for one, has the same three calls: raw(x), the unclipped score; predict(x),
+equal to clip01(raw(x)); and update(x, target, raw=None), one step toward
+target, given raw(x) when the caller already has it.
 
 A KWayTree node holds k - 1 rows that always score and step on the same x.
 It has the block form of that interface, RegressorBlock: raws(x), the raw
 scores of every row in one pass over x; update(x, targets, raws=None), one
 step of every row; iteration, which yields each row as a LinearRegressor;
-and a constructor from those rows.
+and a constructor from those rows, which share one learning rate.
 
 The estimators cache work on the x object they last saw (CondProbTree.score
 and predict, KWayTree.score) and trust that a node regressor changes only
@@ -41,7 +41,7 @@ class LinearRegressor:
     selection is done by grid search in the evaluation harness.
     """
 
-    __slots__ = ("weights", "bias", "learning_rate", "update_count")
+    __slots__ = ("weights", "bias", "learning_rate")
 
     def __init__(self, learning_rate: float = 0.1):
         if not 0.0 < learning_rate < math.inf:
@@ -49,7 +49,6 @@ class LinearRegressor:
         self.weights: dict[int, float] = {}
         self.bias = 0.0
         self.learning_rate = learning_rate
-        self.update_count = 0
 
     def raw(self, x: SparseVector) -> float:
         """Unclipped score bias + w . x."""
@@ -85,14 +84,6 @@ class LinearRegressor:
             for i, v in zip(x.indices, x.values):
                 weights[i] = weights.get(i, 0.0) + delta * v
             self.bias += delta
-        self.update_count += 1
-
-    def copy(self) -> "LinearRegressor":
-        dup = LinearRegressor(self.learning_rate)
-        dup.weights = dict(self.weights)
-        dup.bias = self.bias
-        dup.update_count = self.update_count
-        return dup
 
 
 class RegressorBlock:
@@ -105,18 +96,19 @@ class RegressorBlock:
     stored, _partial keeps the bitmask of those rows, so the rows read back
     hold the same sparse weight sets as separate regressors would. Each row
     sums bias + w * v in x's index order, and a row whose step is 0 is not
-    touched, as in LinearRegressor.
+    touched, as in LinearRegressor. Adding 0.0 * v for a feature that a row
+    has not stored leaves its sum as it was, since the sum starts at a bias
+    that is never -0.0: no step makes one, and model files reject one.
+    Every row steps at one learning rate, the first row's.
     """
 
-    __slots__ = ("_weights", "_partial", "_full", "_biases", "_rates", "_counts",
-                 "_signed_zero_rows")
+    __slots__ = ("_weights", "_partial", "_full", "_biases", "_rate")
 
     def __init__(self, rows: Sequence[LinearRegressor]):
         size = len(rows)
+        self._rate = rows[0].learning_rate
         self._full = (1 << size) - 1  # the mask of every row
         self._biases = [reg.bias for reg in rows]
-        self._rates = [reg.learning_rate for reg in rows]
-        self._counts = [reg.update_count for reg in rows]
         self._weights: dict[int, array] = {}
         masks: dict[int, int] = {}
         for r, reg in enumerate(rows):
@@ -126,13 +118,6 @@ class RegressorBlock:
                 self._weights[i][r] = w
                 masks[i] = masks.get(i, 0) | 1 << r
         self._partial = {i: mask for i, mask in masks.items() if mask != self._full}
-        # raws adds 0.0 * v for a feature that a row has not stored. That
-        # changes the row's sum only when the sum is -0.0, which needs a bias
-        # of -0.0: a model file can hold one, but no step makes one. raws
-        # recomputes such rows from their own weights alone.
-        self._signed_zero_rows = tuple(
-            r for r, b in enumerate(self._biases) if b == 0.0 and math.copysign(1.0, b) < 0.0
-        )
 
     def raws(self, x: SparseVector) -> list[float]:
         """Every row's unclipped score bias + w . x, in one pass over x."""
@@ -142,18 +127,7 @@ class RegressorBlock:
             row = weights.get(i)
             if row is not None:
                 totals = [t + w * v for t, w in zip(totals, row)]
-        for r in self._signed_zero_rows:
-            totals[r] = self._row_raw(r, x)
         return totals
-
-    def _row_raw(self, r: int, x: SparseVector) -> float:
-        """Row r's raw score from only the weights it has stored."""
-        total = self._biases[r]
-        for i, v in zip(x.indices, x.values):
-            row = self._weights.get(i)
-            if row is not None and self._partial.get(i, self._full) >> r & 1:
-                total += row[r] * v
-        return total
 
     def update(self, x: SparseVector, targets: Sequence[float],
                raws: Sequence[float] | None = None) -> None:
@@ -168,11 +142,11 @@ class RegressorBlock:
                 raise ValueError(f"target must be in [0, 1], got {target}")
         if raws is None:
             raws = self.raws(x)
-        deltas = [rate * (t - raw) for rate, t, raw in zip(self._rates, targets, raws, strict=True)]
+        rate = self._rate
+        deltas = [rate * (t - raw) for t, raw in zip(targets, raws, strict=True)]
         for delta in deltas:
             if not -math.inf < delta < math.inf:
                 raise ValueError(f"regressor diverged: step {delta} is not finite")
-        self._counts = [count + 1 for count in self._counts]
         steps = [(r, delta) for r, delta in enumerate(deltas) if delta != 0.0]
         if not steps:
             return
@@ -200,9 +174,8 @@ class RegressorBlock:
         """Each row as a LinearRegressor that owns a copy of its state."""
         full = self._full
         for r, bias in enumerate(self._biases):
-            reg = LinearRegressor(self._rates[r])
+            reg = LinearRegressor(self._rate)
             reg.bias = bias
-            reg.update_count = self._counts[r]
             reg.weights = {
                 i: row[r] for i, row in self._weights.items() if self._partial.get(i, full) >> r & 1
             }

@@ -271,7 +271,6 @@ class OracleNodeRegressor:
     def __init__(self, task: SyntheticTask, right_probs: np.ndarray):
         self.task = task
         self.right_probs = right_probs
-        self.update_count = 0
 
     def predict(self, x: SparseVector) -> float:
         return float(self.right_probs[self.task.context_of(x)])
@@ -280,9 +279,6 @@ class OracleNodeRegressor:
 
     def update(self, x: SparseVector, target: float, raw: float | None = None) -> None:
         pass
-
-    def copy(self) -> "OracleNodeRegressor":
-        return OracleNodeRegressor(self.task, self.right_probs)
 
 
 def install_oracle_regressors(tree: CondProbTree, task: SyntheticTask) -> None:

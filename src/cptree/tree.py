@@ -82,6 +82,9 @@ def total_depth_bound(n_labels: int, side_fraction: float) -> float:
 
 
 class _Node:
+    """Only internal nodes carry leaf counts (n_left, n_right). No example
+    steps a leaf's regressor; the node keeps it when the leaf splits."""
+
     __slots__ = ("left", "right", "label", "reg", "n_left", "n_right", "parent")
 
     def __init__(self, label, reg, parent):
@@ -89,8 +92,6 @@ class _Node:
         self.right = None
         self.label = label
         self.reg = reg
-        self.n_left = 0
-        self.n_right = 0
         self.parent = parent
 
     @property
@@ -187,10 +188,10 @@ class CondProbTree:
             tree.root = build(0, len(labels), None)
         return tree
 
-    def _add_node(self, label: str | None, parent: int | None, reg=None) -> int:
-        """Append a node, with a fresh regressor unless reg is given; index it if a leaf."""
+    def _add_node(self, label: str | None, parent: int | None) -> int:
+        """Append a node with a fresh regressor; index it if a leaf."""
         node_id = len(self.nodes)
-        self.nodes.append(_Node(label, self._factory() if reg is None else reg, parent))
+        self.nodes.append(_Node(label, self._factory(), parent))
         if label is not None:
             self.leaf_index[label] = node_id
         return node_id
@@ -333,9 +334,8 @@ class CondProbTree:
             raws = [None] * len(path)
         for (node_id, go_right), raw in zip(path, raws):
             nodes[node_id].reg.update(x, 1.0 if go_right else 0.0, raw)
-        nodes[self.leaf_index[y]].reg.update(x, 0.0)
-        self.updates += len(path) + 1
-        self.last_example_updates = len(path) + 1
+        self.updates += len(path)
+        self.last_example_updates = len(path)
 
     def insert_label(self, x: SparseVector, y: str) -> int:
         """Add a new leaf for y, training every regressor passed; returns its id."""
@@ -367,18 +367,17 @@ class CondProbTree:
                     node.n_left += 1
                     cur = node.left
                 node = nodes[cur]
-            # Split the reached leaf: old label moves left with a copy of the
-            # regressor taken before this node's final update, new label goes right.
+            # Split the reached leaf into fresh leaves, old label left and y right;
+            # the node keeps the leaf's unstepped regressor and learns y lies right.
             path.append(cur)
-            node.left = self._add_node(node.label, cur, node.reg.copy())
+            node.left = self._add_node(node.label, cur)
             node.right = leaf_id = self._add_node(y, cur)
             node.label = None
             node.n_left = node.n_right = 1
             node.reg.update(x, 1.0)
-        self.nodes[leaf_id].reg.update(x, 0.0)
-        # One update per internal node on the new leaf's path, and its own.
-        self.updates += len(path) + 1
-        self.last_example_updates = len(path) + 1
+        # One update per internal node on the new leaf's path.
+        self.updates += len(path)
+        self.last_example_updates = len(path)
         self.last_insert_path = path
         return leaf_id
 

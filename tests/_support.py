@@ -16,7 +16,6 @@ class ConstantRegressor:
 
     def __init__(self, value: float):
         self.value = value
-        self.update_count = 0
         self.targets: list[float] = []
 
     def predict(self, x) -> float:
@@ -26,10 +25,6 @@ class ConstantRegressor:
 
     def update(self, x, target: float, raw: float | None = None) -> None:
         self.targets.append(target)
-        self.update_count += 1
-
-    def copy(self) -> "ConstantRegressor":
-        return ConstantRegressor(self.value)
 
 
 class ContextRegressor:
@@ -37,7 +32,6 @@ class ContextRegressor:
 
     def __init__(self, by_key: dict[bytes, float]):
         self.by_key = by_key
-        self.update_count = 0
 
     def predict(self, x: SparseVector) -> float:
         return self.by_key[x.key_bytes()]
@@ -46,9 +40,6 @@ class ContextRegressor:
 
     def update(self, x, target: float, raw: float | None = None) -> None:
         pass
-
-    def copy(self) -> "ContextRegressor":
-        return ContextRegressor(self.by_key)
 
 
 class CallRecorder:

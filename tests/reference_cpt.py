@@ -39,16 +39,12 @@ class Regressor:
             self.w[i] = self.w.get(i, 0.0) + step * v
         self.bias += step
 
-    def copy(self) -> "Regressor":
-        dup = Regressor(self.eta)
-        dup.w = dict(self.w)
-        dup.bias = self.bias
-        return dup
-
 
 class Node:
-    def __init__(self, reg: Regressor, label: str | None = None):
-        self.reg = reg
+    """A leaf holds a label and no regressor; an internal node, a regressor."""
+
+    def __init__(self, label: str | None = None):
+        self.reg: Regressor | None = None
         self.label = label
         self.left: Node | None = None
         self.right: Node | None = None
@@ -97,28 +93,26 @@ class ReferenceCPT:
 
     def learn(self, x, y: str) -> int:
         path = self.path(y)
-        if path is not None:  # known label: its path learns its sides, its leaf 0
-            for node, side in path:
+        if path is not None:  # known label: the nodes above its leaf learn its sides
+            for node, side in path[:-1]:
                 node.reg.update(x, float(side))
-            return len(path)
+            return len(path) - 1
         if self.root is None:
-            self.root = Node(Regressor(self.eta), y)
-            self.root.reg.update(x, 0.0)
-            return 1
+            self.root = Node(y)
+            return 0
         return self._insert(self.root, x, y)
 
     def _insert(self, node: Node, x, y: str) -> int:
         if node.left is None:
-            # Split: the old label moves left with a copy of the leaf's
-            # regressor from before this example; the node keeps the
-            # regressor and learns that y lies right.
-            node.left = Node(node.reg.copy(), node.label)
-            node.right = Node(Regressor(self.eta), y)
+            # Split: both labels go to new leaves, and the node starts a
+            # fresh regressor, which learns that y lies right.
+            node.left = Node(node.label)
+            node.right = Node(y)
+            node.reg = Regressor(self.eta)
             node.label = None
             node.n_left = node.n_right = 1
-            node.right.reg.update(x, 0.0)
             node.reg.update(x, 1.0)
-            return 2
+            return 1
         if self.policy == "random":
             right = self.coin.random() < 0.5
         else:  # ties go left

@@ -76,8 +76,8 @@ def test_freeze_disables_learning():
 
 
 def test_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
-    # One raw per node on y's path, taken by score and reused by learn, and
-    # one for the leaf's own update: as many raws as updates per example.
+    # One raw per node on y's path, taken by score and reused by learn, or
+    # taken by insertion's descent: as many raws as updates per example.
     stream = tiny_task(contexts=4, labels=12, seed=5).sample(400, seed=6)
     tree = CondProbTree(alpha=0.5)
     calls = count_calls(monkeypatch, LinearRegressor, "raw")

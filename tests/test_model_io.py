@@ -12,6 +12,7 @@ import pytest
 from cptree import (
     CondProbTree,
     KWayTree,
+    LinearRegressor,
     ModelConfig,
     OneAgainstAll,
     TableBaseline,
@@ -38,17 +39,18 @@ def build(mode):
     return cfg, est
 
 
-# sha256 of the file save_model writes for build(mode), recorded with the
-# field-at-a-time codec of commit 335a0fd. The record codec must reproduce
-# these bytes exactly: format v1 is unchanged.
+# sha256 of the file save_model writes for build(mode), recorded when format
+# v2 replaced v1 (no regressor learning rates or update counts, no leaf
+# regressors, a cpt-random coin state). Re-record them only with a new
+# format version.
 GOLDEN_SHA256 = {
-    "cpt-online": "b5de27b3a29713a721690076762ecae0f29cf6616a2dce217812e1e362bd9278",
-    "cpt-random": "86b070c92df14775b2402d0a030b02d3a8f858b622262b5e286b2f38df832d06",
-    "cpt-fixed": "18a4bb2efae77116a1c62bb7d17bd5c9fdcce8cdb72a88812c7844e61ca676f4",
-    "oaa": "064b75c48642c7bfe07bbfc7ba77a2d3e922eca7a90d3f998d4463f695ee29e1",
-    "pecoc": "a60ee48854b276d266a30ab65b349928ebe37e88664baab2abe3e64cdf98c1f9",
-    "kway": "cc49ab359c8812f2989675eab2f307608612189d727e609a509e27d50678109b",
-    "table": "9267f16233eb24636fb7280540edb924db570a39c0baa560efe4c8ad6399b23e",
+    "cpt-online": "59892f0e8b151b8f1b6de525eb125c28190eca3e0e77c9b0db6bd19df92d038a",
+    "cpt-random": "84094d205b9ec5aa00c5c8c0b04cd6c8de54771e9b47dd47ff3b5e737b2bbd57",
+    "cpt-fixed": "330d3ceeaccd072b68b29349d1461636691709e4e9e4c04df8dcd0f25941a307",
+    "oaa": "8b3db96baa8d61c339ce19a4d491672197c9fa3a15a52d1522dc278b2c0bc97f",
+    "pecoc": "6a4c503e06840421460eb54b52f6ee021d4303d7396ee84f40e5ff4d6cffc579",
+    "kway": "f59cc006ef00e8246ca5b2badde0b194dcb34f86f24279ce6ab070e2136dbd48",
+    "table": "44bd70cc5c07095be8fcc841f238727c4e626fabc902761347b97d2245e54cfc",
 }
 
 
@@ -93,6 +95,8 @@ def test_round_trip_reproduces_predictions_exactly(mode, tmp_path):
         assert loaded.estimator.score(example.x, example.y) == est.score(
             example.x, example.y
         )
+    save_model(tmp_path / "again.bin", mode, loaded.config, loaded.estimator)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("mode", ["cpt-online", "oaa", "pecoc", "kway", "table"])
@@ -121,6 +125,19 @@ def test_sections_are_separable(tmp_path):
     assert mode == "cpt-online"
     assert config.alpha == cfg.alpha
     assert len(structure) > 0 and len(weights) > 0
+
+
+def test_format_1_file_is_rejected_with_a_retrain_message(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, "oaa", ModelConfig(), OneAgainstAll())
+    # The version follows the 4-byte magic.
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", raw, 4) == (2,)
+    struct.pack_into("<I", raw, 4, 1)
+    path.write_bytes(bytes(raw))
+    message = r"^unsupported format version 1: this build reads version 2 only; retrain the model$"
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
 
 
 def test_bad_magic_is_rejected(tmp_path):
@@ -224,16 +241,48 @@ def _infinite_weight_oaa():
     return est
 
 
+def _negative_zero_bias_oaa():
+    # No step makes a bias of -0.0; only an edit by hand can.
+    est = OneAgainstAll()
+    est.learn(TRAIN[0].x, "A")
+    est.regressors["A"].bias = -0.0
+    return est
+
+
 @pytest.mark.parametrize(
     "mode, make, message",
     [("cpt-online", _diverged_tree, "regressor weight is not finite"),
-     ("oaa", _infinite_weight_oaa, "regressor weight is not finite")],
-    ids=["diverged-tree", "inf-weight"],
+     ("oaa", _infinite_weight_oaa, "regressor weight is not finite"),
+     ("oaa", _negative_zero_bias_oaa, "regressor bias is -0.0")],
+    ids=["diverged-tree", "inf-weight", "negative-zero-bias"],
 )
 def test_non_finite_regressor_state_is_not_saved(mode, make, message, tmp_path):
     path = tmp_path / "model.bin"
+    est = make()
     with pytest.raises(ValueError, match=message):
-        save_model(path, mode, ModelConfig(), make())
+        save_model(path, mode, ModelConfig(eta=est.learning_rate), est)
+    assert not path.exists()
+
+
+# A model file holds no learning rate: every regressor reloads at the eta of
+# the config, so a save at any other rate would not reload as it was.
+@pytest.mark.parametrize("mode", [mode for mode in MODES if mode != "table"])
+def test_estimator_rate_other_than_eta_is_not_saved(mode, tmp_path):
+    cfg = ModelConfig(k=4)
+    est = build_estimator(mode, ModelConfig(eta=0.2, k=4), TASK.labels)
+    path = tmp_path / "model.bin"
+    with pytest.raises(ModelFormatError, match=r"^learning_rate 0.2 differs from the config's eta 0.1$"):
+        save_model(path, mode, cfg, est)
+    assert not path.exists()
+
+
+def test_tree_whose_regressors_run_at_another_rate_is_not_saved(tmp_path):
+    tree = CondProbTree(learning_rate=0.1, regressor_factory=lambda: LinearRegressor(0.3))
+    for label in "AB":
+        tree.learn(TRAIN[0].x, label)
+    path = tmp_path / "model.bin"
+    with pytest.raises(ModelFormatError, match=r"^regressor learning_rate 0.3 != eta 0.1$"):
+        save_model(path, "cpt-online", ModelConfig(), tree)
     assert not path.exists()
 
 
@@ -256,6 +305,36 @@ def test_loaded_tree_keeps_learning_consistently(tmp_path):
         twin.learn(example.x, example.y)
     for example in HELD_OUT[:200]:
         assert est.score(example.x, example.y) == twin.score(example.x, example.y)
+
+
+def test_reloaded_random_tree_flips_the_coins_the_saved_one_would(tmp_path):
+    cfg, est = build("cpt-random")
+    path = tmp_path / "model.bin"
+    save_model(path, "cpt-random", cfg, est)
+    twin = load_model(path).estimator
+    for i, example in enumerate(HELD_OUT[:40]):
+        est.learn(example.x, f"new{i}")
+        twin.learn(example.x, f"new{i}")
+    assert twin.structure_signature() == est.structure_signature()
+    for example in HELD_OUT[:200]:
+        assert twin.score(example.x, example.y) == est.score(example.x, example.y)
+
+
+@pytest.mark.parametrize("position", [625, 2**32 - 1])
+def test_random_tree_coin_position_past_its_state_is_rejected(position, tmp_path):
+    cfg, est = build("cpt-random")
+    path = tmp_path / "model.bin"
+    save_model(path, "cpt-random", cfg, est)
+    _, _, structure, weights = read_sections(path)
+    # The coin state follows the 16-byte tree head: 624 words, then the
+    # position in them, at most 624.
+    offset = 16 + 624 * 4
+    assert struct.unpack_from("<I", structure, offset) == (est._rng.getstate()[1][-1],)
+    edited = bytearray(structure)
+    struct.pack_into("<I", edited, offset, position)
+    _replace_sections(path, bytes(edited), weights)
+    with pytest.raises(ModelFormatError, match=r"^invalid cpt-random model: invalid state$"):
+        load_model(path)
 
 
 def _raise_timeout(signum, frame):
@@ -347,30 +426,19 @@ def test_unedited_two_leaf_tree_loads(tmp_path):
     assert tree.leaf_index == {"A": 1, "B": 2}
 
 
-def test_non_finite_learning_rate_in_a_regressor_record_is_rejected(tmp_path):
-    path = _saved(tmp_path, "cpt-online", CondProbTree(), ["A", "B"])
-    _, _, structure, weights = read_sections(path)
-    # The weights section opens with the 8-byte update counter; the root's
-    # regressor record follows, led by its learning rate.
-    edited = weights[:8] + struct.pack("<d", float("nan")) + weights[16:]
-    _replace_sections(path, structure, edited)
-    with pytest.raises(ModelFormatError, match="learning_rate"):
-        load_model(path)
-
-
 def _root_regressor_file(tmp_path, edits):
     """Save the tree root(A, B), trained on two one-feature contexts, and
     overwrite 8-byte reals of its weights section: edits maps offset to value.
 
     The weights section opens with the 8-byte update counter. The root's
-    regressor record follows: learning rate, update count, bias at 24, a
-    weight count of 2 at 32, then two (feature, weight) pairs with their
-    weights at 40 and 52.
+    regressor record follows, the only one, since leaves hold none: its bias
+    at 8, a weight count of 2 at 16, then two (feature, weight) pairs with
+    their weights at 24 and 36.
     """
     est = CondProbTree()
     path = _saved(tmp_path, "cpt-online", est, ["A", "B"], xs=TASK.features[:2])
     _, _, structure, weights = read_sections(path)
-    assert struct.unpack_from("<I", weights, 32) == (2,)
+    assert len(weights) == 44 and struct.unpack_from("<I", weights, 16) == (2,)
     edited = bytearray(weights)
     for offset, value in edits.items():
         struct.pack_into("<d", edited, offset, value)
@@ -381,11 +449,12 @@ def _root_regressor_file(tmp_path, edits):
 @pytest.mark.parametrize(
     "edits, message",
     [
-        ({24: float("nan")}, "regressor bias is not finite"),
-        ({52: float("inf")}, "regressor weight is not finite"),
-        ({40: 1e308, 52: float("-inf")}, "regressor weight is not finite"),
+        ({8: float("nan")}, "regressor bias is not finite"),
+        ({36: float("inf")}, "regressor weight is not finite"),
+        ({24: 1e308, 36: float("-inf")}, "regressor weight is not finite"),
+        ({8: -0.0}, "regressor bias is -0.0"),
     ],
-    ids=["nan-bias", "inf-weight", "inf-weight-after-a-large-one"],
+    ids=["nan-bias", "inf-weight", "inf-weight-after-a-large-one", "negative-zero-bias"],
 )
 def test_non_finite_regressor_state_is_rejected(edits, message, tmp_path):
     path, _ = _root_regressor_file(tmp_path, edits)
@@ -394,7 +463,7 @@ def test_non_finite_regressor_state_is_rejected(edits, message, tmp_path):
 
 
 # Two weights of 1e308 sum to inf, yet each is finite: the file must load.
-@pytest.mark.parametrize("edits", [{}, {40: 1e308, 52: 1e308}], ids=["unedited", "overflowing-sum"])
+@pytest.mark.parametrize("edits", [{}, {24: 1e308, 36: 1e308}], ids=["unedited", "overflowing-sum"])
 def test_finite_regressor_state_loads(edits, tmp_path):
     path, est = _root_regressor_file(tmp_path, edits)
     loaded = load_model(path).estimator

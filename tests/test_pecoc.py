@@ -315,7 +315,7 @@ def test_kway_node_steps_every_row_or_none():
     x = vec(("f", 30.0))
 
     def rows():
-        return [(reg.bias, reg.weights, reg.update_count) for reg in tree.regressors_at(0, 0)]
+        return [(reg.bias, reg.weights) for reg in tree.regressors_at(0, 0)]
 
     for n in range(1000):
         before, updates = rows(), tree.updates

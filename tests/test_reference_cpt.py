@@ -26,7 +26,7 @@ from cptree import (
 )
 
 from _support import RowListKWayTree, RowListPecocModel
-from reference_cpt import ReferenceCPT
+from reference_cpt import ReferenceCPT, Regressor
 
 ETA = 0.1
 VALUES = (None, -1.5, -1.0, -0.5, 0.25, 0.5, 1.0, 2.0)  # None: feature absent
@@ -73,8 +73,10 @@ def test_tree_matches_reference(drawn, alpha, policy, seed):
     assert tree.structure_signature() == ref.structure_signature()
     for (node_id, _), ref_node in zip(tree.preorder(), ref.root.preorder(), strict=True):
         reg = tree.nodes[node_id].reg
-        assert reg.weights == ref_node.reg.w, node_id
-        assert reg.bias == ref_node.reg.bias, node_id
+        # A reference leaf holds no regressor; the tree's must stay fresh.
+        ref_reg = ref_node.reg or Regressor(ETA)
+        assert reg.weights == ref_reg.w, node_id
+        assert reg.bias == ref_reg.bias, node_id
     for x in list(dict.fromkeys(x for x, _ in stream))[:8]:  # the first 8 distinct
         for label in range(n_labels + 1):  # the last label is never seen
             y = f"y{label}"

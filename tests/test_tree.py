@@ -218,8 +218,8 @@ def test_training_rightmost_label_in_balanced_four_leaf_tree():
         t for node in tree.nodes if node.is_leaf for t in node.reg.targets
     ]
     assert internal_targets == [1.0, 1.0]
-    assert leaf_targets == [0.0]
-    assert tree.last_example_updates == 3
+    assert leaf_targets == []  # no example steps a leaf
+    assert tree.last_example_updates == 2
 
 
 def test_repeated_training_raises_the_label_estimate_monotonically():
@@ -304,10 +304,11 @@ def test_second_label_splits_root_old_left_new_right():
     assert (root.n_left, root.n_right) == (1, 1)
     assert tree.nodes[root.left].label == "old"
     assert tree.nodes[root.right].label == "new"
-    # The promoted node's regressor received (x, 1) after being copied left.
-    assert root.reg.targets[-1] == 1.0
+    # The split node kept the old leaf's regressor and learned (x, 1); both
+    # leaves got fresh ones, which no example steps.
+    assert root.reg is factory_calls[0] and root.reg.targets == [1.0]
     assert tree.nodes[root.left].reg.targets == []
-    assert tree.nodes[root.right].reg.targets == [0.0]
+    assert tree.nodes[root.right].reg.targets == []
 
 
 def test_alpha_one_builds_perfectly_balanced_trees():
