@@ -7,7 +7,7 @@ import math
 import sys
 import time
 
-from .data import format_example_line, read_example_file
+from .data import format_example_line, read_example_file, read_label_file
 from .evaluation import EvalReport, progressive_validate
 from .model_io import LABELED_MODES, MODES, ModelConfig, build_estimator, load_model, save_model
 from .pecoc import loss_multiplier
@@ -38,7 +38,7 @@ def _new_estimator(mode: str, cfg: ModelConfig, path):
     at path, in first-seen order."""
     labels = ()
     if mode in LABELED_MODES:
-        labels = list(dict.fromkeys(ex.y for ex in read_example_file(path, cfg.hash_bits)))
+        labels = list(dict.fromkeys(read_label_file(path)))
     return build_estimator(mode, cfg, labels)
 
 

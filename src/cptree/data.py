@@ -25,9 +25,8 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def parse_example_line(
-    line: str, hash_bits: int = DEFAULT_HASH_BITS, line_number: int | None = None
-) -> Example:
+def _split_label(line: str, line_number: int | None) -> tuple[str, str]:
+    """The label of an example line and the feature text after its '|'."""
     head, sep, tail = line.partition("|")
     if not sep:
         raise ParseError("missing '|' separator", line_number)
@@ -36,26 +35,33 @@ def parse_example_line(
         raise ParseError("empty label", line_number)
     if len(label_tokens) > 1:
         raise ParseError(f"label must be a single token, got {head!r}", line_number)
+    return label_tokens[0], tail
+
+
+def parse_example_line(
+    line: str, hash_bits: int = DEFAULT_HASH_BITS, line_number: int | None = None
+) -> Example:
+    label, tail = _split_label(line, line_number)
     pairs: list[tuple[str, float]] = []
     for token in tail.split():
-        if ":" in token:
-            name, _, raw_weight = token.rpartition(":")
-            if not name:
-                raise ParseError(f"feature name missing in {token!r}", line_number)
+        name, colon, raw_weight = token.rpartition(":")
+        if not colon:  # no weight: rpartition leaves the whole token last
+            name, weight = raw_weight, 1.0
+        elif not name:
+            raise ParseError(f"feature name missing in {token!r}", line_number)
+        else:
             try:
                 weight = float(raw_weight)
             except ValueError:
                 raise ParseError(
                     f"non-numeric weight {raw_weight!r} in {token!r}", line_number
                 ) from None
-        else:
-            name, weight = token, 1.0
         pairs.append((name, weight))
     try:
         x = from_tokens(pairs, hash_bits)
     except ValueError as exc:
         raise ParseError(str(exc), line_number) from None
-    return Example(x, label_tokens[0])
+    return Example(x, label)
 
 
 def format_example_line(label: str, features: Iterable[tuple[str, float]]) -> str:
@@ -76,13 +82,18 @@ def format_example_line(label: str, features: Iterable[tuple[str, float]]) -> st
     return " ".join(parts)
 
 
+def _numbered(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line) for each line that is not blank."""
+    for i, line in enumerate(lines, start=1):
+        if line.strip():
+            yield i, line
+
+
 def read_examples(
     lines: Iterable[str], hash_bits: int = DEFAULT_HASH_BITS
 ) -> Iterator[Example]:
     """Parse an iterable of lines, skipping blank ones."""
-    for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for i, line in _numbered(lines):
         yield parse_example_line(line, hash_bits, line_number=i)
 
 
@@ -91,3 +102,14 @@ def read_example_file(
 ) -> Iterator[Example]:
     with open(path, "r", encoding="utf-8") as handle:
         yield from read_examples(handle, hash_bits)
+
+
+def read_label_file(path: str | os.PathLike) -> Iterator[str]:
+    """The label of each example line of the file at path, in order.
+
+    Features are neither parsed nor hashed, so only a fault in the '|' or
+    the label raises, with parse_example_line's ParseError.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        for i, line in _numbered(handle):
+            yield _split_label(line, i)[0]

@@ -12,7 +12,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 MIN_HASH_BITS = 10
 MAX_HASH_BITS = 30
@@ -49,17 +49,32 @@ class SparseVector:
     def __post_init__(self) -> None:
         if not MIN_HASH_BITS <= self.hash_bits <= MAX_HASH_BITS:
             raise ValueError(f"hash_bits out of range: {self.hash_bits}")
-        if len(self.indices) != len(self.values):
+        indices, values = self.indices, self.values
+        if len(indices) != len(values):
             raise ValueError("indices and values must have equal length")
         limit = 1 << self.hash_bits
+        # Indices that increase from -1 stay below the limit if the last
+        # one does. A step that does not increase fails that check too.
         prev = -1
-        for i in self.indices:
-            if not prev < i < limit:
-                raise ValueError(f"indices must be strictly increasing in [0, {limit})")
+        for i in indices:
+            if not prev < i:
+                prev = limit
+                break
             prev = i
-        for v in self.values:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite feature value: {v}")
+        if not prev < limit:
+            raise ValueError(f"indices must be strictly increasing in [0, {limit})")
+        # One float sum screens the values: it is finite only if every value
+        # is. A sum that is not, or that cannot add a value, sends us to the
+        # scan, which names the bad value; finite values whose sum overflows
+        # pass it.
+        try:
+            finite = math.isfinite(sum(values, 0.0))
+        except (TypeError, ArithmeticError):
+            finite = False
+        if not finite:
+            for v in values:
+                if not math.isfinite(v):
+                    raise ValueError(f"non-finite feature value: {v}")
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -83,22 +98,59 @@ def canonicalize(
 ) -> SparseVector:
     """Sort entries by index, sum duplicates, and drop exact zeros."""
     acc: dict[int, float] = {}
+    isfinite = math.isfinite
     for i, v in entries:
         fv = float(v)
-        if not math.isfinite(fv):
+        if not isfinite(fv):
             raise ValueError(f"non-finite value for index {i}: {v}")
-        acc[i] = acc.get(i, 0.0) + fv
-    kept = sorted(i for i, v in acc.items() if v != 0.0)
-    return SparseVector(tuple(kept), tuple(acc[i] for i in kept), hash_bits)
+        # Storing a first value as is, not added to 0.0, can change only
+        # the sign of a zero, and zeros are dropped below.
+        acc[i] = acc[i] + fv if i in acc else fv
+    if not all(acc.values()):
+        acc = {i: v for i, v in acc.items() if v}
+    indices = sorted(acc)
+    return SparseVector(tuple(indices), tuple(map(acc.__getitem__, indices)), hash_bits)
+
+
+# One token -> index dict per hash_bits, so that blake2b runs once per
+# distinct token in a process and a repeated token gets the same int object.
+# A full dict is cleared; the cap holds a 20k-token vocabulary with room to
+# spare. Entries are pure functions of their token, so threads that share a
+# dict, or a clear between them, change no result.
+_INDEX_CACHE_CAP = 1 << 15
+_index_caches: dict[int, dict] = {
+    bits: {} for bits in range(MIN_HASH_BITS, MAX_HASH_BITS + 1)
+}
+
+
+def _indexed(
+    tokens: Iterable[tuple[str, float]], hash_bits: int
+) -> Iterator[tuple[int, float]]:
+    # An unusable hash_bits gets a throwaway dict, and hash_feature or
+    # SparseVector rejects it.
+    cache = _index_caches.get(hash_bits, {})
+    for token, weight in tokens:
+        try:
+            index = cache.get(token)
+        except (TypeError, ValueError):  # a bytearray, a writable memoryview
+            index = hash_feature(token, hash_bits)
+        if index is None:
+            index = hash_feature(token, hash_bits)
+            if len(cache) >= _INDEX_CACHE_CAP:
+                cache.clear()
+            cache[token] = index
+        yield index, weight
 
 
 def from_tokens(
     tokens: Iterable[tuple[str, float]], hash_bits: int = DEFAULT_HASH_BITS
 ) -> SparseVector:
-    """Hash (token, weight) pairs into a canonical sparse vector."""
-    return canonicalize(
-        ((hash_feature(tok, hash_bits), w) for tok, w in tokens), hash_bits
-    )
+    """Hash (token, weight) pairs into a canonical sparse vector.
+
+    Each token is hashed on its way into canonicalize, so a bad weight is
+    reported before any later token is looked at.
+    """
+    return canonicalize(_indexed(tokens, hash_bits), hash_bits)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 from io import BytesIO
-from itertools import starmap
 from typing import BinaryIO, Sequence
 
 from .evaluation import OneAgainstAll, TableBaseline
@@ -97,7 +96,11 @@ class _Reader:
         return chunk
 
     def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack(self.take(fmt.size))
+        pos = self._pos
+        end = self._pos = pos + fmt.size
+        if end > len(self.raw):
+            raise ModelFormatError("truncated model file")
+        return fmt.unpack_from(self.raw, pos)  # in place, without the copy take() makes
 
     def raw_bytes(self) -> bytes:
         return self.take(self.unpack(_U32)[0])
@@ -126,24 +129,49 @@ def _check_regressor(reg: LinearRegressor) -> None:
         raise ModelFormatError("regressor weight is not finite")
 
 
-def _write_regressor(out: BinaryIO, reg: LinearRegressor, eta: float) -> None:
+def _write_regressor(out: BinaryIO, reg: LinearRegressor, cfg: ModelConfig) -> None:
     _check_regressor(reg)
-    if reg.learning_rate != eta:  # the loader builds every regressor at eta
-        raise ModelFormatError(f"regressor learning_rate {reg.learning_rate} != eta {eta}")
-    out.write(_REGRESSOR.pack(reg.bias, len(reg.weights)))
-    out.writelines(starmap(_WEIGHT.pack, sorted(reg.weights.items())))
+    if reg.learning_rate != cfg.eta:  # the loader builds every regressor at eta
+        raise ModelFormatError(f"regressor learning_rate {reg.learning_rate} != eta {cfg.eta}")
+    weights = reg.weights
+    keys = sorted(weights)  # ints sort much faster than (index, weight) tuples
+    _check_indices(keys, cfg.hash_bits)
+    out.write(_REGRESSOR.pack(reg.bias, len(keys)))
+    out.writelines(map(_WEIGHT.pack, keys, map(weights.__getitem__, keys)))
 
 
-def _read_regressor(r: _Reader, eta: float) -> LinearRegressor:
+def _read_regressor(r: _Reader, cfg: ModelConfig) -> LinearRegressor:
     bias, nnz = r.unpack(_REGRESSOR)
-    reg = LinearRegressor(eta)
+    reg = LinearRegressor(cfg.eta)
     reg.bias = bias
     reg.weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
+    # The writer sorts the indices, so any other order, and so a repeat
+    # (which the dict merged), is a damaged file.
+    keys = list(reg.weights)
+    if len(keys) != nnz or keys != sorted(keys):
+        raise ModelFormatError("regressor weight indices are not strictly increasing")
+    _check_indices(keys, cfg.hash_bits)
     _check_regressor(reg)
     return reg
 
 
-def _encode_tree(tree: CondProbTree, structure: BinaryIO, weights: BinaryIO) -> None:
+def _check_indices(keys: list[int], hash_bits: int) -> None:
+    """keys are sorted; none may lie outside the config's hash space."""
+    if keys and keys[-1] >= 1 << hash_bits:
+        raise ModelFormatError(
+            f"regressor weight index {keys[-1]} is not below 2^{hash_bits}")
+
+
+def _check_follows(prev, key, name: str, where: str = "") -> None:
+    """Keys the writer sorts must come strictly increasing."""
+    if key == prev:
+        raise ModelFormatError(f"{name} appears twice{where}")
+    if key < prev:
+        raise ModelFormatError(f"{name} is out of order{where}")
+
+
+def _encode_tree(tree: CondProbTree, cfg: ModelConfig, structure: BinaryIO,
+                 weights: BinaryIO) -> None:
     order = tree.preorder()
     structure.write(_TREE_HEAD.pack(len(tree.nodes), len(order), tree.disagreement_count))
     if tree.policy == "random":
@@ -156,7 +184,7 @@ def _encode_tree(tree: CondProbTree, structure: BinaryIO, weights: BinaryIO) -> 
         else:
             structure.write(_NODE_HEAD.pack(node_id, _INTERNAL_KIND))
             structure.write(_INTERNAL.pack(node.left, node.right, node.n_left, node.n_right))
-            _write_regressor(weights, node.reg, tree.learning_rate)
+            _write_regressor(weights, node.reg, cfg)
 
 
 def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTree:
@@ -200,18 +228,19 @@ def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTre
                 if nodes[child].parent is not None:
                     raise ModelFormatError(f"node {child} is named as a child twice")
                 nodes[child].parent = node_id
-            node.reg = _read_regressor(w, cfg.eta)
+            node.reg = _read_regressor(w, cfg)
         else:
             raise ModelFormatError(f"unknown node kind {kind}")
     tree.depth_stats()  # validates counts against a recount
     return tree
 
 
-def _encode_oaa(est: OneAgainstAll, structure: BinaryIO, weights: BinaryIO) -> None:
+def _encode_oaa(est: OneAgainstAll, cfg: ModelConfig, structure: BinaryIO,
+                weights: BinaryIO) -> None:
     structure.write(_U32.pack(len(est.regressors)))
     for label, reg in est.regressors.items():
         _w_bytes(structure, label.encode("utf-8"))
-        _write_regressor(weights, reg, est.learning_rate)
+        _write_regressor(weights, reg, cfg)
 
 
 def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
@@ -221,16 +250,17 @@ def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
         label = s.string()
         if label in est.regressors:
             raise ModelFormatError(f"label {label!r} appears twice")
-        est.regressors[label] = _read_regressor(w, cfg.eta)
+        est.regressors[label] = _read_regressor(w, cfg)
     return est
 
 
-def _encode_pecoc(est: PecocModel, structure: BinaryIO, weights: BinaryIO) -> None:
+def _encode_pecoc(est: PecocModel, cfg: ModelConfig, structure: BinaryIO,
+                  weights: BinaryIO) -> None:
     structure.write(_PECOC_HEAD.pack(est.k.bit_length() - 1, est.n_labels))
     for label in est.label_map:  # slots fill in insertion order
         _w_bytes(structure, label.encode("utf-8"))
     for reg in est.regressors_at(0, 0):
-        _write_regressor(weights, reg, est.learning_rate)
+        _write_regressor(weights, reg, cfg)
 
 
 def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
@@ -238,12 +268,13 @@ def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
     est = PecocModel([s.string() for _ in range(n)], cfg.eta)
     if est.k.bit_length() - 1 != t:
         raise ModelFormatError("code size does not match label count")
-    rows = [_read_regressor(w, cfg.eta) for _ in range(est.k - 1)]
+    rows = [_read_regressor(w, cfg) for _ in range(est.k - 1)]
     est._node_regs[(0, 0)] = RegressorBlock(rows)
     return est
 
 
-def _encode_kway(est: KWayTree, structure: BinaryIO, weights: BinaryIO) -> None:
+def _encode_kway(est: KWayTree, cfg: ModelConfig, structure: BinaryIO,
+                 weights: BinaryIO) -> None:
     structure.write(_KWAY_HEAD.pack(est.k, est.depth, est.n_labels))
     for label in est.label_map:  # slots fill in insertion order
         _w_bytes(structure, label.encode("utf-8"))
@@ -252,7 +283,7 @@ def _encode_kway(est: KWayTree, structure: BinaryIO, weights: BinaryIO) -> None:
     for key in keys:
         structure.write(_KWAY_NODE.pack(*key))
         for reg in est._node_regs[key]:
-            _write_regressor(weights, reg, est.learning_rate)
+            _write_regressor(weights, reg, cfg)
 
 
 def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
@@ -261,18 +292,20 @@ def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
     if est.depth != depth:
         raise ModelFormatError("tree depth does not match label count")
     (node_count,) = s.unpack(_U32)
+    prev = (-1, -1)
     for _ in range(node_count):
         level, index = key = s.unpack(_KWAY_NODE)
         if level >= depth or index >= k**level:
             raise ModelFormatError(f"node {key} lies outside a depth-{depth} tree")
-        if key in est._node_regs:
-            raise ModelFormatError(f"node {key} appears twice")
-        rows = [_read_regressor(w, cfg.eta) for _ in range(k - 1)]
+        _check_follows(prev, key, f"node {key}")
+        prev = key
+        rows = [_read_regressor(w, cfg) for _ in range(k - 1)]
         est._node_regs[key] = RegressorBlock(rows)
     return est
 
 
-def _encode_table(est: TableBaseline, structure: BinaryIO, weights: BinaryIO) -> None:
+def _encode_table(est: TableBaseline, cfg: ModelConfig, structure: BinaryIO,
+                  weights: BinaryIO) -> None:
     structure.write(_U64.pack(len(est.counts)))
     for key in sorted(est.counts):
         entries = sorted(est.counts[key].items())
@@ -286,16 +319,18 @@ def _encode_table(est: TableBaseline, structure: BinaryIO, weights: BinaryIO) ->
 def _decode_table(cfg: ModelConfig, s: _Reader, w: _Reader) -> TableBaseline:
     est = TableBaseline()
     (n_contexts,) = s.unpack(_U64)
+    key = None
     for _ in range(n_contexts):
-        key = s.raw_bytes()
-        if key in est.counts:
-            raise ModelFormatError("context appears twice")
+        prev, key = key, s.raw_bytes()
+        if prev is not None:
+            _check_follows(prev, key, "context")
         labels = est.counts[key] = {}
         est.context_totals[key], n_labels = s.unpack(_TABLE_CONTEXT)
+        label = None
         for _ in range(n_labels):
-            label = s.string()
-            if label in labels:
-                raise ModelFormatError(f"label {label!r} appears twice in one context")
+            prev, label = label, s.string()
+            if prev is not None:
+                _check_follows(prev, label, f"label {label!r}", " in one context")
             (count,) = w.unpack(_U64)
             if count == 0:
                 raise ModelFormatError(f"label {label!r} has count 0")
@@ -309,7 +344,7 @@ def _tree_mode(build):
     return build, _encode_tree, partial(_decode_tree, build)
 
 
-# mode -> (build(config, labels), encode(estimator, structure, weights),
+# mode -> (build(config, labels), encode(estimator, config, structure, weights),
 #          decode(config, structure, weights)).
 # build returns a fresh estimator; only LABELED_MODES read labels. Each codec
 # pair handles only its own records: save_model and load_model own the update
@@ -363,7 +398,7 @@ def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
     # weights section lets structure sections compare byte-for-byte across
     # retraining passes.
     weights.write(_U64.pack(estimator.updates))
-    _MODES[mode][1](estimator, structure, weights)
+    _MODES[mode][1](estimator, config, structure, weights)
     with open(path, "wb") as out:
         out.write(MAGIC)
         out.write(_U32.pack(FORMAT_VERSION))

@@ -3,7 +3,16 @@ import struct
 
 import pytest
 
-from cptree import build_estimator, from_tokens, load_model, read_example_file, read_sections
+import cptree.data as data
+from cptree import (
+    ParseError,
+    build_estimator,
+    from_tokens,
+    load_model,
+    parse_example_line,
+    read_example_file,
+    read_sections,
+)
 from cptree.cli import main
 
 
@@ -280,6 +289,34 @@ def test_parse_errors_carry_line_numbers(tmp_path, capsys):
     assert run_cli("train", "--mode", "cpt-online", "--train", str(bad),
                    "--model", str(model))[0] == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["kway", "pecoc", "cpt-fixed"])
+@pytest.mark.parametrize("passes", [1, 2])
+def test_labeled_modes_parse_each_line_once_per_pass(mode, passes, streams, monkeypatch, tmp_path):
+    train, _ = streams
+    parsed = []
+    original = data.parse_example_line
+    monkeypatch.setattr(data, "parse_example_line",
+                        lambda line, *args, **kw: parsed.append(line) or original(line, *args, **kw))
+    assert run_cli("train", "--mode", mode, "--k", "2", "--passes", str(passes),
+                   "--train", str(train), "--model", str(tmp_path / "m.bin"))[0] == 0
+    assert len(parsed) == 6 * passes
+
+
+@pytest.mark.parametrize("mode", ["kway", "pecoc", "cpt-fixed", "cpt-online"])
+@pytest.mark.parametrize("bad", ["no separator", "  | f", "A B | f"],
+                         ids=["separator", "empty-label", "two-token-label"])
+def test_label_faults_keep_their_parse_error(mode, bad, tmp_path, capsys):
+    # A blank line still counts: the fault is on line 3.
+    stream = tmp_path / "bad.txt"
+    write_lines(stream, ["A | f", "", bad])
+    with pytest.raises(ParseError) as err:
+        parse_example_line(bad, line_number=3)
+    assert run_cli("train", "--mode", mode, "--k", "2", "--train", str(stream),
+                   "--model", str(tmp_path / "m.bin"))[0] == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_missing_input_file_is_reported(tmp_path, capsys):

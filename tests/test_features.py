@@ -1,9 +1,16 @@
 import math
 import random
+import re
+import sys
+import threading
 from collections import Counter
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cptree.features as features
 from cptree import (
     Example,
     LinearRegressor,
@@ -12,6 +19,7 @@ from cptree import (
     clip01,
     from_tokens,
     hash_feature,
+    read_example_file,
 )
 
 
@@ -101,16 +109,18 @@ def test_dot_matches_naive_sum_over_raw_entries():
 
 
 def test_sparse_vector_invariants():
-    with pytest.raises(ValueError):
-        SparseVector((2, 1), (1.0, 1.0))  # not increasing
-    with pytest.raises(ValueError):
-        SparseVector((1, 1), (1.0, 1.0))  # duplicate
-    with pytest.raises(ValueError):
-        SparseVector((-1,), (1.0,))
-    with pytest.raises(ValueError):
-        SparseVector((1 << 18,), (1.0,), hash_bits=18)  # out of range
-    with pytest.raises(ValueError):
-        SparseVector((0,), (float("nan"),))
+    out_of_order = re.escape("indices must be strictly increasing in [0, 262144)")
+    for indices, values, message in [
+        ((2, 1), (1.0, 1.0), out_of_order),  # not increasing
+        ((1, 1), (1.0, 1.0), out_of_order),  # duplicate
+        ((-1,), (1.0,), out_of_order),
+        ((0, 1 << 18), (1.0, 1.0), out_of_order),  # out of range
+        ((0, 1, 5), (1.0, float("nan"), 1.0), "non-finite feature value: nan"),
+        ((0, 1), (1e308, float("inf")), "non-finite feature value: inf"),
+        ((0, 1), (-float("inf"), 1.0), "non-finite feature value: -inf"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SparseVector(indices, values)
 
 
 def test_key_bytes_distinguishes_vectors():
@@ -135,3 +145,126 @@ def test_clip01():
 def test_clip01_rejects_nan():
     with pytest.raises(ValueError):
         clip01(math.nan)
+
+
+def _outcome(make, *args):
+    """repr of what make(*args) returns, or the type and text of what it raises."""
+    try:
+        return repr(make(*args))
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["a", "b", "a:b", "", "é", b"a", b"", b"\xff"]),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+)
+_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, -3.5, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-3, 3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tokens=st.lists(st.tuples(_TOKENS, _WEIGHTS), max_size=12),
+    hash_bits=st.sampled_from([10, 18, 30]),
+    cap=st.sampled_from([None, 4]),
+)
+def test_cached_from_tokens_equals_hashing_every_token(tokens, hash_bits, cap):
+    # from_tokens runs twice: the second time every token it kept hits.
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:  # an empty dict so small that 5 distinct tokens clear it
+            mp.setattr(features, "_INDEX_CACHE_CAP", cap)
+            mp.setattr(features, "_index_caches", {hash_bits: {}})
+        expected = _outcome(
+            canonicalize, [(hash_feature(t, hash_bits), w) for t, w in tokens], hash_bits)
+        assert _outcome(from_tokens, tokens, hash_bits) == expected
+        assert _outcome(from_tokens, tokens, hash_bits) == expected
+        if cap is not None:
+            assert len(features._index_caches[hash_bits]) <= cap
+
+
+def test_second_parse_of_a_file_hashes_nothing_and_shares_indices(tmp_path, monkeypatch):
+    stream = tmp_path / "stream.txt"
+    stream.write_text(
+        "".join(f"y{i} | only-here-{i} only-here-{i + 1}:0.5 shared\n" for i in range(50)),
+        encoding="utf-8",
+    )
+    hashed = []
+    monkeypatch.setattr(features, "hash_feature",
+                        lambda token, bits: hashed.append(token) or hash_feature(token, bits))
+    first = list(read_example_file(stream))
+    assert len(hashed) == len(set(hashed)) >= 51
+    hashed.clear()
+    second = list(read_example_file(stream))
+    assert hashed == []
+    assert [ex.x for ex in second] == [ex.x for ex in first]
+    for a, b in zip(first, second):
+        assert all(i is j for i, j in zip(a.x.indices, b.x.indices))
+
+
+def test_unhashable_and_subclassed_tokens_hash_as_their_bytes():
+    class Name(str):
+        pass
+
+    assert from_tokens([(bytearray(b"ab"), 1.0)]) == from_tokens([(b"ab", 1.0)])
+    assert from_tokens([(memoryview(bytearray(b"ab")), 1.0)]) == from_tokens([("ab", 1.0)])
+    assert from_tokens([(Name("ab"), 2.0), ("ab", 1.0)]) == from_tokens([("ab", 3.0)])
+
+
+def test_from_tokens_reports_the_first_fault():
+    with pytest.raises(ValueError, match=r"^hash_bits out of range: 5$"):
+        from_tokens([], 5)
+    with pytest.raises(ValueError, match=r"^hash_bits must be in \[10, 30\], got 5$"):
+        from_tokens([("a", 1.0)], 5)
+    # A bad weight is reported before a later token that cannot be hashed.
+    with pytest.raises(ValueError, match=r"^non-finite value for index \d+: nan$"):
+        from_tokens([("a", math.nan), (5, 1.0)])
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    v = SparseVector((0, 1, 2), (1e308, 1e308, -1.0))
+    assert v.values == (1e308, 1e308, -1.0)
+    assert canonicalize([(3, 1e308), (1, 1e308)]).values == (1e308, 1e308)
+    with pytest.raises(ValueError, match="^non-finite feature value: inf$"):
+        canonicalize([(1, 1e308), (1, 1e308)])  # a merged value that overflows
+
+
+def test_threads_sharing_the_cache_get_the_uncached_vectors(monkeypatch):
+    # Four threads, a dict cleared at every fifth new token and a 1 us
+    # switch interval: any interleaving of lookups, inserts and clears
+    # must leave every vector as hashing each token would make it.
+    monkeypatch.setattr(features, "_INDEX_CACHE_CAP", 4)
+    batches = [[[(f"t{(w * 7 + j * 3 + k) % 40}", 0.5 + k) for k in range(6)] for j in range(60)]
+               for w in range(4)]
+    expected = [[canonicalize([(hash_feature(t), v) for t, v in toks]) for toks in batch]
+                for batch in batches]
+    results = [None] * len(batches)
+
+    def work(w):
+        results[w] = [from_tokens(toks) for _ in range(5) for toks in batches[w]]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    for w, got in enumerate(results):
+        assert got == expected[w] * 5
+
+
+def test_values_the_screen_cannot_add_get_the_per_value_check():
+    with pytest.raises(TypeError, match="^must be real number, not str$"):
+        SparseVector((0,), ("abc",))
+    with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+        SparseVector((0, 1), (10**400, -(10**400)))
+    assert SparseVector((0, 1), (Decimal(1), 1.0)).values == (Decimal(1), 1.0)
