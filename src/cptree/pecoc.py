@@ -103,11 +103,13 @@ class KWayTree:
     are stored as one RegressorBlock: one pass over x per node evaluation or
     step, one lookup per feature for all k - 1 rows. A node steps all its
     rows or, when one step is not finite, none of them.
-    score keeps a one-entry memo for the x object it last saw: the raw scores
-    of x at every node it has evaluated since the last learn, which is the
-    only call that changes a regressor and clears the memo. Scoring every
-    label of one x so evaluates each node once, and learn(x, y) with the same
-    x object steps from the raw scores on y's path.
+    score keeps a one-entry memo for the x object it last saw: for every
+    node it has evaluated since the last learn, the raw scores of x and the
+    child estimates decoded from them. learn is the only call that changes a
+    regressor, and it clears the memo. Scoring every label of one x so
+    evaluates each node and decodes each child once, and learn(x, y) with the
+    same x object steps from the raw scores on y's path. predict is score
+    without the memo: it reads nothing from it and writes nothing to it.
     """
 
     def __init__(self, labels: Sequence[str], k: int, learning_rate: float = 0.1):
@@ -129,7 +131,8 @@ class KWayTree:
         # lazily so dummy-only subtrees cost nothing.
         self._node_regs: dict[tuple[int, int], RegressorBlock] = {}
         self.updates = 0
-        # (x, {(level, index): raw scores of x}) of score; learn clears it.
+        # (x, {(level, index): (raw scores of x, {digit: child estimate})})
+        # of score; learn clears it.
         self._memo = None
 
     @property
@@ -165,8 +168,8 @@ class KWayTree:
     def learn(self, x: SparseVector, y: str) -> None:
         memo = self._memo
         self._memo = None
-        # Raw scores that score computed for this x object since the last learn.
-        raws = memo[1] if memo is not None and memo[0] is x else {}
+        # Nodes that score evaluated on this x object since the last learn.
+        nodes = memo[1] if memo is not None and memo[0] is x else {}
         slot = self.label_map.get(y)
         if slot is None:
             if self.n_labels >= self.capacity:
@@ -174,7 +177,8 @@ class KWayTree:
             slot = self.label_map[y] = self.n_labels
         for level, index, digit in self._path(slot):
             targets = [float(bit) for bit in code_column(self.k, self._column(digit))[1:]]
-            self.regressors_at(level, index).update(x, targets, raws.get((level, index)))
+            raws = nodes.get((level, index), (None,))[0]
+            self.regressors_at(level, index).update(x, targets, raws)
         self.updates += (self.k - 1) * self.depth
 
     def _child_estimate(self, raws: list[float], digit: int) -> float:
@@ -186,6 +190,11 @@ class KWayTree:
         bits = code_column(self.k, self._column(digit))
         return clip01(decode_probability(bits, [1.0, *map(clip01, raws)]))
 
+    def _raws(self, key: tuple[int, int], x: SparseVector) -> list[float]:
+        block = self._node_regs.get(key)
+        # An untouched node has no block yet; a fresh one would score 0.
+        return block.raws(x) if block is not None else [0.0] * (self.k - 1)
+
     def score(self, x: SparseVector, y: str) -> float:
         """Product of per-node child estimates; labels never seen score 0."""
         slot = self.label_map.get(y)
@@ -194,17 +203,28 @@ class KWayTree:
         memo = self._memo
         if memo is None or memo[0] is not x:
             memo = self._memo = (x, {})
-        raws = memo[1]
-        # An untouched node has no block yet; a fresh one would score 0.
-        untouched = [0.0] * (self.k - 1)
+        nodes = memo[1]
         q = 1.0
         for level, index, digit in self._path(slot):
             key = (level, index)
-            node_raws = raws.get(key)
-            if node_raws is None:
-                block = self._node_regs.get(key)
-                node_raws = raws[key] = block.raws(x) if block is not None else untouched
-            q *= self._child_estimate(node_raws, digit)
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = (self._raws(key, x), {})
+            estimates = node[1]
+            p = estimates.get(digit)
+            if p is None:
+                p = estimates[digit] = self._child_estimate(node[0], digit)
+            q *= p
+        return q
+
+    def predict(self, x: SparseVector, y: str) -> float:
+        """score(x, y), from a walk of y's path that leaves the memo as it is."""
+        slot = self.label_map.get(y)
+        if slot is None:
+            return 0.0
+        q = 1.0
+        for level, index, digit in self._path(slot):
+            q *= self._child_estimate(self._raws((level, index), x), digit)
         return q
 
 

@@ -81,8 +81,10 @@ class RowList:
 
 
 def install_rows(est: KWayTree, level: int, index: int, rows) -> None:
-    """Put rows (regressors or stand-ins, k - 1 of them) at one node of est."""
+    """Put rows (regressors or stand-ins, k - 1 of them) at one node of est,
+    and drop est's score memo, whose raws and estimates came from the old rows."""
     est._node_regs[(level, index)] = RowList(rows)
+    est._memo = None
 
 
 class _RowListNodes:

@@ -17,6 +17,7 @@ from cptree import (
     hoeffding_halfwidth,
     progressive_validate,
 )
+from cptree import pecoc
 from cptree.regressor import RegressorBlock
 from cptree.synthetic import (
     OracleEstimator,
@@ -134,6 +135,26 @@ def test_kway_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(mon
         tree.score(task.features[1], y)
     assert len(internal) == 4  # the root and the 3 children its 12 labels fill
     assert calls[0] <= len(internal)
+
+
+def test_kway_tree_decodes_each_child_of_one_x_once(monkeypatch):
+    task = tiny_task(contexts=4, labels=12, seed=5)
+    tree = KWayTree(task.labels, 4)
+    for example in task.sample(300, seed=6):
+        tree.learn(example.x, example.y)
+    children = {step for slot in tree.label_map.values() for step in tree._path(slot)}
+    x = task.features[1]
+    expected = [tree.predict(x, y).hex() for y in tree.label_map]
+    calls = count_calls(monkeypatch, pecoc, "decode_probability")
+    scores = [tree.score(x, y).hex() for y in tree.label_map]
+    assert len(children) == 3 + 12  # the root's 3 filled children, then the 12 labels
+    assert calls[0] <= len(children) and scores == expected
+    # learn changes the rows and clears the memo: the same x object decodes again.
+    tree.learn(x, task.labels[3])
+    expected = [tree.predict(x, y).hex() for y in tree.label_map]
+    start = calls[0]
+    assert [tree.score(x, y).hex() for y in tree.label_map] == expected != scores
+    assert 0 < calls[0] - start <= len(children)
 
 
 def test_oracle_loss_matches_closed_form_within_ci():

@@ -9,11 +9,13 @@ import scipy.linalg
 from cptree import (
     CondProbTree,
     KWayTree,
+    ModelConfig,
     PecocModel,
     decode_loss_bound,
     decode_probability,
     hadamard_code,
     loss_multiplier,
+    save_model,
 )
 from cptree.pecoc import MAX_CODE_EXPONENT, code_column
 
@@ -327,6 +329,48 @@ def test_kway_node_steps_every_row_or_none():
     else:
         pytest.fail("the repro did not diverge")
     assert math.isfinite(before[0][0]) and rows() == before and tree.updates == updates
+
+
+def _memo_state(est) -> tuple:
+    memo = est._memo
+    if memo is None:
+        return None, None
+    nodes = {key: ([r.hex() for r in raws], sorted((d, p.hex()) for d, p in estimates.items()))
+             for key, (raws, estimates) in memo[1].items()}
+    return memo[0], nodes
+
+
+@pytest.mark.parametrize("k", [2, 4, 16, None])
+def test_kway_predict_is_score_without_the_memo(tmp_path, k):
+    # predict walks y's path on its own: every label's answer equals score's
+    # bit for bit, on each x of a trained stream, and the memo and the model
+    # bytes stay as they were.
+    task = tiny_task(contexts=6, labels=24, seed=40)
+    mode, config = ("pecoc", ModelConfig()) if k is None else ("kway", ModelConfig(k=k))
+    est = PecocModel(task.labels) if k is None else KWayTree(task.labels, k)
+    labels = [*task.labels, "never-seen"]
+    for n, example in enumerate(task.sample(240, seed=41)):
+        est.learn(example.x, example.y)
+        if n % 40 == 0:
+            est.score(example.x, example.y)
+            before = _memo_state(est)
+            save_model(tmp_path / "before.bin", mode, config, est)
+            predicted = [[est.predict(x, y).hex() for y in labels] for x in task.features]
+            assert _memo_state(est) == before and before[0] is example.x
+            save_model(tmp_path / "after.bin", mode, config, est)
+            assert (tmp_path / "after.bin").read_bytes() == (tmp_path / "before.bin").read_bytes()
+            assert predicted == [[est.score(x, y).hex() for y in labels] for x in task.features]
+            assert predicted[0][-1] == (0.0).hex()
+
+
+def test_installed_rows_replace_what_score_remembers():
+    # install_rows swaps a node's rows behind the memo; the next score on the
+    # same x object must read the new rows, not the raws or estimates of the old.
+    tree = KWayTree(["A", "B", "C", "D"], 4)
+    x = vec(("a", 1.0))
+    assert [tree.score(x, y) for y in "ABCD"] == [0.5, 0.5, 0.5, 0.0]
+    install_rows(tree, 0, 0, [ConstantRegressor(q) for q in (0.75, 0.25, 0.5)])
+    assert [tree.score(x, y) for y in "ABCD"] == [0.25, 0.5, 0.0, 0.25]
 
 
 def test_kway_unknown_label_scores_zero_and_capacity_is_enforced():

@@ -155,6 +155,29 @@ def test_block_reads_back_its_rows_and_scores_them_bit_for_bit():
         assert [r.hex() for r in block.raws(x)] == [row.raw(x).hex() for row in rows], pairs
 
 
+def test_block_sums_four_features_per_pass_as_one_per_pass():
+    # raws adds four stored features per list pass from 4 features on. Every
+    # count of stored features from 0 to 13 meets each remainder mod 4, with
+    # features no row stored between them, the odd rows' signed zeros and
+    # partial features, and weights and values of both signs.
+    rows = _odd_rows() + [LinearRegressor(0.1) for _ in range(2)]
+    rng = random.Random(12)
+    stored = ["a", "b", "c"] + [f"s{j}" for j in range(10)]
+    for name in stored[3:]:
+        index = vec((name, 1.0)).indices[0]
+        for reg in rows:
+            if rng.random() < 0.7:
+                reg.weights[index] = rng.choice([-0.0, 0.0, rng.uniform(-3, 3)])
+    rows[3].bias, rows[4].bias = -1.75, 3.0
+    block, twin = RegressorBlock(rows), RowList(rows)
+    for n in range(14):
+        for _ in range(20):
+            names = rng.sample(stored, n) + [f"u{j}" for j in rng.sample(range(30), rng.randrange(4))]
+            x = vec(*[(name, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 4.0)) for name in names])
+            assert sum(i in block._weights for i in x.indices) == n
+            assert [r.hex() for r in block.raws(x)] == [r.hex() for r in twin.raws(x)], names
+
+
 def test_block_steps_as_separate_regressors_and_skips_zero_steps():
     block, twin = RegressorBlock(_odd_rows()), RowList(_odd_rows())
     rng = random.Random(8)
