@@ -10,7 +10,7 @@ import time
 from .data import format_example_line, read_example_file, read_label_file
 from .evaluation import EvalReport, progressive_validate
 from .model_io import LABELED_MODES, MODES, ModelConfig, build_estimator, load_model, save_model
-from .pecoc import loss_multiplier
+from .pecoc import KWayTree, loss_multiplier
 from .tree import CondProbTree, max_depth_bound, max_side_fraction, total_depth_bound
 
 REPORT_COLUMNS = ("mode", "examples", "sq_loss", "ci", "equivalent",
@@ -178,8 +178,8 @@ def cmd_inspect(args, out) -> int:
         )
         print(f"leaves per depth: {histogram}", file=out)
         return 0
-    if loaded.mode == "kway":
-        print(f"mode: kway", file=out)
+    if isinstance(est, KWayTree):  # kway, or pecoc: a depth-1 k-way tree
+        print(f"mode: {loaded.mode}", file=out)
         print(f"labels: {est.n_labels}", file=out)
         print(f"k: {est.k}", file=out)
         print(f"depth: {est.depth}", file=out)

@@ -6,14 +6,17 @@ little-endian records, laid out by the ``struct.Struct`` constants below, and
 length-prefixed UTF-8 strings. All reals are 8-byte IEEE floats, so identical
 runs produce identical bytes and a reload reproduces predictions exactly.
 
-Format 2 stores only what a computation reads. A regressor record is a bias
-and its (feature, weight) pairs. It holds no learning rate, because every
-regressor of a model runs at the config's eta (save_model refuses an
-estimator or a regressor at another rate), and no update count, which
-nothing read. Leaf records hold no regressor: no example steps a leaf's,
-so the loader gives each leaf a fresh one. A cpt-random tree's header holds
-its coin's state, so a reloaded tree flips the coins the saved one would
-have. This build reads format 2 only; a format 1 model must be retrained.
+Format 3 stores only what a computation reads. A regressor record is a bias
+and its (feature, weight) pairs. A kway or pecoc node is one block record,
+as RegressorBlock holds it: its k - 1 biases, a feature count, then one
+(feature, k - 1 weights) record per feature. No record holds a learning
+rate, because every regressor of a model runs at the config's eta
+(save_model refuses an estimator or a regressor at another rate), or an
+update count, which nothing read. Leaf records hold no regressor: no example
+steps a leaf's, so the loader gives each leaf a fresh one. A cpt-random
+tree's header holds its coin's state, so a reloaded tree flips the coins the
+saved one would have. This build reads format 3 only; a model of an earlier
+format must be retrained.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 import struct
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from io import BytesIO
@@ -33,7 +37,7 @@ from .regressor import LinearRegressor, RegressorBlock
 from .tree import CondProbTree, CorruptTreeError, _Node
 
 MAGIC = b"CPTM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass
@@ -60,7 +64,8 @@ class ModelFormatError(ValueError):
     """Raised when a model file, or a model about to be saved, fails validation."""
 
 
-# Every fixed-width record of format v2, little-endian and unpadded.
+# Every fixed-width record of format v3, little-endian and unpadded, but for
+# the k-way block records, whose width depends on k.
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _CONFIG = struct.Struct("<ddIIIdQ")  # alpha, eta, hash_bits, passes, k, delta, seed
@@ -70,7 +75,6 @@ _TREE_HEAD = struct.Struct("<IIQ")  # node slots, node records, disagreements
 _COIN = struct.Struct("<625I")  # cpt-random only: 624 Mersenne Twister words, position
 _NODE_HEAD = struct.Struct("<IB")  # node id, kind (0 internal, 1 leaf)
 _INTERNAL = struct.Struct("<IIQQ")  # left, right, left leaves, right leaves
-_PECOC_HEAD = struct.Struct("<II")  # code exponent, labels
 _KWAY_HEAD = struct.Struct("<III")  # fan-out, depth, labels
 _KWAY_NODE = struct.Struct("<IQ")  # level, index
 _TABLE_CONTEXT = struct.Struct("<QI")  # context total, labels
@@ -102,6 +106,9 @@ class _Reader:
             raise ModelFormatError("truncated model file")
         return fmt.unpack_from(self.raw, pos)  # in place, without the copy take() makes
 
+    def left(self) -> int:
+        return len(self.raw) - self._pos
+
     def raw_bytes(self) -> bytes:
         return self.take(self.unpack(_U32)[0])
 
@@ -116,26 +123,29 @@ class _Reader:
             raise ModelFormatError(f"trailing bytes after {section}")
 
 
-def _check_regressor(reg: LinearRegressor) -> None:
-    if not math.isfinite(reg.bias):
-        raise ModelFormatError(f"regressor bias is not finite: {reg.bias}")
-    # No step makes a bias of -0.0, and RegressorBlock relies on that.
-    if reg.bias == 0.0 and math.copysign(1.0, reg.bias) < 0.0:
-        raise ModelFormatError("regressor bias is -0.0")
+def _check_values(biases: Sequence[float], rows) -> None:
+    """biases, and rows (a collection of weight sequences), are finite and no
+    bias is -0.0."""
+    for bias in biases:
+        if not math.isfinite(bias):
+            raise ModelFormatError(f"regressor bias is not finite: {bias}")
+        # No step makes a bias of -0.0, and RegressorBlock relies on that.
+        if bias == 0.0 and math.copysign(1.0, bias) < 0.0:
+            raise ModelFormatError("regressor bias is -0.0")
     # One sum screens the weights. Only a sum that is not finite, from a
     # non-finite weight or from an overflow, is checked weight by weight.
-    weights = reg.weights.values()
-    if not math.isfinite(sum(weights)) and not all(map(math.isfinite, weights)):
+    if not math.isfinite(sum(map(sum, rows))) and not all(
+            math.isfinite(w) for row in rows for w in row):
         raise ModelFormatError("regressor weight is not finite")
 
 
 def _write_regressor(out: BinaryIO, reg: LinearRegressor, cfg: ModelConfig) -> None:
-    _check_regressor(reg)
+    _check_values([reg.bias], [reg.weights.values()])
     if reg.learning_rate != cfg.eta:  # the loader builds every regressor at eta
         raise ModelFormatError(f"regressor learning_rate {reg.learning_rate} != eta {cfg.eta}")
     weights = reg.weights
     keys = sorted(weights)  # ints sort much faster than (index, weight) tuples
-    _check_indices(keys, cfg.hash_bits)
+    _check_indices(keys, len(keys), cfg.hash_bits)
     out.write(_REGRESSOR.pack(reg.bias, len(keys)))
     out.writelines(map(_WEIGHT.pack, keys, map(weights.__getitem__, keys)))
 
@@ -145,18 +155,17 @@ def _read_regressor(r: _Reader, cfg: ModelConfig) -> LinearRegressor:
     reg = LinearRegressor(cfg.eta)
     reg.bias = bias
     reg.weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
-    # The writer sorts the indices, so any other order, and so a repeat
-    # (which the dict merged), is a damaged file.
-    keys = list(reg.weights)
-    if len(keys) != nnz or keys != sorted(keys):
-        raise ModelFormatError("regressor weight indices are not strictly increasing")
-    _check_indices(keys, cfg.hash_bits)
-    _check_regressor(reg)
+    _check_indices(list(reg.weights), nnz, cfg.hash_bits)
+    _check_values([reg.bias], [reg.weights.values()])
     return reg
 
 
-def _check_indices(keys: list[int], hash_bits: int) -> None:
-    """keys are sorted; none may lie outside the config's hash space."""
+def _check_indices(keys: list[int], count: int, hash_bits: int) -> None:
+    """keys, from count records, come strictly increasing and inside the
+    config's hash space. The writer sorts them, so any other order, and so a
+    repeat (which leaves a dict of fewer than count keys), is damage."""
+    if len(keys) != count or keys != sorted(keys):
+        raise ModelFormatError("regressor weight indices are not strictly increasing")
     if keys and keys[-1] >= 1 << hash_bits:
         raise ModelFormatError(
             f"regressor weight index {keys[-1]} is not below 2^{hash_bits}")
@@ -254,25 +263,6 @@ def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
     return est
 
 
-def _encode_pecoc(est: PecocModel, cfg: ModelConfig, structure: BinaryIO,
-                  weights: BinaryIO) -> None:
-    structure.write(_PECOC_HEAD.pack(est.k.bit_length() - 1, est.n_labels))
-    for label in est.label_map:  # slots fill in insertion order
-        _w_bytes(structure, label.encode("utf-8"))
-    for reg in est.regressors_at(0, 0):
-        _write_regressor(weights, reg, cfg)
-
-
-def _decode_pecoc(cfg: ModelConfig, s: _Reader, w: _Reader) -> PecocModel:
-    t, n = s.unpack(_PECOC_HEAD)
-    est = PecocModel([s.string() for _ in range(n)], cfg.eta)
-    if est.k.bit_length() - 1 != t:
-        raise ModelFormatError("code size does not match label count")
-    rows = [_read_regressor(w, cfg) for _ in range(est.k - 1)]
-    est._node_regs[(0, 0)] = RegressorBlock(rows)
-    return est
-
-
 def _encode_kway(est: KWayTree, cfg: ModelConfig, structure: BinaryIO,
                  weights: BinaryIO) -> None:
     structure.write(_KWAY_HEAD.pack(est.k, est.depth, est.n_labels))
@@ -280,18 +270,26 @@ def _encode_kway(est: KWayTree, cfg: ModelConfig, structure: BinaryIO,
         _w_bytes(structure, label.encode("utf-8"))
     keys = sorted(est._node_regs)
     structure.write(_U32.pack(len(keys)))
+    biases, record = struct.Struct(f"<{est.k - 1}d"), struct.Struct(f"<I{est.k - 1}d")
     for key in keys:
         structure.write(_KWAY_NODE.pack(*key))
-        for reg in est._node_regs[key]:
-            _write_regressor(weights, reg, cfg)
+        block = est._node_regs[key]
+        rows = block._weights
+        features = sorted(rows)
+        _check_indices(features, len(features), cfg.hash_bits)
+        _check_values(block._biases, rows.values())
+        weights.write(biases.pack(*block._biases))
+        weights.write(_U32.pack(len(features)))
+        weights.writelines(record.pack(i, *rows[i]) for i in features)
 
 
-def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
+def _decode_kway(make, cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
     k, depth, n = s.unpack(_KWAY_HEAD)
-    est = KWayTree([s.string() for _ in range(n)], k, cfg.eta)
-    if est.depth != depth:
-        raise ModelFormatError("tree depth does not match label count")
+    est = make([s.string() for _ in range(n)], k, cfg.eta)
+    if (est.k, est.depth) != (k, depth):
+        raise ModelFormatError(f"fan-out {k} and depth {depth} do not match {n} labels")
     (node_count,) = s.unpack(_U32)
+    biases, record = struct.Struct(f"<{k - 1}d"), struct.Struct(f"<I{k - 1}d")
     prev = (-1, -1)
     for _ in range(node_count):
         level, index = key = s.unpack(_KWAY_NODE)
@@ -299,8 +297,15 @@ def _decode_kway(cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
             raise ModelFormatError(f"node {key} lies outside a depth-{depth} tree")
         _check_follows(prev, key, f"node {key}")
         prev = key
-        rows = [_read_regressor(w, cfg) for _ in range(k - 1)]
-        est._node_regs[key] = RegressorBlock(rows)
+        block = est._node_regs[key] = RegressorBlock(k - 1, cfg.eta)
+        block._biases = list(w.unpack(biases))
+        (count,) = w.unpack(_U32)
+        if count * record.size > w.left():  # before a record is read
+            raise ModelFormatError(f"node {key}: {count} features exceed the weights section")
+        rows = block._weights = {
+            r[0]: array("d", r[1:]) for r in record.iter_unpack(w.take(count * record.size))}
+        _check_indices(list(rows), count, cfg.hash_bits)
+        _check_values(block._biases, rows.values())
     return est
 
 
@@ -344,12 +349,19 @@ def _tree_mode(build):
     return build, _encode_tree, partial(_decode_tree, build)
 
 
+def _kway_mode(make):
+    """make(labels, k, eta) builds the estimator. The mode's build passes the
+    config's k; the decoder passes the file's, then checks k and depth."""
+    return (lambda cfg, labels: make(labels, cfg.k, cfg.eta), _encode_kway,
+            partial(_decode_kway, make))
+
+
 # mode -> (build(config, labels), encode(estimator, config, structure, weights),
 #          decode(config, structure, weights)).
 # build returns a fresh estimator; only LABELED_MODES read labels. Each codec
 # pair handles only its own records: save_model and load_model own the update
 # counter that opens every weights section, and the section framing. Tree
-# decoders start from the mode's own empty tree.
+# and k-way decoders start from the mode's own constructor.
 _MODES = {
     "cpt-online": _tree_mode(lambda cfg, labels: CondProbTree(
         alpha=cfg.alpha, learning_rate=cfg.eta, policy="online", seed=cfg.seed)),
@@ -358,8 +370,9 @@ _MODES = {
     # Fixed trees are balanced whatever the configured alpha.
     "cpt-fixed": _tree_mode(lambda cfg, labels: CondProbTree.balanced(labels, cfg.eta)),
     "oaa": (lambda cfg, labels: OneAgainstAll(cfg.eta), _encode_oaa, _decode_oaa),
-    "pecoc": (lambda cfg, labels: PecocModel(labels, cfg.eta), _encode_pecoc, _decode_pecoc),
-    "kway": (lambda cfg, labels: KWayTree(labels, cfg.k, cfg.eta), _encode_kway, _decode_kway),
+    # A pecoc model is a depth-1 k-way tree whose k follows from its labels.
+    "pecoc": _kway_mode(lambda labels, k, eta: PecocModel(labels, eta)),
+    "kway": _kway_mode(KWayTree),
     "table": (lambda cfg, labels: TableBaseline(), _encode_table, _decode_table),
 }
 MODES = tuple(_MODES)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .features import SparseVector, clip01
-from .regressor import LinearRegressor, RegressorBlock
+from .regressor import RegressorBlock
 
 MAX_CODE_EXPONENT = 16  # practical cap: codes up to 65536 columns
 
@@ -104,12 +104,13 @@ class KWayTree:
     step, one lookup per feature for all k - 1 rows. A node steps all its
     rows or, when one step is not finite, none of them.
     score keeps a one-entry memo for the x object it last saw: for every
-    node it has evaluated since the last learn, the raw scores of x and the
-    child estimates decoded from them. learn is the only call that changes a
-    regressor, and it clears the memo. Scoring every label of one x so
-    evaluates each node and decodes each child once, and learn(x, y) with the
-    same x object steps from the raw scores on y's path. predict is score
-    without the memo: it reads nothing from it and writes nothing to it.
+    node it has evaluated since the last learn, the raw scores of x, their
+    clipped values and the child estimates decoded from them. learn is the
+    only call that changes a regressor, and it clears the memo. Scoring every
+    label of one x so evaluates and clips each node and decodes each child
+    once, and learn(x, y) with the same x object steps from the raw scores
+    on y's path. predict is score without the memo: it reads nothing from it
+    and writes nothing to it.
     """
 
     def __init__(self, labels: Sequence[str], k: int, learning_rate: float = 0.1):
@@ -131,8 +132,8 @@ class KWayTree:
         # lazily so dummy-only subtrees cost nothing.
         self._node_regs: dict[tuple[int, int], RegressorBlock] = {}
         self.updates = 0
-        # (x, {(level, index): (raw scores of x, {digit: child estimate})})
-        # of score; learn clears it.
+        # (x, {(level, index): (raw scores of x, row values for decoding,
+        # {digit: child estimate})}) of score; learn clears it.
         self._memo = None
 
     @property
@@ -143,8 +144,7 @@ class KWayTree:
         key = (level, index)
         block = self._node_regs.get(key)
         if block is None:
-            rows = [LinearRegressor(self.learning_rate) for _ in range(self.k - 1)]
-            block = self._node_regs[key] = RegressorBlock(rows)
+            block = self._node_regs[key] = RegressorBlock(self.k - 1, self.learning_rate)
         return block
 
     def _path(self, slot: int) -> list[tuple[int, int, int]]:
@@ -181,14 +181,16 @@ class KWayTree:
             self.regressors_at(level, index).update(x, targets, raws)
         self.updates += (self.k - 1) * self.depth
 
-    def _child_estimate(self, raws: list[float], digit: int) -> float:
+    def _child_estimate(self, rows: list[float], digit: int) -> float:
+        """The estimate of child digit from a node's row values: the pinned
+        all-ones row's 1.0, then each trained row's clipped raw score."""
         if self.k == 2:
             # With one trained row the decode reduces exactly to that row's
             # prediction (column 0, all ones) or its complement (column 1).
-            r = clip01(raws[0])
+            r = rows[1]
             return r if self._column(digit) == 0 else 1.0 - r
         bits = code_column(self.k, self._column(digit))
-        return clip01(decode_probability(bits, [1.0, *map(clip01, raws)]))
+        return clip01(decode_probability(bits, rows))
 
     def _raws(self, key: tuple[int, int], x: SparseVector) -> list[float]:
         block = self._node_regs.get(key)
@@ -209,11 +211,12 @@ class KWayTree:
             key = (level, index)
             node = nodes.get(key)
             if node is None:
-                node = nodes[key] = (self._raws(key, x), {})
-            estimates = node[1]
+                raws = self._raws(key, x)
+                node = nodes[key] = (raws, [1.0, *map(clip01, raws)], {})
+            estimates = node[2]
             p = estimates.get(digit)
             if p is None:
-                p = estimates[digit] = self._child_estimate(node[0], digit)
+                p = estimates[digit] = self._child_estimate(node[1], digit)
             q *= p
         return q
 
@@ -224,7 +227,8 @@ class KWayTree:
             return 0.0
         q = 1.0
         for level, index, digit in self._path(slot):
-            q *= self._child_estimate(self._raws((level, index), x), digit)
+            rows = [1.0, *map(clip01, self._raws((level, index), x))]
+            q *= self._child_estimate(rows, digit)
         return q
 
 

@@ -10,15 +10,17 @@ A KWayTree node holds k - 1 rows that always score and step on the same x.
 It has the block form of that interface, RegressorBlock: raws(x), the raw
 scores of every row in one pass over x, which adds four features to every
 row per list pass, in x's order; update(x, targets, raws=None), one step of
-every row; iteration, which yields each row as a LinearRegressor; and a
-constructor from those rows, which share one learning rate.
+every row; and iteration, which yields each row as a LinearRegressor. A
+block keeps no record of which rows have stepped on a feature: each row it
+yields holds a weight for every feature the block stores, 0.0 where that row
+never stepped.
 
 The estimators cache work on the x object they last saw (CondProbTree.score
-and predict; KWayTree.score, which keeps each node's raws and the child
-estimates decoded from them) and trust that a node regressor changes only
-through their own learning. Code that swaps or edits a CondProbTree node's
-regressor by hand must then call tree.regressors_changed(), as
-install_oracle_regressors does; for a KWayTree, it sets est._memo = None.
+and predict; KWayTree.score, which keeps each node's raws, their clipped
+values and the child estimates decoded from them) and trust that a node
+regressor changes only through their own learning. Code that swaps or edits
+a CondProbTree regressor by hand must then call tree.regressors_changed(),
+as install_oracle_regressors does; for a KWayTree, it sets est._memo = None.
 """
 
 from __future__ import annotations
@@ -93,33 +95,22 @@ class RegressorBlock:
     a LinearRegressor would, bit for bit, at a fraction of the lookups.
 
     Each feature maps to one array with a weight per row, so a pass over x
-    looks each feature up once for every row. A row that has not stored a
-    feature holds 0.0 there; for each feature that only some rows have
-    stored, _partial keeps the bitmask of those rows, so the rows read back
-    hold the same sparse weight sets as separate regressors would. Each row
-    sums bias + w * v in x's index order, and a row whose step is 0 is not
-    touched, as in LinearRegressor. Adding 0.0 * v for a feature that a row
-    has not stored leaves its sum as it was, since the sum starts at a bias
-    that is never -0.0: no step makes one, and model files reject one.
-    Every row steps at one learning rate, the first row's.
+    looks each feature up once for every row. A row that has never stepped on
+    a feature holds 0.0 there, and the block keeps no bitmask of which rows
+    have. Each row sums bias + w * v in x's index order, and a row whose step
+    is 0 is not touched, as in LinearRegressor. Adding 0.0 * v for a feature
+    that a row never stepped on leaves its sum as it was, since the sum starts
+    at a bias that is never -0.0: no step makes one, and model files reject
+    one. Every row steps at the block's one learning rate.
     """
 
-    __slots__ = ("_weights", "_partial", "_full", "_biases", "_rate")
+    __slots__ = ("_weights", "_biases", "_rate")
 
-    def __init__(self, rows: Sequence[LinearRegressor]):
-        size = len(rows)
-        self._rate = rows[0].learning_rate
-        self._full = (1 << size) - 1  # the mask of every row
-        self._biases = [reg.bias for reg in rows]
+    def __init__(self, size: int, learning_rate: float):
+        """An untrained block of size rows: every bias 0.0, no weights."""
+        self._rate = learning_rate
+        self._biases = [0.0] * size
         self._weights: dict[int, array] = {}
-        masks: dict[int, int] = {}
-        for r, reg in enumerate(rows):
-            for i, w in reg.weights.items():
-                if i not in self._weights:
-                    self._weights[i] = array("d", bytes(8 * size))
-                self._weights[i][r] = w
-                masks[i] = masks.get(i, 0) | 1 << r
-        self._partial = {i: mask for i, mask in masks.items() if mask != self._full}
 
     def raws(self, x: SparseVector) -> list[float]:
         """Every row's unclipped score bias + w . x, in one pass over x. Long x
@@ -158,32 +149,22 @@ class RegressorBlock:
         biases = self._biases
         for r, delta in steps:
             biases[r] += delta
-        weights, partial, full = self._weights, self._partial, self._full
-        stepped = sum(1 << r for r, _ in steps)
+        weights = self._weights
         zeros = bytes(8 * len(deltas))
         for i, v in zip(x.indices, x.values):
             row = weights.get(i)
             if row is None:
                 row = weights[i] = array("d", zeros)
-                mask = stepped
-            else:
-                mask = partial.get(i, full) | stepped
             for r, delta in steps:
                 row[r] += delta * v
-            if mask == full:
-                partial.pop(i, None)
-            else:
-                partial[i] = mask
 
     def __iter__(self) -> Iterator[LinearRegressor]:
-        """Each row as a LinearRegressor that owns a copy of its state."""
-        full = self._full
+        """Each row as a LinearRegressor that owns a copy of its state: a
+        weight for every feature the block stores, 0.0 included."""
         for r, bias in enumerate(self._biases):
             reg = LinearRegressor(self._rate)
             reg.bias = bias
-            reg.weights = {
-                i: row[r] for i, row in self._weights.items() if self._partial.get(i, full) >> r & 1
-            }
+            reg.weights = {i: row[r] for i, row in self._weights.items()}
             yield reg
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from cptree import KWayTree, LinearRegressor, PecocModel, SparseVector, from_tokens
+from cptree.regressor import RegressorBlock
 from cptree.synthetic import SyntheticTask
 
 # One line per acceptance criterion, echoed in the terminal summary.
@@ -62,6 +65,11 @@ class RowList:
     """A k-way node held as separate row regressors, behind RegressorBlock's
     calls: the reference layout that the block must reproduce bit for bit,
     and the one seam that puts stand-in rows at a node.
+
+    _biases and _weights give the rows the block's view, the one the model
+    writer reads: a weight per row for every feature that any row holds,
+    0.0 where a row holds none. So a node of LinearRegressors saves as the
+    block that holds the same rows.
     """
 
     def __init__(self, rows):
@@ -78,6 +86,35 @@ class RowList:
 
     def __iter__(self):
         return iter(self.rows)
+
+    @property
+    def _biases(self) -> list[float]:
+        return [row.bias for row in self.rows]
+
+    @property
+    def _weights(self) -> dict[int, array]:
+        weights = {}
+        for r, row in enumerate(self.rows):
+            for i, w in row.weights.items():
+                if i not in weights:
+                    weights[i] = array("d", bytes(8 * len(self.rows)))
+                weights[i][r] = w
+        return weights
+
+
+def row_state(reg) -> tuple:
+    """A row's bias and nonzero weights, by float.hex. A block row holds 0.0
+    for every feature of its block that it never stepped on, where a separate
+    regressor holds no weight, so rows of the two layouts compare this way."""
+    return reg.bias.hex(), sorted((i, w.hex()) for i, w in reg.weights.items() if w != 0.0)
+
+
+def block_of(rows) -> RegressorBlock:
+    """The RegressorBlock that holds rows, LinearRegressors at one rate."""
+    view = RowList(rows)
+    block = RegressorBlock(len(view.rows), view.rows[0].learning_rate)
+    block._biases, block._weights = view._biases, view._weights
+    return block
 
 
 def install_rows(est: KWayTree, level: int, index: int, rows) -> None:

@@ -236,6 +236,20 @@ def test_inspect_kway_model(tmp_path):
     ]
 
 
+def test_inspect_pecoc_model(tmp_path):
+    train = tmp_path / "train.txt"
+    write_lines(train, [f"y{i} | f{i}" for i in range(5)])
+    model = tmp_path / "m.bin"
+    assert run_cli("train", "--mode", "pecoc", "--train", str(train),
+                   "--model", str(model))[0] == 0
+    code, text = run_cli("inspect", "--model", str(model))
+    assert code == 0
+    assert text.splitlines() == [
+        "mode: pecoc", "labels: 5", "k: 8", "depth: 1", "slots: 8",
+        "regressors per node: 7", "active nodes: 1",
+    ]
+
+
 def test_inspect_rejects_non_tree_models(streams, tmp_path):
     train, _ = streams
     model = tmp_path / "m.bin"

@@ -15,6 +15,7 @@ from cptree import (
     LinearRegressor,
     ModelConfig,
     OneAgainstAll,
+    PecocModel,
     TableBaseline,
     build_estimator,
     from_tokens,
@@ -40,17 +41,17 @@ def build(mode):
 
 
 # sha256 of the file save_model writes for build(mode), recorded when format
-# v2 replaced v1 (no regressor learning rates or update counts, no leaf
-# regressors, a cpt-random coin state). Re-record them only with a new
-# format version.
+# v3 replaced v2 (one block record per kway or pecoc node). The other five
+# modes' files differ from v2 only in the version. Re-record them only with
+# a new format version.
 GOLDEN_SHA256 = {
-    "cpt-online": "59892f0e8b151b8f1b6de525eb125c28190eca3e0e77c9b0db6bd19df92d038a",
-    "cpt-random": "84094d205b9ec5aa00c5c8c0b04cd6c8de54771e9b47dd47ff3b5e737b2bbd57",
-    "cpt-fixed": "330d3ceeaccd072b68b29349d1461636691709e4e9e4c04df8dcd0f25941a307",
-    "oaa": "8b3db96baa8d61c339ce19a4d491672197c9fa3a15a52d1522dc278b2c0bc97f",
-    "pecoc": "6a4c503e06840421460eb54b52f6ee021d4303d7396ee84f40e5ff4d6cffc579",
-    "kway": "f59cc006ef00e8246ca5b2badde0b194dcb34f86f24279ce6ab070e2136dbd48",
-    "table": "44bd70cc5c07095be8fcc841f238727c4e626fabc902761347b97d2245e54cfc",
+    "cpt-online": "49c7143d29d9bb14174def25b6d1baf42ab4a3e951adb51433381b01f95df07e",
+    "cpt-random": "bbf9dd32ad79773c060fefe4d23f7048fec3199f1ca305a4ac31c153aa2938ea",
+    "cpt-fixed": "9748f4fa05f555030aa4679ae051ca493b0992a9682ff76942bbdb335a37efb6",
+    "oaa": "99f74902073cfa388752d6beaf7d19457eaccfe367cd9034bed8920920263c9e",
+    "pecoc": "46ee002558bc25d7d73b8ad1db9158667d03bc76b01be51bdc9f44d1efd6d377",
+    "kway": "d74fb0cfd0530361fa4fc64fdbd4f2db35d1408a50282068d3bd5761ec045a4a",
+    "table": "6bbe7277982996aeb872cfe92263b668b48829efcce41c954bba8d48d92f4863",
 }
 
 
@@ -127,17 +128,26 @@ def test_sections_are_separable(tmp_path):
     assert len(structure) > 0 and len(weights) > 0
 
 
-def test_format_1_file_is_rejected_with_a_retrain_message(tmp_path):
+def _check_earlier_format_is_rejected(tmp_path, version):
     path = tmp_path / "model.bin"
     save_model(path, "oaa", ModelConfig(), OneAgainstAll())
     # The version follows the 4-byte magic.
     raw = bytearray(path.read_bytes())
-    assert struct.unpack_from("<I", raw, 4) == (2,)
-    struct.pack_into("<I", raw, 4, 1)
+    assert struct.unpack_from("<I", raw, 4) == (3,)
+    struct.pack_into("<I", raw, 4, version)
     path.write_bytes(bytes(raw))
-    message = r"^unsupported format version 1: this build reads version 2 only; retrain the model$"
+    message = (rf"^unsupported format version {version}: this build reads version 3 only;"
+               r" retrain the model$")
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
+
+
+def test_format_1_file_is_rejected_with_a_retrain_message(tmp_path):
+    _check_earlier_format_is_rejected(tmp_path, 1)
+
+
+def test_format_2_file_is_rejected_with_a_retrain_message(tmp_path):
+    _check_earlier_format_is_rejected(tmp_path, 2)
 
 
 def test_bad_magic_is_rejected(tmp_path):
@@ -249,18 +259,38 @@ def _negative_zero_bias_oaa():
     return est
 
 
+def _diverged_kway_tree():
+    # The same repro at k = 4: the learn that raises leaves a weight at inf.
+    tree = KWayTree(["A", "B", "C", "D"], 4, learning_rate=0.5)
+    x = from_tokens([("f", 30.0)])
+    with pytest.raises(ValueError, match="regressor diverged"):
+        for i in range(200):
+            tree.learn(x, "ABCD"[i % 4])
+    return tree
+
+
+def _negative_zero_bias_kway_tree():
+    tree = KWayTree(["A", "B", "C", "D"], 4)
+    tree.learn(TRAIN[0].x, "A")
+    tree.regressors_at(0, 0)._biases[1] = -0.0
+    return tree
+
+
 @pytest.mark.parametrize(
     "mode, make, message",
     [("cpt-online", _diverged_tree, "regressor weight is not finite"),
      ("oaa", _infinite_weight_oaa, "regressor weight is not finite"),
-     ("oaa", _negative_zero_bias_oaa, "regressor bias is -0.0")],
-    ids=["diverged-tree", "inf-weight", "negative-zero-bias"],
+     ("oaa", _negative_zero_bias_oaa, "regressor bias is -0.0"),
+     ("kway", _diverged_kway_tree, "regressor weight is not finite"),
+     ("kway", _negative_zero_bias_kway_tree, "regressor bias is -0.0")],
+    ids=["diverged-tree", "inf-weight", "negative-zero-bias", "diverged-kway-tree",
+         "block-negative-zero-bias"],
 )
 def test_non_finite_regressor_state_is_not_saved(mode, make, message, tmp_path):
     path = tmp_path / "model.bin"
     est = make()
     with pytest.raises(ValueError, match=message):
-        save_model(path, mode, ModelConfig(eta=est.learning_rate), est)
+        save_model(path, mode, ModelConfig(eta=est.learning_rate, k=4), est)
     assert not path.exists()
 
 
@@ -446,18 +476,45 @@ def _root_regressor_file(tmp_path, edits):
     return path, est
 
 
+def _root_block_file(tmp_path, edits):
+    """Save a 4-label k = 4 kway tree, trained on two one-feature contexts,
+    and overwrite 8-byte reals of its weights section as _root_regressor_file
+    does.
+
+    The tree has one node, whose block record follows the 8-byte update
+    counter: its 3 biases at 8, 16 and 24, a feature count of 2 at 32, then
+    two (feature, 3 weights) records, with features at 36 and 64 and weights
+    at 40, 48, 56 and 68, 76, 84.
+    """
+    est = KWayTree(["A", "B", "C", "D"], 4)
+    path = _saved(tmp_path, "kway", est, ["A", "B", "C", "D"], xs=TASK.features[:2])
+    _, _, structure, weights = read_sections(path)
+    assert len(weights) == 92 and struct.unpack_from("<I", weights, 32) == (2,)
+    edited = bytearray(weights)
+    for offset, value in edits.items():
+        struct.pack_into("<d", edited, offset, value)
+    _replace_sections(path, structure, bytes(edited))
+    return path, est
+
+
 @pytest.mark.parametrize(
-    "edits, message",
+    "make, edits, message",
     [
-        ({8: float("nan")}, "regressor bias is not finite"),
-        ({36: float("inf")}, "regressor weight is not finite"),
-        ({24: 1e308, 36: float("-inf")}, "regressor weight is not finite"),
-        ({8: -0.0}, "regressor bias is -0.0"),
+        (_root_regressor_file, {8: float("nan")}, "regressor bias is not finite"),
+        (_root_regressor_file, {36: float("inf")}, "regressor weight is not finite"),
+        (_root_regressor_file, {24: 1e308, 36: float("-inf")}, "regressor weight is not finite"),
+        (_root_regressor_file, {8: -0.0}, "regressor bias is -0.0"),
+        (_root_block_file, {24: float("nan")}, "regressor bias is not finite"),
+        (_root_block_file, {76: float("inf")}, "regressor weight is not finite"),
+        (_root_block_file, {40: 1e308, 84: float("-inf")}, "regressor weight is not finite"),
+        (_root_block_file, {16: -0.0}, "regressor bias is -0.0"),
     ],
-    ids=["nan-bias", "inf-weight", "inf-weight-after-a-large-one", "negative-zero-bias"],
+    ids=["nan-bias", "inf-weight", "inf-weight-after-a-large-one", "negative-zero-bias",
+         "block-nan-bias", "block-inf-weight", "block-inf-weight-after-a-large-one",
+         "block-negative-zero-bias"],
 )
-def test_non_finite_regressor_state_is_rejected(edits, message, tmp_path):
-    path, _ = _root_regressor_file(tmp_path, edits)
+def test_non_finite_regressor_state_is_rejected(make, edits, message, tmp_path):
+    path, _ = make(tmp_path, edits)
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
 
@@ -477,30 +534,39 @@ def test_finite_regressor_state_loads(edits, tmp_path):
                 assert score == est.score(x, label)
 
 
-def _root_weight_indices_file(tmp_path, edit):
+def _root_weight_indices_file(tmp_path, edit, make=_root_regressor_file, offsets=(20, 32)):
     """The _root_regressor_file tree with its two weight indices (a, b), at
-    20 and 32 of the weights section, replaced by edit(a, b)."""
-    path, _ = _root_regressor_file(tmp_path, {})
+    20 and 32 of the weights section, replaced by edit(a, b); or the
+    _root_block_file tree's two features, at 36 and 64."""
+    path, _ = make(tmp_path, {})
     _, _, structure, weights = read_sections(path)
     edited = bytearray(weights)
-    a, b = edit(*(struct.unpack_from("<I", weights, offset)[0] for offset in (20, 32)))
-    struct.pack_into("<I", edited, 20, a)
-    struct.pack_into("<I", edited, 32, b)
+    a, b = edit(*(struct.unpack_from("<I", weights, offset)[0] for offset in offsets))
+    struct.pack_into("<I", edited, offsets[0], a)
+    struct.pack_into("<I", edited, offsets[1], b)
     _replace_sections(path, structure, bytes(edited))
     return path
 
 
+_INDEX_EDITS = [
+    (lambda a, b: (b, a), "regressor weight indices are not strictly increasing"),
+    (lambda a, b: (a, a), "regressor weight indices are not strictly increasing"),
+    (lambda a, b: (a, 1 << 18), r"regressor weight index 262144 is not below 2\^18"),
+    (lambda a, b: (a, (1 << 32) - 1), r"regressor weight index 4294967295 is not below 2\^18"),
+]
+_INDEX_IDS = ["swapped", "repeated", "at-the-limit", "largest"]
+_BLOCK_INDICES = (_root_block_file, (36, 64))
+
+
 @pytest.mark.parametrize(
-    "edit, message",
-    [(lambda a, b: (b, a), "regressor weight indices are not strictly increasing"),
-     (lambda a, b: (a, a), "regressor weight indices are not strictly increasing"),
-     (lambda a, b: (a, 1 << 18), r"regressor weight index 262144 is not below 2\^18"),
-     (lambda a, b: (a, (1 << 32) - 1), r"regressor weight index 4294967295 is not below 2\^18")],
-    ids=["swapped", "repeated", "at-the-limit", "largest"],
+    "where, edit, message",
+    [((), *case) for case in _INDEX_EDITS] + [(_BLOCK_INDICES, *case) for case in _INDEX_EDITS],
+    ids=_INDEX_IDS + [f"block-{name}" for name in _INDEX_IDS],
 )
-def test_regressor_weight_indices_out_of_order_or_range_are_rejected(edit, message, tmp_path):
+def test_regressor_weight_indices_out_of_order_or_range_are_rejected(where, edit, message,
+                                                                      tmp_path):
     with pytest.raises(ModelFormatError, match=message):
-        load_model(_root_weight_indices_file(tmp_path, edit))
+        load_model(_root_weight_indices_file(tmp_path, edit, *where))
 
 
 def test_regressor_weight_index_at_the_top_of_the_hash_space_loads(tmp_path):
@@ -627,8 +693,39 @@ def test_kway_depth_that_disagrees_with_its_label_count_is_rejected(tmp_path):
     # Two labels at k = 2 make a depth-1 tree; the head now says depth 2.
     path = _edited_model(tmp_path, "kway", KWayTree(["A", "B"], 2), ["A", "B"],
                          struct.pack("<III", 2, 1, 2), struct.pack("<III", 2, 2, 2))
-    with pytest.raises(ModelFormatError, match="tree depth does not match label count"):
+    with pytest.raises(ModelFormatError, match="^fan-out 2 and depth 2 do not match 2 labels$"):
         load_model(path)
+
+
+@pytest.mark.parametrize("head", [(4, 1, 2), (2, 2, 2)], ids=["fan-out", "depth"])
+def test_pecoc_head_that_disagrees_with_its_label_count_is_rejected(head, tmp_path):
+    # Two labels make a pecoc code of size 2, a depth-1 k-way tree.
+    path = _edited_model(tmp_path, "pecoc", PecocModel(["A", "B"]), ["A", "B"],
+                         struct.pack("<III", 2, 1, 2), struct.pack("<III", *head))
+    message = f"^fan-out {head[0]} and depth {head[1]} do not match 2 labels$"
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path)
+
+
+@pytest.mark.parametrize("mode", ["pecoc", "kway"])
+def test_saving_an_untrained_kway_model_creates_no_node(mode, tmp_path):
+    est = build_estimator(mode, ModelConfig(k=4), ["A", "B", "C"])
+    save_model(tmp_path / "model.bin", mode, ModelConfig(k=4), est)
+    assert est._node_regs == {}
+    assert load_model(tmp_path / "model.bin").estimator._node_regs == {}
+
+
+def _peak_bytes_of_rejected_load(path, message):
+    """Load path, which must raise ModelFormatError matching message, and
+    return the peak of the memory that tracemalloc traced meanwhile."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def test_kway_fanout_edited_upward_is_rejected_without_a_dense_code(tmp_path):
@@ -636,14 +733,31 @@ def test_kway_fanout_edited_upward_is_rejected_without_a_dense_code(tmp_path):
     # where 4095 are due. A dense 4096 x 4096 code alone would take 16 MiB.
     path = _edited_model(tmp_path, "kway", KWayTree(["A", "B"], 2), ["A", "B"],
                          struct.pack("<III", 2, 1, 2), struct.pack("<III", 4096, 1, 2))
-    tracemalloc.start()
-    try:
-        with pytest.raises(ModelFormatError, match="truncated model file"):
-            load_model(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20
+    assert _peak_bytes_of_rejected_load(path, "truncated model file") < 4 << 20
+
+
+def test_kway_feature_count_edited_upward_is_rejected_before_any_array(tmp_path):
+    # 2^32 - 1 records of 28 bytes would take 112 GiB; the loader compares
+    # them with the bytes left before it reads one.
+    path, _ = _root_block_file(tmp_path, {})
+    _, _, structure, weights = read_sections(path)
+    edited = bytearray(weights)
+    struct.pack_into("<I", edited, 32, (1 << 32) - 1)
+    _replace_sections(path, structure, bytes(edited))
+    message = re.escape("node (0, 0): 4294967295 features exceed the weights section")
+    assert _peak_bytes_of_rejected_load(path, message) < 4 << 20
+
+
+# Two weights of 1e308 in one block sum to inf, yet each is finite: the file
+# must load and save again to the same bytes.
+def test_block_whose_weights_overflow_their_sum_loads(tmp_path):
+    path, _ = _root_block_file(tmp_path, {40: 1e308, 84: 1e308})
+    loaded = load_model(path)
+    weights = loaded.estimator._node_regs[(0, 0)]._weights
+    first, second = (weights[i] for i in sorted(weights))
+    assert first[0] == second[2] == 1e308
+    save_model(tmp_path / "again.bin", "kway", loaded.config, loaded.estimator)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("total", [1, 3])

@@ -335,8 +335,9 @@ def _memo_state(est) -> tuple:
     memo = est._memo
     if memo is None:
         return None, None
-    nodes = {key: ([r.hex() for r in raws], sorted((d, p.hex()) for d, p in estimates.items()))
-             for key, (raws, estimates) in memo[1].items()}
+    nodes = {key: ([r.hex() for r in raws], [v.hex() for v in clipped],
+                   sorted((d, p.hex()) for d, p in estimates.items()))
+             for key, (raws, clipped, estimates) in memo[1].items()}
     return memo[0], nodes
 
 

@@ -4,9 +4,7 @@ import random
 import pytest
 
 from cptree import KWayTree, LinearRegressor, ModelConfig, load_model, save_model
-from cptree.regressor import RegressorBlock
-
-from _support import RowList, install_rows, vec
+from _support import RowList, block_of, install_rows, row_state, vec
 
 
 def test_fresh_model_predicts_zero():
@@ -131,9 +129,13 @@ def test_learning_rate_must_be_positive():
 
 # --- the block form: the k - 1 rows of one k-way node ---------------------------
 
-def _row_state(reg) -> tuple:
-    weights = sorted((i, w.hex()) for i, w in reg.weights.items())
-    return reg.learning_rate, reg.bias.hex(), weights
+def _kway_bytes(path, node) -> bytes:
+    """The model file of a 4-label k = 4 tree whose root is node: a block, or
+    a RowList, saved through its block view."""
+    est = KWayTree(["p", "q", "r", "s"], 4, 0.1)
+    est._node_regs[(0, 0)] = node
+    save_model(path, "kway", ModelConfig(k=4, eta=0.1), est)
+    return path.read_bytes()
 
 
 def _odd_rows() -> list[LinearRegressor]:
@@ -148,8 +150,10 @@ def _odd_rows() -> list[LinearRegressor]:
 
 def test_block_reads_back_its_rows_and_scores_them_bit_for_bit():
     rows = _odd_rows()
-    block = RegressorBlock(_odd_rows())
-    assert [_row_state(reg) for reg in block] == [_row_state(reg) for reg in rows]
+    block = block_of(_odd_rows())
+    assert [row_state(reg) for reg in block] == [row_state(reg) for reg in rows]
+    # Each row read back holds every feature the block stores.
+    assert all(reg.weights.keys() == block._weights.keys() for reg in block)
     for pairs in ([], [("a", 2.0)], [("b", -1.0)], [("c", 3.0), ("a", -0.5)], [("z", 1.0)]):
         x = vec(*pairs)
         assert [r.hex() for r in block.raws(x)] == [row.raw(x).hex() for row in rows], pairs
@@ -169,7 +173,7 @@ def test_block_sums_four_features_per_pass_as_one_per_pass():
             if rng.random() < 0.7:
                 reg.weights[index] = rng.choice([-0.0, 0.0, rng.uniform(-3, 3)])
     rows[3].bias, rows[4].bias = -1.75, 3.0
-    block, twin = RegressorBlock(rows), RowList(rows)
+    block, twin = block_of(rows), RowList(rows)
     for n in range(14):
         for _ in range(20):
             names = rng.sample(stored, n) + [f"u{j}" for j in rng.sample(range(30), rng.randrange(4))]
@@ -178,8 +182,8 @@ def test_block_sums_four_features_per_pass_as_one_per_pass():
             assert [r.hex() for r in block.raws(x)] == [r.hex() for r in twin.raws(x)], names
 
 
-def test_block_steps_as_separate_regressors_and_skips_zero_steps():
-    block, twin = RegressorBlock(_odd_rows()), RowList(_odd_rows())
+def test_block_steps_as_separate_regressors_and_skips_zero_steps(tmp_path):
+    block, twin = block_of(_odd_rows()), RowList(_odd_rows())
     rng = random.Random(8)
     for step in range(60):
         x = vec(*[(name, rng.choice([-1.0, 0.5, 2.0])) for name in "abcd" if rng.random() < 0.6])
@@ -188,21 +192,22 @@ def test_block_steps_as_separate_regressors_and_skips_zero_steps():
         block.update(x, targets)
         twin.update(x, targets)
         assert [r.hex() for r in block.raws(x)] == [r.hex() for r in twin.raws(x)]
-        assert [_row_state(reg) for reg in block] == [_row_state(reg) for reg in twin]
+        assert [row_state(reg) for reg in block] == [row_state(reg) for reg in twin]
+    assert _kway_bytes(tmp_path / "block.bin", block) == _kway_bytes(tmp_path / "rows.bin", twin)
 
 
 def test_block_checks_every_step_before_it_changes_a_row():
     rows = [LinearRegressor(0.5) for _ in range(3)]
     x = vec(("a", 30.0))
     rows[2].weights[x.indices[0]] = math.inf
-    block = RegressorBlock(rows)
-    before = [_row_state(reg) for reg in block]
+    block = block_of(rows)
+    before = [row_state(reg) for reg in block]
     with pytest.raises(ValueError, match="regressor diverged"):
         block.update(x, [1.0, 1.0, 0.0])
     for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError, match="target must be in"):
             block.update(x, [1.0, 1.0, bad])
-    assert [_row_state(reg) for reg in block] == before
+    assert [row_state(reg) for reg in block] == before
 
 
 def test_odd_rows_survive_a_kway_file_round_trip(tmp_path):
