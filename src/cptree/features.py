@@ -79,9 +79,6 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def pairs(self) -> Iterable[tuple[int, float]]:
-        return zip(self.indices, self.values)
-
     def squared_norm(self) -> float:
         return sum(v * v for v in self.values)
 

@@ -15,12 +15,13 @@ block keeps no record of which rows have stepped on a feature: each row it
 yields holds a weight for every feature the block stores, 0.0 where that row
 never stepped.
 
-The estimators cache work on the x object they last saw (CondProbTree.score
-and predict; KWayTree.score, which keeps each node's raws, their clipped
-values and the child estimates decoded from them) and trust that a node
-regressor changes only through their own learning. Code that swaps or edits
-a CondProbTree regressor by hand must then call tree.regressors_changed(),
-as install_oracle_regressors does; for a KWayTree, it sets est._memo = None.
+Each estimator keeps one memo for the x object it last saw: CondProbTree's
+score, which is also its predict, keeps y's path and raw scores, then prefix
+products; KWayTree.score keeps each node's raws, their clipped values and
+the child estimates decoded from them. Both trust that a node regressor
+changes only through their own learning. Code that swaps or edits a
+CondProbTree regressor by hand must then call tree.regressors_changed(), as
+install_oracle_regressors does; for a KWayTree, it sets est._memo = None.
 """
 
 from __future__ import annotations

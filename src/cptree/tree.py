@@ -116,17 +116,17 @@ class CondProbTree:
     policy "random" makes a fair coin flip at each node instead, but trains the
     traversed regressors the same way. Training is strictly sequential.
 
-    predict changes no model state, but keeps a cache for the x object it last
-    saw: scoring every label of one x evaluates each internal node once, not
-    once per label below it. The cache is swapped in as one tuple and its
-    entries are final products, so predict may run concurrently between
-    training phases: a caller on another x replaces the tuple without
-    touching the dict a caller on this x still holds.
-    score keeps a one-entry memo of y's path and the raw score of x at each
-    node on it, which the next learn consumes: learn(x, y) right after
+    score, which is also predict, changes no model state but keeps a memo
+    for the x object it last saw, valid while updates is unchanged (see
+    regressors_changed). After the first call on an x it holds y's path and
+    the raw score of x at each node on it: learn(x, y) right after
     score(x, y), with the same x object, steps those regressors from the
-    stored values instead of walking the path and scoring x again. Both are
-    valid only while updates is unchanged; see regressors_changed.
+    stored values instead of walking the path and scoring x again. A later
+    call on that x swaps in a dict of prefix products, so scoring every
+    label of one x evaluates each internal node once. The memo is one tuple
+    and the dict holds only final products, so score may run concurrently
+    between training phases: a caller on another x replaces the tuple
+    without touching the dict a caller on this x still holds.
     """
 
     def __init__(
@@ -153,9 +153,7 @@ class CondProbTree:
         self.updates = 0  # total regressor updates, for complexity accounting
         self.last_example_updates = 0
         self.last_insert_path: list[int] = []
-        self._memo = None  # (x, y, updates, path, raws) of the last score
-        # (x, updates, None, then (path, estimates), then prefix products)
-        self._predict_cache = None
+        self._memo = None  # (x, updates, y, path, raws), then (x, updates, prefix dict)
 
     @classmethod
     def balanced(
@@ -222,58 +220,46 @@ class CondProbTree:
         steps.reverse()
         return steps
 
-    def predict(self, x: SparseVector, y: str) -> float:
+    # Estimator interface used by the evaluation harness.
+    def score(self, x: SparseVector, y: str) -> float:
         """Estimated P(y | x); labels never seen score 0.
 
-        Calls on the same x object, with no update between them, share a
-        prefix cache: node id -> product of the estimates from the root down
-        to it. A call climbs from y's leaf to the nearest cached node, then
-        walks back down, evaluating each node's regressor once and caching
-        both children's products. Every product still multiplies from the
-        root down, as the plain walk does. The first two calls on an x take
-        the plain walk; the second keeps its path and estimates, from which
-        the third starts the cache. So a stream that seldom repeats x pays
-        almost nothing for it.
+        The first call on an x object walks y's path and keeps the memo
+        learn uses. A later call on the same x object, with no update
+        between them, swaps in a prefix dict, node id -> product of the
+        estimates from the root down to it, and climbs from y's leaf to the
+        nearest node in it, then walks back down, evaluating each node's
+        regressor once and storing both children's products. Every product
+        still multiplies from the root down, as the walk does. The dict
+        starts from the root alone: seeding it from the first call's path
+        slowed the second call and the 99th percentile of an a10_online
+        closed loop (README, "Every label of one x").
         """
         leaf = self.leaf_index.get(y)
         if leaf is None:
             return 0.0
         nodes = self.nodes
-        cache = self._predict_cache
-        if cache is None or cache[0] is not x or cache[1] != self.updates:
-            # Most calls in a stream of varied x land here, so this walk keeps
-            # no estimates list: keeping one cost about 6% per call (10k-label
-            # tree, CPython 3.11, 2-core x86 machine).
-            self._predict_cache = (x, self.updates, None)
-            q = 1.0
-            for node_id, go_right in self.path_to(y):
-                f = nodes[node_id].reg.predict(x)
-                q *= f if go_right else 1.0 - f
-            return q
-        prefix = cache[2]
-        if prefix is None:
+        memo = self._memo
+        if memo is None or memo[0] is not x or memo[1] != self.updates:
+            # A loop, not a list comprehension: the comprehension cost about
+            # 5% per call on a fresh x (CPython 3.11, 2-core x86 machine).
             path = self.path_to(y)
-            estimates = [nodes[node_id].reg.predict(x) for node_id, _ in path]
-            self._predict_cache = (x, cache[1], (path, estimates))
+            raws = []
             q = 1.0
-            for (_, go_right), f in zip(path, estimates):
+            for node_id, go_right in path:
+                r = nodes[node_id].reg.raw(x)
+                raws.append(r)
+                f = clip01(r)
                 q *= f if go_right else 1.0 - f
+            self._memo = (x, self.updates, y, path, raws)
             return q
-        if type(prefix) is tuple:
-            walked = zip(*prefix)
-            prefix = {self.root: 1.0}
-            q = 1.0
-            for (node_id, go_right), f in walked:
-                node = nodes[node_id]
-                left, right = q * (1.0 - f), q * f
-                prefix[node.left] = left
-                prefix[node.right] = right
-                q = right if go_right else left
-            self._predict_cache = (x, cache[1], prefix)
+        if len(memo) == 5:
+            memo = self._memo = (x, memo[1], {self.root: 1.0})
+        prefix = memo[2]
         q = prefix.get(leaf)
         if q is not None:
             return q
-        below = [leaf]  # uncached nodes on y's path, deepest first
+        below = [leaf]  # nodes on y's path not in the dict, deepest first
         cur = nodes[leaf].parent
         while cur not in prefix:
             below.append(cur)
@@ -281,7 +267,7 @@ class CondProbTree:
         q = prefix[cur]
         for child in reversed(below):
             node = nodes[cur]
-            f = node.reg.predict(x)
+            f = clip01(node.reg.raw(x))
             left, right = q * (1.0 - f), q * f
             prefix[node.left] = left
             prefix[node.right] = right
@@ -289,33 +275,18 @@ class CondProbTree:
             cur = child
         return q
 
-    def regressors_changed(self) -> None:
-        """Drop the predict cache and the score memo. Call after swapping or
-        editing a node's regressor by hand: both trust that regressors change
-        only by learning, which bumps updates."""
-        self._memo = self._predict_cache = None
+    predict = score
 
-    # Estimator interface used by the evaluation harness.
-    def score(self, x: SparseVector, y: str) -> float:
-        """predict(x, y), remembering y's path and its raw scores for learn."""
-        if y not in self.leaf_index:
-            self._memo = None
-            return 0.0
-        nodes = self.nodes
-        path = self.path_to(y)
-        raws = [nodes[node_id].reg.raw(x) for node_id, _ in path]
-        q = 1.0
-        for (_, go_right), r in zip(path, raws):
-            f = clip01(r)
-            q *= f if go_right else 1.0 - f
-        self._memo = (x, y, self.updates, path, raws)
-        return q
+    def regressors_changed(self) -> None:
+        """Drop the score memo. Call after swapping or editing a node's
+        regressor by hand: the memo trusts that regressors change only by
+        learning, which bumps updates."""
+        self._memo = None
 
     def learn(self, x: SparseVector, y: str) -> None:
         memo = self._memo
-        self._memo = None
-        # score(x, y) of this x object, with no update since.
-        if memo is not None and memo[0] is x and memo[1] == y and memo[2] == self.updates:
+        # The first score of this x object was for y, with no update since.
+        if memo and memo[0] is x and memo[1] == self.updates and len(memo) == 5 and memo[2] == y:
             self.train_known(x, y, memo[3], memo[4])
         elif y in self.leaf_index:
             self.train_known(x, y)

@@ -17,7 +17,7 @@ def test_basic_line():
 def test_default_weight_is_one():
     example = parse_example_line("c | tok")
     assert example.y == "c"
-    assert list(example.x.pairs()) == [(hash_feature("tok"), 1.0)]
+    assert list(zip(example.x.indices, example.x.values)) == [(hash_feature("tok"), 1.0)]
 
 
 def test_empty_label_is_rejected():
@@ -44,7 +44,7 @@ def test_non_numeric_weight_is_rejected():
 
 def test_colons_inside_feature_names():
     example = parse_example_line("y | a:b:1.5")
-    assert list(example.x.pairs()) == [(hash_feature("a:b"), 1.5)]
+    assert list(zip(example.x.indices, example.x.values)) == [(hash_feature("a:b"), 1.5)]
     with pytest.raises(ParseError):
         parse_example_line("y | :1.5")
 
@@ -56,7 +56,7 @@ def test_no_features_is_allowed():
 
 def test_duplicate_features_merge():
     example = parse_example_line("y | tok tok tok:2")
-    assert list(example.x.pairs()) == [(hash_feature("tok"), 4.0)]
+    assert list(zip(example.x.indices, example.x.values)) == [(hash_feature("tok"), 4.0)]
 
 
 def test_round_trip_through_formatting():

@@ -69,12 +69,12 @@ def test_hash_spreads_uniformly():
 
 def test_canonicalize_sorts():
     v = canonicalize([(3, 1.0), (1, 2.0)])
-    assert list(v.pairs()) == [(1, 2.0), (3, 1.0)]
+    assert list(zip(v.indices, v.values)) == [(1, 2.0), (3, 1.0)]
 
 
 def test_canonicalize_merges_duplicates():
     v = canonicalize([(1, 1.0), (1, 2.0)])
-    assert list(v.pairs()) == [(1, 3.0)]
+    assert list(zip(v.indices, v.values)) == [(1, 3.0)]
 
 
 def test_canonicalize_drops_zeros():
@@ -93,7 +93,7 @@ def test_canonicalize_idempotent():
     for _ in range(200):
         entries = [(rng.randrange(1000), rng.uniform(-2, 2)) for _ in range(rng.randrange(12))]
         once = canonicalize(entries)
-        again = canonicalize(list(once.pairs()))
+        again = canonicalize(list(zip(once.indices, once.values)))
         assert once == again
 
 

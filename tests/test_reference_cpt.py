@@ -85,10 +85,10 @@ def test_tree_matches_reference(drawn, alpha, policy, seed):
 
 # --- every label of one x -----------------------------------------------------
 #
-# predict caches the products along the paths it has walked for the x object
-# it last saw. Scoring every label of one x, in any order, with learning and
-# calls on an equal but distinct x in between, must still give the reference's
-# value bit for bit.
+# From the second call on the x object it last saw, predict's memo keeps the
+# products along the paths it has walked. Scoring every label of one x, in any
+# order, with learning and calls on an equal but distinct x in between, must
+# still give the reference's value bit for bit.
 @settings(max_examples=100, deadline=None)
 @given(
     drawn=streams(),
@@ -129,13 +129,11 @@ def test_predict_of_every_label_matches_reference(drawn, alpha, policy, seed):
 # --- score, then learn --------------------------------------------------------
 #
 # score keeps a memo of y's path and its raw scores, which the next learn(x, y)
-# steps from. Each example below runs one of five call orders (six for
-# KWayTree, which adds SCORE_ALL) on an estimator that scores before it
-# learns, while a twin makes the same learning calls with no score. The two
-# must end bit for bit the same.
+# steps from. Each example below runs one of six call orders on an estimator
+# that scores before it learns, while a twin makes the same learning calls
+# with no score of the same x object. The two must end bit for bit the same.
 PLAIN, EQUAL_X, OTHER_X, OTHER_LABEL, UPDATE_BETWEEN, SCORE_ALL = range(6)
-ORDERS = st.lists(st.integers(PLAIN, UPDATE_BETWEEN), min_size=120, max_size=120)
-KWAY_ORDERS = st.lists(st.integers(PLAIN, SCORE_ALL), min_size=120, max_size=120)
+ORDERS = st.lists(st.integers(PLAIN, SCORE_ALL), min_size=120, max_size=120)
 
 
 def _asked(x, y, order, other):
@@ -159,6 +157,21 @@ def _score_then_learn(scored, plain, x, y, order, other, update):
     scored.learn(dataclasses.replace(x) if order == EQUAL_X else x, y)
     plain.learn(x, y)
     return q
+
+
+def _score_all_then_learn(scored, plain, x, y, other, labels, i):
+    """SCORE_ALL: every label of the other x, then of x, each in a rotated
+    order, then learn(x, y) on both. Each score of x must equal the twin's
+    for an equal but distinct x, which its learn(x, y) does not reuse."""
+    shift = i % max(len(labels), 1)
+    labels = labels[shift:] + labels[:shift]
+    twin = dataclasses.replace(x)
+    expected = [plain.score(twin, label).hex() for label in labels]
+    for label in labels:
+        scored.score(other[0], label)
+    assert [scored.score(x, label).hex() for label in labels] == expected
+    scored.learn(x, y)
+    plain.learn(x, y)
 
 
 def _train_or_insert(tree, x, y):
@@ -194,10 +207,15 @@ def test_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders, alp
     )
     for i, ((x, y), order) in enumerate(zip(stream, orders)):
         other = stream[(7 * i + 3) % len(stream)]
-        # The twin's predict is read-only, so it leaves the twin memo-free.
-        expected = plain.predict(*_asked(x, y, order, other))
-        q = _score_then_learn(scored, plain, x, y, order, other, _train_or_insert)
-        assert q.hex() == expected.hex()
+        if order == SCORE_ALL:
+            _score_all_then_learn(scored, plain, x, y, other, list(scored.leaf_index), i)
+        else:
+            # The twin scores a copy of the asked x, which keeps it memo-free:
+            # no learn of the twin meets that copy.
+            asked, label = _asked(x, y, order, other)
+            expected = plain.predict(dataclasses.replace(asked), label)
+            q = _score_then_learn(scored, plain, x, y, order, other, _train_or_insert)
+            assert q.hex() == expected.hex()
         assert scored.last_example_updates == plain.last_example_updates
     assert scored.structure_signature() == plain.structure_signature()
     states = [[_state(node.reg) for node in tree.nodes] for tree in (scored, plain)]
@@ -209,7 +227,7 @@ def test_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders, alp
 
 
 @settings(max_examples=100, deadline=None)
-@given(drawn=streams(), orders=KWAY_ORDERS, k=st.sampled_from([2, 4, 16]), known=st.integers(1, 40))
+@given(drawn=streams(), orders=ORDERS, k=st.sampled_from([2, 4, 16]), known=st.integers(1, 40))
 def test_kway_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders, k, known):
     _, stream = drawn
     # The first labels are given up front; the rest take free slots as they arrive.
@@ -218,21 +236,10 @@ def test_kway_tree_learns_the_same_after_a_score(tmp_path_factory, drawn, orders
     for i, ((x, y), order) in enumerate(zip(stream, orders)):
         other = stream[(7 * i + 3) % len(stream)]
         if order == SCORE_ALL:
-            # Every label of the other x, then of x, each in a rotated order,
-            # then learn(x, y). Each score of x must equal the twin's for an
-            # equal but distinct x, which its learn(x, y) does not reuse.
-            labels = list(scored.label_map)
-            labels = labels[i % len(labels):] + labels[:i % len(labels)]
-            twin = dataclasses.replace(x)
-            expected = [plain.score(twin, label).hex() for label in labels]
-            for label in labels:
-                scored.score(other[0], label)
-            assert [scored.score(x, label).hex() for label in labels] == expected
-            scored.learn(x, y)
-            plain.learn(x, y)
-            continue
-        # KWayTree changes only in learn, which takes the memo with it.
-        _score_then_learn(scored, plain, x, y, order, other, KWayTree.learn)
+            _score_all_then_learn(scored, plain, x, y, other, list(scored.label_map), i)
+        else:
+            # KWayTree changes only in learn, which takes the memo with it.
+            _score_then_learn(scored, plain, x, y, order, other, KWayTree.learn)
     assert scored.label_map == plain.label_map
     assert scored.updates == plain.updates
     # The model bytes hold every node's key, biases and weights bit for bit.

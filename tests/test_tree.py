@@ -105,7 +105,7 @@ def test_installing_oracle_regressors_drops_the_predict_cache():
     install_oracle_regressors(oracle, task)
     x = task.features[1]
     first = task.labels[0]
-    # Two calls on one x object cache the untrained estimates on first's path.
+    # Two calls on one x object keep the untrained products on first's path.
     assert tree.predict(x, first) == tree.predict(x, first) == 1.0
     install_oracle_regressors(tree, task)
     for y in task.labels:
@@ -129,18 +129,18 @@ def _trained_with_walked_values():
 
 
 class _Interrupting:
-    """A node regressor whose next predict first runs interrupt(), as a
-    thread switch inside a walk would."""
+    """A node regressor whose next raw first runs interrupt(), as a thread
+    switch inside a walk would."""
 
     def __init__(self, reg, interrupt):
         self.reg = reg
         self.interrupt = interrupt
 
-    def predict(self, x):
+    def raw(self, x):
         interrupt, self.interrupt = self.interrupt, None
         if interrupt is not None:
             interrupt()
-        return self.reg.predict(x)
+        return self.reg.raw(x)
 
 
 def test_predict_on_another_x_in_mid_walk_leaves_both_caches_right():
@@ -156,8 +156,8 @@ def test_predict_on_another_x_in_mid_walk_leaves_both_caches_right():
     side = tree.path_to(target)[0][1]
     start = next(y for y in labels if tree.path_to(y)[0][1] != side)
     tree.predict(x, start)
-    tree.predict(x, start)  # x's cache holds start's path, on the root's other side
-    # Mid-walk, another caller scores every label of other, replacing the cache.
+    tree.predict(x, start)  # x's memo holds the products on start's path, on the root's other side
+    # Mid-walk, another caller scores every label of other, replacing the memo.
     assert tree.predict(x, target) == walked[0, target]
     assert deepest.reg.interrupt is None
     for c, y in [(1, y) for y in labels] + [(0, y) for y in labels]:
@@ -165,8 +165,8 @@ def test_predict_on_another_x_in_mid_walk_leaves_both_caches_right():
 
 
 def test_concurrent_predict_callers_get_the_path_walk_values():
-    # Threads share the predict cache: some score the same x object, others
-    # replace it with their own.
+    # Threads share the memo: some score the same x object, others replace
+    # it with their own.
     task, tree, walked = _trained_with_walked_values()
     labels = list(tree.leaf_index)
     wrong = []
