@@ -6,17 +6,21 @@ little-endian records, laid out by the ``struct.Struct`` constants below, and
 length-prefixed UTF-8 strings. All reals are 8-byte IEEE floats, so identical
 runs produce identical bytes and a reload reproduces predictions exactly.
 
-Format 3 stores only what a computation reads. A regressor record is a bias
-and its (feature, weight) pairs. A kway or pecoc node is one block record,
-as RegressorBlock holds it: its k - 1 biases, a feature count, then one
-(feature, k - 1 weights) record per feature. No record holds a learning
-rate, because every regressor of a model runs at the config's eta
-(save_model refuses an estimator or a regressor at another rate), or an
-update count, which nothing read. Leaf records hold no regressor: no example
-steps a leaf's, so the loader gives each leaf a fresh one. A cpt-random
-tree's header holds its coin's state, so a reloaded tree flips the coins the
-saved one would have. This build reads format 3 only; a model of an earlier
-format must be retrained.
+Format 4 stores only what a computation reads. A regressor record is a bias
+and its (feature, weight) pairs. A tree is its nodes in preorder: a kind
+byte, then a leaf's label or, in the weights section, an internal node's
+regressor. The preorder fixes the shape, so no record holds a node id, a
+child id or a leaf count, which the loader could only cross-check: it numbers
+nodes by record and recounts the leaves. A kway or pecoc node is one block
+record, as RegressorBlock holds it: its k - 1 biases, a feature count, then
+one (feature, k - 1 weights) record per feature. No record holds a learning
+rate, because every regressor of a model runs at the config's eta (save_model
+refuses an estimator or a regressor at another rate), or an update count,
+which nothing read. Leaf records hold no regressor: no example steps a
+leaf's, so the loader gives each leaf a fresh one. A cpt-random tree's header
+holds its coin's state, so a reloaded tree flips the coins the saved one
+would have. This build reads format 4 only; a model of an earlier format must
+be retrained.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from .evaluation import OneAgainstAll, TableBaseline
 from .features import MAX_HASH_BITS, MIN_HASH_BITS
 from .pecoc import KWayTree, PecocModel
 from .regressor import LinearRegressor, RegressorBlock
-from .tree import CondProbTree, CorruptTreeError, _Node
+from .tree import CondProbTree, _Node
 
 MAGIC = b"CPTM"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -64,17 +68,16 @@ class ModelFormatError(ValueError):
     """Raised when a model file, or a model about to be saved, fails validation."""
 
 
-# Every fixed-width record of format v3, little-endian and unpadded, but for
+# Every fixed-width record of format v4, little-endian and unpadded, but for
 # the k-way block records, whose width depends on k.
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _CONFIG = struct.Struct("<ddIIIdQ")  # alpha, eta, hash_bits, passes, k, delta, seed
 _REGRESSOR = struct.Struct("<dI")  # bias, nnz
 _WEIGHT = struct.Struct("<Id")  # feature index, weight
-_TREE_HEAD = struct.Struct("<IIQ")  # node slots, node records, disagreements
+_TREE_HEAD = struct.Struct("<IQ")  # node records, disagreements
 _COIN = struct.Struct("<625I")  # cpt-random only: 624 Mersenne Twister words, position
-_NODE_HEAD = struct.Struct("<IB")  # node id, kind (0 internal, 1 leaf)
-_INTERNAL = struct.Struct("<IIQQ")  # left, right, left leaves, right leaves
+_KIND = struct.Struct("<B")  # tree node kind: 0 internal, 1 leaf (then its label)
 _KWAY_HEAD = struct.Struct("<III")  # fan-out, depth, labels
 _KWAY_NODE = struct.Struct("<IQ")  # level, index
 _TABLE_CONTEXT = struct.Struct("<QI")  # context total, labels
@@ -182,65 +185,62 @@ def _check_follows(prev, key, name: str, where: str = "") -> None:
 def _encode_tree(tree: CondProbTree, cfg: ModelConfig, structure: BinaryIO,
                  weights: BinaryIO) -> None:
     order = tree.preorder()
-    structure.write(_TREE_HEAD.pack(len(tree.nodes), len(order), tree.disagreement_count))
+    structure.write(_TREE_HEAD.pack(len(order), tree.disagreement_count))
     if tree.policy == "random":
         structure.write(_COIN.pack(*tree._rng.getstate()[1]))
     for node_id, _ in order:
         node = tree.nodes[node_id]
         if node.is_leaf:
-            structure.write(_NODE_HEAD.pack(node_id, _LEAF_KIND))
+            structure.write(_KIND.pack(_LEAF_KIND))
             _w_bytes(structure, node.label.encode("utf-8"))
         else:
-            structure.write(_NODE_HEAD.pack(node_id, _INTERNAL_KIND))
-            structure.write(_INTERNAL.pack(node.left, node.right, node.n_left, node.n_right))
+            structure.write(_KIND.pack(_INTERNAL_KIND))
             _write_regressor(weights, node.reg, cfg)
 
 
 def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTree:
     tree = build(cfg, [])
-    n_nodes, n_order, tree.disagreement_count = s.unpack(_TREE_HEAD)
+    n_records, tree.disagreement_count = s.unpack(_TREE_HEAD)
     if tree.policy == "random":
         # setstate raises ValueError on a coin position past the state's end.
         tree._rng.setstate((random.Random.VERSION, s.unpack(_COIN), None))
-    if n_order != n_nodes:
-        raise ModelFormatError("node record count mismatch")
-    if n_nodes * _NODE_HEAD.size > len(s.raw):
-        raise ModelFormatError("node count exceeds the structure section")
-    nodes = tree.nodes = [_Node(None, None, None) for _ in range(n_nodes)]
-    # Records come in preorder, so the first one is the root. Each id must
-    # appear once, no node may be named as a child twice and the root never;
-    # with distinct labels and the leaf recount below, that makes the nodes
-    # one tree, so no traversal can loop.
-    for _ in range(n_order):
-        node_id, kind = s.unpack(_NODE_HEAD)
-        if node_id >= n_nodes:
-            raise ModelFormatError(f"node id out of range: {node_id}")
-        node = nodes[node_id]
-        if node.reg is not None:
-            raise ModelFormatError(f"node {node_id} appears twice")
-        if tree.root is None:
-            tree.root = node_id
+    nodes = tree.nodes
+    # Records come in preorder, so a node's id is its record number and its
+    # parent is the last internal node whose right child has not come yet.
+    waiting: list[int] = []
+    for node_id in range(n_records):
+        (kind,) = s.unpack(_KIND)
+        parent = waiting[-1] if waiting else None
+        if parent is None and node_id:
+            raise ModelFormatError("node records continue after the tree is complete")
         if kind == _LEAF_KIND:
             label = s.string()
             if label in tree.leaf_index:
                 raise ModelFormatError(f"label {label!r} appears twice")
-            node.label = label
-            node.reg = tree._factory()
-            tree.leaf_index[label] = node_id
+            tree._add_node(label, parent)
         elif kind == _INTERNAL_KIND:
-            node.left, node.right, node.n_left, node.n_right = s.unpack(_INTERNAL)
-            for child in (node.left, node.right):
-                if child >= n_nodes:
-                    raise ModelFormatError(f"node {node_id}: child id out of range: {child}")
-                if child == tree.root:
-                    raise ModelFormatError("the root is named as a child")
-                if nodes[child].parent is not None:
-                    raise ModelFormatError(f"node {child} is named as a child twice")
-                nodes[child].parent = node_id
-            node.reg = _read_regressor(w, cfg)
+            nodes.append(_Node(None, _read_regressor(w, cfg), parent))
         else:
             raise ModelFormatError(f"unknown node kind {kind}")
-    tree.depth_stats()  # validates counts against a recount
+        if parent is None:
+            tree.root = node_id
+        elif nodes[parent].left is None:
+            nodes[parent].left = node_id
+        else:
+            nodes[parent].right = node_id
+            waiting.pop()
+        if kind == _INTERNAL_KIND:
+            waiting.append(node_id)
+    if waiting:
+        raise ModelFormatError("node records end inside a subtree")
+    # Every child comes after its parent, so in reverse each child's leaf
+    # count is known before its parent's.
+    leaves = [1] * len(nodes)
+    for node_id in reversed(range(len(nodes))):
+        node = nodes[node_id]
+        if not node.is_leaf:
+            node.n_left, node.n_right = leaves[node.left], leaves[node.right]
+            leaves[node_id] = node.n_left + node.n_right
     return tree
 
 
@@ -455,10 +455,9 @@ def load_model(path) -> LoadedModel:
         est = _MODES[mode][2](config, s, w)
     except ModelFormatError:
         raise
-    except (ValueError, CorruptTreeError) as exc:
+    except ValueError as exc:
         # Constructors reject decoded parameters (alpha, learning rate,
-        # duplicate labels, fan-out), the tree recount rejects counts and
-        # setstate a cpt-random coin state.
+        # duplicate labels, fan-out) and setstate a cpt-random coin state.
         raise ModelFormatError(f"invalid {mode} model: {exc}") from exc
     est.updates = updates
     s.finish("structure records")

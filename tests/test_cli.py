@@ -1,5 +1,4 @@
 import io
-import struct
 
 import pytest
 
@@ -361,19 +360,18 @@ def test_diverging_training_is_a_one_line_error_and_writes_no_model(tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["eval", "inspect"])
-def test_corrupt_child_id_is_a_one_line_error(command, streams, tmp_path, capsys):
+def test_corrupt_node_kind_is_a_one_line_error(command, streams, tmp_path, capsys):
     train, test = streams
     model = tmp_path / "m.bin"
     run_cli("train", "--mode", "cpt-online", "--train", str(train),
             "--model", str(model))
     _, _, structure, weights = read_sections(model)
-    n_nodes = struct.unpack_from("<I", structure)[0]
     # The structure section sits just before the weights section and its
-    # length; the root's left-child id follows the 16-byte tree header and
-    # the root's (id, kind) head.
+    # length; the root's kind byte follows the 12-byte tree header.
     raw = bytearray(model.read_bytes())
-    left = len(raw) - len(weights) - 8 - len(structure) + 16 + 5
-    raw[left : left + 4] = struct.pack("<I", n_nodes)
+    kind = len(raw) - len(weights) - 8 - len(structure) + 12
+    assert raw[kind] == 0  # internal
+    raw[kind] = 2
     model.write_bytes(bytes(raw))
     capsys.readouterr()
     argv = ["--model", str(model)]
@@ -382,7 +380,7 @@ def test_corrupt_child_id_is_a_one_line_error(command, streams, tmp_path, capsys
     assert run_cli(command, *argv)[0] == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
-    assert "child id out of range" in err
+    assert "unknown node kind 2" in err
 
 
 def test_kway_requires_fanout(streams, tmp_path, capsys):

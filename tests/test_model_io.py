@@ -41,17 +41,17 @@ def build(mode):
 
 
 # sha256 of the file save_model writes for build(mode), recorded when format
-# v3 replaced v2 (one block record per kway or pecoc node). The other five
-# modes' files differ from v2 only in the version. Re-record them only with
-# a new format version.
+# v4 replaced v3 (a tree as its preorder node kinds, without node ids, child
+# ids or leaf counts). The other four modes' files differ from v3 only in the
+# version. Re-record them only with a new format version.
 GOLDEN_SHA256 = {
-    "cpt-online": "49c7143d29d9bb14174def25b6d1baf42ab4a3e951adb51433381b01f95df07e",
-    "cpt-random": "bbf9dd32ad79773c060fefe4d23f7048fec3199f1ca305a4ac31c153aa2938ea",
-    "cpt-fixed": "9748f4fa05f555030aa4679ae051ca493b0992a9682ff76942bbdb335a37efb6",
-    "oaa": "99f74902073cfa388752d6beaf7d19457eaccfe367cd9034bed8920920263c9e",
-    "pecoc": "46ee002558bc25d7d73b8ad1db9158667d03bc76b01be51bdc9f44d1efd6d377",
-    "kway": "d74fb0cfd0530361fa4fc64fdbd4f2db35d1408a50282068d3bd5761ec045a4a",
-    "table": "6bbe7277982996aeb872cfe92263b668b48829efcce41c954bba8d48d92f4863",
+    "cpt-online": "3969b7361371fcbc0c0af4f2f68c4f716a2d355f40e4ae1a6b5ba6940ab5facc",
+    "cpt-random": "e8f5f477eb10c1c17e0d060f2dc5acda5f3a8d7ff07489734a6eb4675933d689",
+    "cpt-fixed": "351ac36931ed4f98d6c594173024dd0ecee72bb2eab006748ec40e7171c73f1e",
+    "oaa": "a5eebec3fe0cade8e11252960c5f55b077cf4f48138101e24a9a5e52d2ec0e2b",
+    "pecoc": "d0b1fced216fe2199fea84a4e5b7fcd2145b63960c3f647a36f77167692bc6e9",
+    "kway": "e8883892cd77be48ab4ca0f95d3cade9ae5edf5a913e5b7d851e08c234b3c2cd",
+    "table": "6356a45cd2e5eb875950354025a973f447a5e3e00e0951f4e724da6249017209",
 }
 
 
@@ -133,10 +133,10 @@ def _check_earlier_format_is_rejected(tmp_path, version):
     save_model(path, "oaa", ModelConfig(), OneAgainstAll())
     # The version follows the 4-byte magic.
     raw = bytearray(path.read_bytes())
-    assert struct.unpack_from("<I", raw, 4) == (3,)
+    assert struct.unpack_from("<I", raw, 4) == (4,)
     struct.pack_into("<I", raw, 4, version)
     path.write_bytes(bytes(raw))
-    message = (rf"^unsupported format version {version}: this build reads version 3 only;"
+    message = (rf"^unsupported format version {version}: this build reads version 4 only;"
                r" retrain the model$")
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
@@ -148,6 +148,10 @@ def test_format_1_file_is_rejected_with_a_retrain_message(tmp_path):
 
 def test_format_2_file_is_rejected_with_a_retrain_message(tmp_path):
     _check_earlier_format_is_rejected(tmp_path, 2)
+
+
+def test_format_3_file_is_rejected_with_a_retrain_message(tmp_path):
+    _check_earlier_format_is_rejected(tmp_path, 3)
 
 
 def test_bad_magic_is_rejected(tmp_path):
@@ -328,6 +332,12 @@ def test_loaded_tree_keeps_learning_consistently(tmp_path):
     path = tmp_path / "model.bin"
     save_model(path, "cpt-online", cfg, est)
     twin = load_model(path).estimator
+    # The loader numbers nodes by their preorder record, while insertion
+    # appended the trained tree's nodes out of preorder: the ids differ, yet
+    # scores and saved bytes must agree.
+    records = list(range(len(est.nodes)))
+    assert [node_id for node_id, _ in twin.preorder()] == records
+    assert [node_id for node_id, _ in est.preorder()] != records
     rng = random.Random(53)
     for _ in range(200):
         example = rng.choice(TRAIN)
@@ -335,6 +345,9 @@ def test_loaded_tree_keeps_learning_consistently(tmp_path):
         twin.learn(example.x, example.y)
     for example in HELD_OUT[:200]:
         assert est.score(example.x, example.y) == twin.score(example.x, example.y)
+    save_model(tmp_path / "again.bin", "cpt-online", cfg, twin)
+    save_model(path, "cpt-online", cfg, est)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
 
 def test_reloaded_random_tree_flips_the_coins_the_saved_one_would(tmp_path):
@@ -356,9 +369,9 @@ def test_random_tree_coin_position_past_its_state_is_rejected(position, tmp_path
     path = tmp_path / "model.bin"
     save_model(path, "cpt-random", cfg, est)
     _, _, structure, weights = read_sections(path)
-    # The coin state follows the 16-byte tree head: 624 words, then the
+    # The coin state follows the 12-byte tree head: 624 words, then the
     # position in them, at most 624.
-    offset = 16 + 624 * 4
+    offset = 12 + 624 * 4
     assert struct.unpack_from("<I", structure, offset) == (est._rng.getstate()[1][-1],)
     edited = bytearray(structure)
     struct.pack_into("<I", edited, offset, position)
@@ -382,18 +395,20 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _two_leaf_tree_file(tmp_path, offset, patch):
-    """Save the tree root(A, B) and overwrite its structure section from
-    offset on with patch; offset == 65 appends to the section.
+def _two_leaf_tree_file(tmp_path, *edits):
+    """Save the tree root(A, B) and overwrite its structure section from each
+    (offset, patch) edit's offset on with its patch; offset 25 appends.
 
-    Structure layout: a 16-byte tree head, the root record (id, kind, left,
-    right, left leaves, right leaves) at 16, leaf "A" at 45, leaf "B" at 55.
+    Structure layout: a 12-byte tree head (node records, disagreements), the
+    root's kind byte at 12, then leaf "A" (kind, label length, label) at 13
+    and leaf "B" at 19.
     """
     path = _saved(tmp_path, "cpt-online", CondProbTree(), ["A", "B"])
     _, _, structure, weights = read_sections(path)
-    assert len(structure) == 65
+    assert len(structure) == 25
     edited = bytearray(structure)
-    edited[offset : offset + len(patch)] = patch
+    for offset, patch in edits:
+        edited[offset : offset + len(patch)] = patch
     _replace_sections(path, bytes(edited), weights)
     return path
 
@@ -419,40 +434,36 @@ def _replace_sections(path, structure, weights):
     )
 
 
+def _label_record(label):
+    return struct.pack("<I", len(label)) + label.encode("utf-8")
+
+
 @pytest.mark.parametrize(
-    "offset, patch, message",
+    "edits, message",
     [
-        # The root's right child is the root: a cycle from the root.
-        (25, struct.pack("<I", 0), "the root is named as a child"),
-        (25, struct.pack("<I", 1), "node 1 is named as a child twice"),
-        (55, struct.pack("<I", 1), "node 1 appears twice"),
-        (64, b"A", "label 'A' appears twice"),
-        (65, b"\0", "trailing bytes after structure records"),
-        # Rejected before a node list of that size is allocated.
-        (0, struct.pack("<II", 1 << 20, 1 << 20), "node count exceeds"),
+        # The root's right child never comes.
+        ([(0, struct.pack("<I", 2))], "node records end inside a subtree"),
+        # Leaf "C" comes after the root's subtree is complete.
+        ([(0, struct.pack("<I", 4)), (25, b"\1" + _label_record("C"))],
+         "node records continue after the tree is complete"),
+        ([(12, b"\2")], "unknown node kind 2"),
+        ([(24, b"A")], "label 'A' appears twice"),
+        ([(25, b"\0")], "trailing bytes after structure records"),
+        # No node is made before its record is read, so a claim of 2^32 - 1
+        # nodes costs nothing until the records run out.
+        ([(0, struct.pack("<I", (1 << 32) - 1))], "truncated model file"),
     ],
-    ids=["root-cycle", "child-twice", "id-twice", "label-twice", "trailing-byte",
-         "node-count"],
+    ids=["end-inside-subtree", "continue-after-complete", "unknown-kind", "label-twice",
+         "trailing-byte", "node-count"],
 )
-def test_malformed_tree_records_are_rejected(offset, patch, message, tmp_path):
-    path = _two_leaf_tree_file(tmp_path, offset, patch)
-    with _time_limit(2), pytest.raises(ModelFormatError, match=message):
-        load_model(path)
-
-
-def test_tree_whose_root_is_a_leaf_fails_the_leaf_recount(tmp_path):
-    # The root record now reads as leaf "C": leaves A and B stay indexed, but
-    # no node names them, so the traversal from the root finds one leaf.
-    path = _saved(tmp_path, "cpt-online", CondProbTree(), ["A", "B"])
-    _, _, structure, weights = read_sections(path)
-    root_leaf = struct.pack("<IB", 0, 1) + _label_record("C")
-    _replace_sections(path, structure[:16] + root_leaf + structure[45:], weights)
-    with pytest.raises(ModelFormatError, match="1 leaves found but 3 labels indexed"):
-        load_model(path)
+def test_malformed_tree_records_are_rejected(edits, message, tmp_path):
+    path = _two_leaf_tree_file(tmp_path, *edits)
+    with _time_limit(2):
+        assert _peak_bytes_of_rejected_load(path, message) < 4 << 20
 
 
 def test_unedited_two_leaf_tree_loads(tmp_path):
-    tree = load_model(_two_leaf_tree_file(tmp_path, 0, b"")).estimator
+    tree = load_model(_two_leaf_tree_file(tmp_path)).estimator
     assert tree.leaf_index == {"A": 1, "B": 2}
 
 
@@ -596,10 +607,6 @@ def _edited_model(tmp_path, mode, est, labels, old, new, xs=(TRAIN[0].x,)):
     assert structure.count(old) == 1 and len(new) == len(old)
     _replace_sections(path, structure.replace(old, new), weights)
     return path
-
-
-def _label_record(label):
-    return struct.pack("<I", len(label)) + label.encode("utf-8")
 
 
 def test_repeated_oaa_label_is_rejected(tmp_path):

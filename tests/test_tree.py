@@ -98,7 +98,7 @@ def test_oracle_node_regressors_recover_true_conditionals():
         assert abs(total - 1.0) < 1e-9
 
 
-def test_installing_oracle_regressors_drops_the_predict_cache():
+def test_installing_oracle_regressors_drops_the_score_memo():
     task = tiny_task(contexts=4, labels=8, seed=2)
     tree = CondProbTree.balanced(task.labels)
     oracle = CondProbTree.balanced(task.labels)
@@ -143,7 +143,7 @@ class _Interrupting:
         return self.reg.raw(x)
 
 
-def test_predict_on_another_x_in_mid_walk_leaves_both_caches_right():
+def test_predict_on_another_x_in_mid_walk_leaves_the_memo_right():
     task, tree, walked = _trained_with_walked_values()
     x, other = task.features
     labels = list(tree.leaf_index)
