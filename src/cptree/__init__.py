@@ -33,7 +33,6 @@ from .pecoc import KWayTree, PecocModel, decode_loss_bound, decode_probability, 
 from .regressor import LinearRegressor
 from .tree import (
     CondProbTree,
-    CorruptTreeError,
     DepthStats,
     UnknownLabelError,
     insert_direction,
@@ -47,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CondProbTree",
-    "CorruptTreeError",
     "DEFAULT_HASH_BITS",
     "DepthStats",
     "EmptyStreamError",

@@ -10,14 +10,15 @@ Format 4 stores only what a computation reads. A regressor record is a bias
 and its (feature, weight) pairs. A tree is its nodes in preorder: a kind
 byte, then a leaf's label or, in the weights section, an internal node's
 regressor. The preorder fixes the shape, so no record holds a node id, a
-child id or a leaf count, which the loader could only cross-check: it numbers
-nodes by record and recounts the leaves. A kway or pecoc node is one block
-record, as RegressorBlock holds it: its k - 1 biases, a feature count, then
-one (feature, k - 1 weights) record per feature. No record holds a learning
-rate, because every regressor of a model runs at the config's eta (save_model
-refuses an estimator or a regressor at another rate), or an update count,
-which nothing read. Leaf records hold no regressor: no example steps a
-leaf's, so the loader gives each leaf a fresh one. A cpt-random tree's header
+child id or a leaf count: the loader hands the records to the tree's own
+preorder builder, which numbers nodes by record and counts the leaves. A
+kway or pecoc node is one block record, as RegressorBlock holds it: its
+k - 1 biases, a feature count, then one (feature, k - 1 weights) record per
+feature. No record holds a learning rate, because every regressor of a
+model runs at the config's eta (save_model refuses an estimator or a
+regressor at another rate), or an update count, which nothing read. Leaf
+records hold no regressor: no example steps a leaf's, so the builder gives
+each leaf a fresh one. A cpt-random tree's header
 holds its coin's state, so a reloaded tree flips the coins the saved one
 would have. This build reads format 4 only; a model of an earlier format must
 be retrained.
@@ -38,7 +39,7 @@ from .evaluation import OneAgainstAll, TableBaseline
 from .features import MAX_HASH_BITS, MIN_HASH_BITS
 from .pecoc import KWayTree, PecocModel
 from .regressor import LinearRegressor, RegressorBlock
-from .tree import CondProbTree, _Node
+from .tree import CondProbTree
 
 MAGIC = b"CPTM"
 FORMAT_VERSION = 4
@@ -204,43 +205,18 @@ def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTre
     if tree.policy == "random":
         # setstate raises ValueError on a coin position past the state's end.
         tree._rng.setstate((random.Random.VERSION, s.unpack(_COIN), None))
-    nodes = tree.nodes
-    # Records come in preorder, so a node's id is its record number and its
-    # parent is the last internal node whose right child has not come yet.
-    waiting: list[int] = []
-    for node_id in range(n_records):
-        (kind,) = s.unpack(_KIND)
-        parent = waiting[-1] if waiting else None
-        if parent is None and node_id:
-            raise ModelFormatError("node records continue after the tree is complete")
-        if kind == _LEAF_KIND:
-            label = s.string()
-            if label in tree.leaf_index:
-                raise ModelFormatError(f"label {label!r} appears twice")
-            tree._add_node(label, parent)
-        elif kind == _INTERNAL_KIND:
-            nodes.append(_Node(None, _read_regressor(w, cfg), parent))
-        else:
-            raise ModelFormatError(f"unknown node kind {kind}")
-        if parent is None:
-            tree.root = node_id
-        elif nodes[parent].left is None:
-            nodes[parent].left = node_id
-        else:
-            nodes[parent].right = node_id
-            waiting.pop()
-        if kind == _INTERNAL_KIND:
-            waiting.append(node_id)
-    if waiting:
-        raise ModelFormatError("node records end inside a subtree")
-    # Every child comes after its parent, so in reverse each child's leaf
-    # count is known before its parent's.
-    leaves = [1] * len(nodes)
-    for node_id in reversed(range(len(nodes))):
-        node = nodes[node_id]
-        if not node.is_leaf:
-            node.n_left, node.n_right = leaves[node.left], leaves[node.right]
-            leaves[node_id] = node.n_left + node.n_right
+
+    def records():
+        for _ in range(n_records):
+            (kind,) = s.unpack(_KIND)
+            if kind == _LEAF_KIND:
+                yield s.string(), None
+            elif kind == _INTERNAL_KIND:
+                yield None, _read_regressor(w, cfg)
+            else:
+                raise ModelFormatError(f"unknown node kind {kind}")
+
+    tree._build_preorder(records())
     return tree
 
 
@@ -457,7 +433,8 @@ def load_model(path) -> LoadedModel:
         raise
     except ValueError as exc:
         # Constructors reject decoded parameters (alpha, learning rate,
-        # duplicate labels, fan-out) and setstate a cpt-random coin state.
+        # duplicate labels, fan-out), the tree builder a repeated label or a
+        # broken preorder, and setstate a cpt-random coin state.
         raise ModelFormatError(f"invalid {mode} model: {exc}") from exc
     est.updates = updates
     s.finish("structure records")

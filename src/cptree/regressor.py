@@ -9,7 +9,8 @@ target, given raw(x) when the caller already has it.
 A KWayTree node holds k - 1 rows that always score and step on the same x.
 It has the block form of that interface, RegressorBlock: raws(x), the raw
 scores of every row in one pass over x, which adds four features to every
-row per list pass, in x's order; update(x, targets, raws=None), one step of
+row per list pass, in x's order, and the last one to three one at a time,
+whatever x's length; update(x, targets, raws=None), one step of
 every row; and iteration, which yields each row as a LinearRegressor. A
 block keeps no record of which rows have stepped on a feature: each row it
 yields holds a weight for every feature the block stores, 0.0 where that row
@@ -114,16 +115,23 @@ class RegressorBlock:
         self._weights: dict[int, array] = {}
 
     def raws(self, x: SparseVector) -> list[float]:
-        """Every row's unclipped score bias + w . x, in one pass over x. Long x
-        goes to _add_by_fours, so that short x pays none of its closure cells."""
+        """Every row's unclipped score bias + w . x, in one pass over x.
+
+        Features that the block stores are added in x's order, four per list
+        pass: t + wa*va + wb*vb + wc*vc + wd*vd sums left to right, so each
+        total is the one that one pass per feature gives, bit for bit, with a
+        quarter of the lists built.
+        """
         totals = list(self._biases)
-        weights = self._weights
-        if len(x.indices) >= 4:
-            return _add_by_fours(totals, weights, x)
-        for i, v in zip(x.indices, x.values):
-            row = weights.get(i)
-            if row is not None:
-                totals = [t + w * v for t, w in zip(totals, row)]
+        get = self._weights.get
+        present = [(row, v) for i, v in zip(x.indices, x.values) if (row := get(i)) is not None]
+        whole = len(present) & ~3
+        quads = iter(present[:whole])
+        for (ra, va), (rb, vb), (rc, vc), (rd, vd) in zip(quads, quads, quads, quads):
+            totals = [t + wa * va + wb * vb + wc * vc + wd * vd
+                      for t, wa, wb, wc, wd in zip(totals, ra, rb, rc, rd)]
+        for row, v in present[whole:]:
+            totals = [t + w * v for t, w in zip(totals, row)]
         return totals
 
     def update(self, x: SparseVector, targets: Sequence[float],
@@ -168,20 +176,3 @@ class RegressorBlock:
             reg.weights = {i: row[r] for i, row in self._weights.items()}
             yield reg
 
-
-def _add_by_fours(totals: list[float], weights: dict[int, array], x: SparseVector) -> list[float]:
-    """totals plus w * v for each feature of x that weights stores, in x's
-    order, four features per list pass: t + wa*va + wb*vb + wc*vc + wd*vd
-    sums left to right, so each total is the one that one pass per feature
-    gives, bit for bit, with a quarter of the lists built.
-    """
-    get = weights.get
-    present = [(row, v) for i, v in zip(x.indices, x.values) if (row := get(i)) is not None]
-    whole = len(present) & ~3
-    quads = iter(present[:whole])
-    for (ra, va), (rb, vb), (rc, vc), (rd, vd) in zip(quads, quads, quads, quads):
-        totals = [t + wa * va + wb * vb + wc * vc + wd * vd
-                  for t, wa, wb, wc, wd in zip(totals, ra, rb, rc, rd)]
-    for row, v in present[whole:]:
-        totals = [t + w * v for t, w in zip(totals, row)]
-    return totals

@@ -23,10 +23,6 @@ class UnknownLabelError(KeyError):
     """Raised when an operation requires a label the tree has not seen."""
 
 
-class CorruptTreeError(RuntimeError):
-    """Raised when stored subtree counts disagree with a fresh recount."""
-
-
 def insert_objective(p: float, left: int, right: int, alpha: float) -> float:
     """Score for sending a new label to the right of a node.
 
@@ -101,7 +97,7 @@ class _Node:
 
 @dataclass
 class DepthStats:
-    """Exact structural summary recomputed by traversal."""
+    """Leaf depths of a tree, counted by traversal."""
 
     n_leaves: int
     max_depth: int
@@ -165,26 +161,64 @@ class CondProbTree:
         """Build a fixed balanced tree over labels known up front (untrained).
 
         Labels occupy leaves left to right; later online inserts still work and
-        follow the objective at alpha = 1.
+        follow the objective at alpha = 1. A repeated label raises ValueError.
         """
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels")
         tree = cls(alpha=1.0, learning_rate=learning_rate, regressor_factory=regressor_factory)
 
-        def build(lo: int, hi: int, parent: int | None) -> int:
-            count = hi - lo
-            node_id = tree._add_node(labels[lo] if count == 1 else None, parent)
-            if count > 1:
-                mid = lo + (count + 1) // 2
-                node = tree.nodes[node_id]
-                node.left = build(lo, mid, node_id)
-                node.right = build(mid, hi, node_id)
-                node.n_left, node.n_right = mid - lo, hi - mid
-            return node_id
+        def records(lo: int, hi: int):
+            if hi - lo == 1:
+                yield labels[lo], None
+            else:
+                yield None, None
+                mid = lo + (hi - lo + 1) // 2
+                yield from records(lo, mid)
+                yield from records(mid, hi)
 
         if labels:
-            tree.root = build(0, len(labels), None)
+            tree._build_preorder(records(0, len(labels)))
         return tree
+
+    def _build_preorder(self, records) -> None:
+        """Fill this empty tree from its nodes in preorder, each given as
+        (label, regressor): label None for an internal node, regressor None
+        for a fresh one. A node's id is its record number.
+
+        Raises ValueError on a repeated label and on records that go on
+        after the tree is complete or end inside a subtree.
+        """
+        nodes, leaf_index, factory = self.nodes, self.leaf_index, self._factory
+        # A node's parent is the last internal node whose right child has not
+        # come yet.
+        waiting: list[int] = []
+        for node_id, (label, reg) in enumerate(records):
+            if waiting:
+                parent = waiting[-1]
+                if nodes[parent].left is None:
+                    nodes[parent].left = node_id
+                else:
+                    nodes[parent].right = node_id
+                    waiting.pop()
+            elif node_id:
+                raise ValueError("node records continue after the tree is complete")
+            else:
+                parent, self.root = None, node_id
+            nodes.append(_Node(label, factory() if reg is None else reg, parent))
+            if label is None:
+                waiting.append(node_id)
+            elif label in leaf_index:
+                raise ValueError(f"label {label!r} appears twice")
+            else:
+                leaf_index[label] = node_id
+        if waiting:
+            raise ValueError("node records end inside a subtree")
+        # Every child comes after its parent, so in reverse each child's leaf
+        # count is known before its parent's.
+        leaves = [1] * len(nodes)
+        for node_id in reversed(range(len(nodes))):
+            node = nodes[node_id]
+            if not node.is_leaf:
+                node.n_left, node.n_right = leaves[node.left], leaves[node.right]
+                leaves[node_id] = node.n_left + node.n_right
 
     def _add_node(self, label: str | None, parent: int | None) -> int:
         """Append a node with a fresh regressor; index it if a leaf."""
@@ -200,7 +234,7 @@ class CondProbTree:
 
     @property
     def max_depth(self) -> int:
-        """Depth of the deepest leaf, recounted by depth_stats() on every read."""
+        """Depth of the deepest leaf, counted by depth_stats() on every read."""
         return self.depth_stats().max_depth
 
     def path_to(self, y: str) -> list[tuple[int, int]]:
@@ -368,33 +402,14 @@ class CondProbTree:
         return order
 
     def depth_stats(self) -> DepthStats:
-        """Recount leaves and depths by traversal, cross-checking stored counts."""
+        """Leaves per depth, counted by one preorder traversal."""
         nodes = self.nodes
-        leaf_counts = [0] * len(nodes)
         histogram: dict[int, int] = {}
-        # Children come after their parent in preorder, so in reverse every
-        # child's leaf count is known before its parent is checked.
-        for node_id, depth in reversed(self.preorder()):
-            node = nodes[node_id]
-            if node.is_leaf:
-                leaf_counts[node_id] = 1
+        for node_id, depth in self.preorder():
+            if nodes[node_id].is_leaf:
                 histogram[depth] = histogram.get(depth, 0) + 1
-                continue
-            left_count = leaf_counts[node.left]
-            right_count = leaf_counts[node.right]
-            if left_count != node.n_left or right_count != node.n_right:
-                raise CorruptTreeError(
-                    f"node {node_id}: stored counts ({node.n_left}, {node.n_right})"
-                    f" != recount ({left_count}, {right_count})"
-                )
-            leaf_counts[node_id] = left_count + right_count
-        leaves = sum(histogram.values())
-        if leaves != len(self.leaf_index):
-            raise CorruptTreeError(
-                f"{leaves} leaves found but {len(self.leaf_index)} labels indexed"
-            )
         return DepthStats(
-            n_leaves=leaves,
+            n_leaves=sum(histogram.values()),
             max_depth=max(histogram, default=0),
             total_leaf_depth=sum(depth * count for depth, count in histogram.items()),
             depth_histogram=histogram,

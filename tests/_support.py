@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +16,21 @@ from cptree.synthetic import SyntheticTask
 
 # One line per acceptance criterion, echoed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*argv, **env) -> None:
+    """Run a fresh interpreter on argv from the repository root, with this
+    checkout's src/ first on its path and env added to its environment, and
+    assert that it exits with status 0."""
+    env = {**os.environ, **env}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, *map(str, argv)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class ConstantRegressor:
@@ -138,6 +157,24 @@ class RowListKWayTree(_RowListNodes, KWayTree):
 
 class RowListPecocModel(_RowListNodes, PecocModel):
     """PecocModel whose one node is k - 1 separate LinearRegressors."""
+
+
+def check_leaf_counts(tree) -> None:
+    """Assert that every internal node of tree stores the leaf counts of its
+    two subtrees, recounted from the leaves up, and that its leaves are the
+    ones leaf_index names."""
+    nodes = tree.nodes
+    counts = {}  # node id -> leaves in its subtree
+    leaves = []
+    for node_id, _ in reversed(tree.preorder()):
+        node = nodes[node_id]
+        if node.is_leaf:
+            leaves.append((node.label, node_id))
+            counts[node_id] = 1
+        else:
+            assert (node.n_left, node.n_right) == (counts[node.left], counts[node.right]), node_id
+            counts[node_id] = node.n_left + node.n_right
+    assert sorted(leaves) == sorted(tree.leaf_index.items())
 
 
 def count_calls(monkeypatch, owner: type, name: str) -> list[int]:

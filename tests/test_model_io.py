@@ -26,6 +26,8 @@ from cptree import (
 from cptree.model_io import MODES, ModelFormatError
 from cptree.synthetic import SyntheticTask
 
+from _support import check_leaf_counts
+
 
 TASK = SyntheticTask.random(contexts=6, labels=12, seed=50)
 TRAIN = TASK.sample(300, seed=51)
@@ -92,6 +94,8 @@ def test_round_trip_reproduces_predictions_exactly(mode, tmp_path):
     loaded = load_model(path)
     assert loaded.mode == mode
     assert loaded.config == cfg
+    if isinstance(loaded.estimator, CondProbTree):
+        check_leaf_counts(loaded.estimator)
     for example in HELD_OUT:
         assert loaded.estimator.score(example.x, example.y) == est.score(
             example.x, example.y
@@ -332,6 +336,7 @@ def test_loaded_tree_keeps_learning_consistently(tmp_path):
     path = tmp_path / "model.bin"
     save_model(path, "cpt-online", cfg, est)
     twin = load_model(path).estimator
+    check_leaf_counts(twin)
     # The loader numbers nodes by their preorder record, while insertion
     # appended the trained tree's nodes out of preorder: the ids differ, yet
     # scores and saved bytes must agree.
@@ -355,6 +360,7 @@ def test_reloaded_random_tree_flips_the_coins_the_saved_one_would(tmp_path):
     path = tmp_path / "model.bin"
     save_model(path, "cpt-random", cfg, est)
     twin = load_model(path).estimator
+    check_leaf_counts(twin)
     for i, example in enumerate(HELD_OUT[:40]):
         est.learn(example.x, f"new{i}")
         twin.learn(example.x, f"new{i}")
@@ -465,6 +471,7 @@ def test_malformed_tree_records_are_rejected(edits, message, tmp_path):
 def test_unedited_two_leaf_tree_loads(tmp_path):
     tree = load_model(_two_leaf_tree_file(tmp_path)).estimator
     assert tree.leaf_index == {"A": 1, "B": 2}
+    check_leaf_counts(tree)
 
 
 def _root_regressor_file(tmp_path, edits):

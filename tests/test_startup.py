@@ -6,16 +6,13 @@ The start-up check runs in a fresh interpreter, since this test process has
 imported numpy long before.
 """
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import cptree
 
-ROOT = Path(__file__).resolve().parent.parent
+from _support import run_python
 
 STREAM = ["A | c0", "B | c1", "C | c2", "A | c0 c1:0.5", "B | c1 c2:0.25", "C | c2"]
 
@@ -42,16 +39,6 @@ assert "numpy" not in sys.modules, "numpy was imported"
 """
 
 
-def _run_child(script, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-
-
 @pytest.fixture()
 def stream(tmp_path):
     path = tmp_path / "stream.txt"
@@ -60,7 +47,7 @@ def stream(tmp_path):
 
 
 def test_every_mode_and_tradeoff_run_without_numpy(stream, tmp_path):
-    _run_child(NUMPY_FREE_CHILD, stream, stream, tmp_path)
+    run_python("-c", NUMPY_FREE_CHILD, stream, stream, tmp_path)
 
 
 # The one export that has no __module__ of its own.

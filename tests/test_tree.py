@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cptree import (
     CondProbTree,
-    CorruptTreeError,
     UnknownLabelError,
     insert_direction,
     insert_objective,
@@ -22,7 +21,7 @@ from cptree import (
 )
 from cptree.synthetic import install_oracle_regressors
 
-from _support import ConstantRegressor, product_bounds, tiny_task, vec
+from _support import ConstantRegressor, check_leaf_counts, product_bounds, tiny_task, vec
 
 
 X = vec(("q", 1.0))
@@ -341,7 +340,7 @@ def test_random_policy_stream_keeps_one_leaf_per_label():
     for _ in range(600):
         tree.learn(vec((f"f{rng.randrange(5)}", 1.0)), rng.choice(labels))
     assert tree.n_labels == len({y for y in labels})
-    tree.depth_stats()  # recount must agree
+    check_leaf_counts(tree)
 
 
 def test_side_occupancy_bound_nonstrict():
@@ -436,12 +435,17 @@ def test_depth_stats_of_perfect_four_leaf_tree():
     assert stats.depth_histogram == {2: 4}
 
 
-def test_depth_stats_detects_corrupted_counts():
-    tree = grown(["a", "b", "c", "d", "e"])
-    root = tree.nodes[tree.root]
-    root.n_left += 1
-    with pytest.raises(CorruptTreeError):
-        tree.depth_stats()
+def test_balanced_tree_over_no_label_is_empty():
+    tree = CondProbTree.balanced([])
+    assert tree.root is None and tree.nodes == []
+    stats = tree.depth_stats()
+    assert (stats.n_leaves, stats.max_depth, stats.total_leaf_depth,
+            stats.depth_histogram) == (0, 0, 0, {})
+
+
+def test_balanced_tree_rejects_a_repeated_label():
+    with pytest.raises(ValueError, match="label 'a' appears twice"):
+        CondProbTree.balanced(["a", "b", "a"])
 
 
 def _check_preorder(tree):
@@ -480,12 +484,15 @@ def test_preorder_of_grown_trees(stream, policy, alpha):
     for label, feature in stream:
         tree.learn(vec((f"f{feature}", 1.0)), f"y{label}")
     _check_preorder(tree)
+    check_leaf_counts(tree)
 
 
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(0, 70))
 def test_preorder_of_balanced_trees(n):
-    _check_preorder(CondProbTree.balanced([f"y{i}" for i in range(n)]))
+    tree = CondProbTree.balanced([f"y{i}" for i in range(n)])
+    _check_preorder(tree)
+    check_leaf_counts(tree)
 
 
 # --- bounds -----------------------------------------------------------------
