@@ -45,9 +45,13 @@ def decode_probability(bits: Sequence[int], row_values: Sequence[float]) -> floa
     subset of row i. row_values[i] estimates P(label in subset of row i | x);
     row 0 is the trivial all-labels subset and is conventionally pinned to 1.
     The result is exact when the row values are exact, but may fall outside
-    [0, 1] otherwise; callers clip as needed.
+    [0, 1] otherwise; callers clip as needed. The terms are added left to
+    right in a plain loop: from Python 3.12 the builtin sum() compensates
+    float rounding, and a score would then depend on the interpreter.
     """
-    agree = sum(v if b else 1.0 - v for b, v in zip(bits, row_values, strict=True))
+    agree = 0.0
+    for b, v in zip(bits, row_values, strict=True):
+        agree += v if b else 1.0 - v
     return 2.0 * (agree / len(bits)) - 1.0
 
 

@@ -1,9 +1,24 @@
 import math
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cptree import ParseError, format_example_line, from_tokens, parse_example_line, read_examples
+import cptree.data as data
+import cptree.features as features
+from cptree import (
+    Example,
+    ParseError,
+    canonicalize,
+    format_example_line,
+    from_tokens,
+    parse_example_line,
+    read_example_file,
+    read_examples,
+)
 from cptree.features import hash_feature
 
 
@@ -127,3 +142,158 @@ def test_parser_never_crashes_on_mutated_lines():
             assert example.y
         except ParseError:
             pass  # rejected cleanly
+
+
+# --- the raw-token memo ------------------------------------------------------
+
+def _uncached_parse(line, hash_bits):
+    """parse_example_line without either cache: split every token, hash every
+    name, then canonicalize, each fault as a ParseError."""
+    label, tail = data._split_label(line, None)
+    pairs = []
+    for token in tail.split():
+        name, colon, weight = token.rpartition(":")
+        if not colon:
+            pairs.append((weight, 1.0))
+        elif not name:
+            raise ParseError(f"feature name missing in {token!r}")
+        else:
+            try:
+                pairs.append((name, float(weight)))
+            except ValueError:
+                raise ParseError(f"non-numeric weight {weight!r} in {token!r}") from None
+    try:
+        return Example(canonicalize([(hash_feature(n, hash_bits), w) for n, w in pairs],
+                                    hash_bits), label)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _outcome(parse, line, hash_bits):
+    """repr of the parsed example, or the text of the ParseError raised."""
+    try:
+        return repr(parse(line, hash_bits))
+    except ParseError as exc:
+        return "ParseError", str(exc)
+
+
+def _fresh(caches):
+    return {bits: {} for bits in caches}
+
+
+_WIDE_LINES = [
+    "L17 | ctx=3:0.25 grp=3:0.25 w647:0.25 w12:0.25 w9:0.25 w13001:0.25",
+    "L2 | ctx=40:0.25 grp=8:0.25 w12:0.25 w647:0.25 w5:0.25 w88:0.25 w9:0.25",
+    "L900 | ctx=3:0.25 grp=3:0.25 w1:0.25 w2:0.25 w3:0.25 w4:0.25 w5:0.25 w6:0.25",
+]
+_ODD_TOKENS = ["a", "a:", ":1", "a:b:2", "a:nan", "a:1e999", "a:0", "a:-0.0", "a:1",
+               "a:-1", "b:0.5", "b:-0.5", "a:b", ":", "a::2", "w647:0.25", "w12:0.25"]
+
+
+@st.composite
+def _mutated_wide_lines(draw):
+    chars = list(draw(st.sampled_from(_WIDE_LINES)))
+    for _ in range(draw(st.integers(0, 5))):
+        pos = draw(st.integers(0, len(chars)))
+        action = draw(st.sampled_from(["replace", "insert", "delete"]))
+        char = draw(st.sampled_from("aw|:. 01\t-+en"))
+        if action == "insert" or pos == len(chars):
+            chars.insert(pos, char)
+        elif action == "replace":
+            chars[pos] = char
+        else:
+            del chars[pos]
+    return "".join(chars)
+
+
+_TOKEN_LINES = st.lists(st.sampled_from(_ODD_TOKENS), max_size=12).map(
+    lambda tokens: " ".join(["y", "|", *tokens]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.one_of(_mutated_wide_lines(), _TOKEN_LINES),
+       hash_bits=st.sampled_from([10, 18, 30, 5]))
+def test_memoized_parse_equals_parsing_without_caches(line, hash_bits):
+    expected = _outcome(_uncached_parse, line, hash_bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_token_memos", _fresh(data._token_memos))
+        mp.setattr(features, "_index_caches", _fresh(features._index_caches))
+        assert _outcome(parse_example_line, line, hash_bits) == expected  # cold
+        assert _outcome(parse_example_line, line, hash_bits) == expected  # warm
+        # A fresh memo so small that a fifth new token clears it mid-line.
+        mp.setattr(data, "_TOKEN_MEMO_CAP", 4)
+        mp.setattr(data, "_token_memos", _fresh(data._token_memos))
+        assert _outcome(parse_example_line, line, hash_bits) == expected
+        assert all(len(memo) <= 4 for memo in data._token_memos.values())
+
+
+def test_memos_are_per_hash_bits():
+    for bits in (30, 10, 30):
+        assert parse_example_line("y | memo-bits:2", bits).x.indices == (
+            hash_feature("memo-bits", bits),)
+
+
+def test_faults_come_out_in_check_order_when_the_memo_knows_earlier_tokens(monkeypatch):
+    monkeypatch.setattr(data, "_token_memos", _fresh(data._token_memos))
+    with pytest.raises(ParseError):
+        parse_example_line("y | a:nan b c:1e999")  # which memoizes all three tokens
+    assert {"a:nan", "b", "c:1e999"} <= data._token_memos[18].keys()
+    with pytest.raises(ParseError, match=r"^non-numeric weight '' in 'd:'$"):
+        parse_example_line("y | a:nan b d: :2 c:1e999")
+    with pytest.raises(ParseError, match=r"^feature name missing in ':2'$"):
+        parse_example_line("y | a:nan b :2 d:")
+    with pytest.raises(ParseError, match=r"^hash_bits must be in \[10, 30\], got 5$"):
+        parse_example_line("y | a:nan b", 5)
+    with pytest.raises(ParseError, match=r"^hash_bits out of range: 5$"):
+        parse_example_line("y |", 5)
+    with pytest.raises(ParseError, match=r"^non-finite value for index \d+: nan$"):
+        parse_example_line("y | b a:nan c:1e999")
+
+
+def test_second_parse_of_a_file_indexes_no_token_and_shares_indices(tmp_path, monkeypatch):
+    stream = tmp_path / "stream.txt"
+    stream.write_text(
+        "".join(f"y{i} | memo-{i}:0.5 memo-{i + 1}:0.5 memo-shared\n" for i in range(50)),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(data, "_token_memos", _fresh(data._token_memos))
+    indexed = []
+    index = features._indexed
+    monkeypatch.setattr(features, "_indexed",
+                        lambda pairs, bits: indexed.extend(pairs) or index(pairs, bits))
+    first = list(read_example_file(stream))
+    assert len(indexed) == len(set(indexed)) == 52
+    indexed.clear()
+    second = list(read_example_file(stream))
+    assert indexed == []
+    assert [ex.x for ex in second] == [ex.x for ex in first]
+    for a, b in zip(first, second):
+        assert all(i is j for i, j in zip(a.x.indices, b.x.indices))
+
+
+def test_threads_sharing_the_memo_get_the_uncached_examples(monkeypatch):
+    # Four threads, a memo cleared at every fifth new token and a 1 us
+    # switch interval: any interleaving of lookups, inserts and clears
+    # must leave every example as parsing without caches makes it.
+    monkeypatch.setattr(data, "_TOKEN_MEMO_CAP", 4)
+    batches = [["y | " + " ".join(f"t{(w * 7 + j * 3 + k) % 40}:{0.5 + k}" for k in range(6))
+                for j in range(60)] for w in range(4)]
+    expected = [[_uncached_parse(line, 18) for line in batch] for batch in batches]
+    results = [None] * len(batches)
+
+    def work(w):
+        results[w] = [parse_example_line(line) for _ in range(5) for line in batches[w]]
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
+    for w, got in enumerate(results):
+        assert got == expected[w] * 5

@@ -105,6 +105,13 @@ def test_uninformative_rows_decode_to_zero():
             assert decode_probability(code[:, y], [0.5] * size) == 0.0
 
 
+def test_decode_adds_rows_left_to_right_on_every_python():
+    # 1 + 1e16 rounds to 1e16, as does adding the next 1, so a plain sum
+    # reaches 0 and decodes to -1. A compensated sum, such as the builtin
+    # sum() of floats from Python 3.12, reaches 2 and decodes to 0.
+    assert decode_probability([1, 1, 1, 1], [1.0, 1e16, 1.0, -1e16]) == -1.0
+
+
 def test_oracle_rows_decode_exactly():
     rng = np.random.default_rng(21)
     for t, n in ((1, 2), (2, 4), (3, 8), (4, 16)):
