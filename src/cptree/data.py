@@ -5,12 +5,10 @@ whitespace-separated tokens with an optional numeric weight after the last
 colon (default 1.0). Feature tokens are hashed at parse time, so downstream
 consumers only ever see canonical sparse vectors.
 
-A feature token's (index, weight) is a pure function of its text and
-hash_bits, so the parser memoizes it per raw token: a token seen before costs
-one dict lookup, and only a new one is split at its last colon, converted by
-float() and indexed through the name -> index cache in ``features``.
-``features.canonicalize`` then merges, sorts, drops zeros and checks
-finiteness, as for every other vector.
+A line's vector is a pure function of its feature text (all after the '|')
+and hash_bits, so the parser memoizes it: a text seen before, as on every
+line of a re-read file, costs one dict lookup and gives back the same
+immutable SparseVector. A new text is parsed as without the memo.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ import math
 import os
 from typing import Iterable, Iterator
 
-from . import features
 from .features import DEFAULT_HASH_BITS, MAX_HASH_BITS, MIN_HASH_BITS, Example
-from .features import from_tokens  # noqa: F401 -- not called here; bench/tracing.py wraps it here
+from .features import SparseVector, from_tokens
 
 
 class ParseError(ValueError):
@@ -47,11 +44,12 @@ def _split_label(line: str, line_number: int | None) -> tuple[str, str]:
     return label_tokens[0], tail
 
 
-# The raw token memos, one per hash_bits. A full memo is cleared, like the
-# name cache; entries are pure functions of their token, so threads that
-# share a memo, or a clear between them, change no result.
-_TOKEN_MEMO_CAP = 1 << 15
-_token_memos: dict[int, dict] = {
+# The feature-text memos, one per hash_bits. A full memo takes no new
+# entries; one entry of a 32-token line holds about 2.8 KB, so a full memo
+# of such lines about 11 MB. Entries are pure functions of their text, so
+# threads that share a memo change no result.
+_FEATURES_MEMO_CAP = 1 << 12
+_features_memos: dict[int, dict[str, SparseVector]] = {
     bits: {} for bits in range(MIN_HASH_BITS, MAX_HASH_BITS + 1)
 }
 
@@ -59,47 +57,39 @@ _token_memos: dict[int, dict] = {
 def parse_example_line(
     line: str, hash_bits: int = DEFAULT_HASH_BITS, line_number: int | None = None
 ) -> Example:
-    """Parse one example line.
-
-    Faults are reported in the order of the checks: a malformed token (the
-    first one), then an unusable hash_bits, then canonicalize's checks.
-    """
     label, tail = _split_label(line, line_number)
-    tokens = tail.split()
-    # An unusable hash_bits gets a throwaway memo, so every token misses and
-    # indexing the first one, or SparseVector, rejects it.
-    memo = _token_memos.get(hash_bits, {})
-    entries = list(map(memo.get, tokens))
-    misses: list[int] = []
+    # Any hash_bits but a usable int gets a throwaway memo, so that parsing
+    # rejects it as it would without the memo.
+    memo = _features_memos.get(hash_bits, {}) if type(hash_bits) is int else {}
+    x = memo.get(tail)
+    if x is None:
+        x = _parse_features(tail, hash_bits, line_number)
+        if len(memo) < _FEATURES_MEMO_CAP:
+            memo[tail] = x
+    return Example(x, label)
+
+
+def _parse_features(tail: str, hash_bits: int, line_number: int | None) -> SparseVector:
+    """The vector of a line's feature text; a fault raises ParseError."""
     pairs: list[tuple[str, float]] = []
-    if None in entries:
-        for i, entry in enumerate(entries):  # every miss is split before any is indexed
-            if entry is not None:
-                continue
-            token = tokens[i]
-            name, colon, raw_weight = token.rpartition(":")
-            if not colon:  # no weight: rpartition leaves the whole token last
-                name, weight = raw_weight, 1.0
-            elif not name:
-                raise ParseError(f"feature name missing in {token!r}", line_number)
-            else:
-                try:
-                    weight = float(raw_weight)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric weight {raw_weight!r} in {token!r}", line_number
-                    ) from None
-            misses.append(i)
-            pairs.append((name, weight))
+    for token in tail.split():
+        name, colon, raw_weight = token.rpartition(":")
+        if not colon:  # no weight: rpartition leaves the whole token last
+            name, weight = raw_weight, 1.0
+        elif not name:
+            raise ParseError(f"feature name missing in {token!r}", line_number)
+        else:
+            try:
+                weight = float(raw_weight)
+            except ValueError:
+                raise ParseError(
+                    f"non-numeric weight {raw_weight!r} in {token!r}", line_number
+                ) from None
+        pairs.append((name, weight))
     try:
-        for i, entry in zip(misses, features._indexed(pairs, hash_bits)):
-            if len(memo) >= _TOKEN_MEMO_CAP:
-                memo.clear()
-            memo[tokens[i]] = entries[i] = entry
-        x = features.canonicalize(entries, hash_bits)
+        return from_tokens(pairs, hash_bits)
     except ValueError as exc:
         raise ParseError(str(exc), line_number) from None
-    return Example(x, label)
 
 
 def format_example_line(label: str, features: Iterable[tuple[str, float]]) -> str:

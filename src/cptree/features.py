@@ -4,13 +4,6 @@ Feature tokens are mapped into a fixed-size index space by a deterministic
 hash, so millions of per-node regressors fit in RAM and the same token always
 lands in the same bucket across processes and runs. Collisions alias
 additively, which is the usual hashing-trick trade-off.
-
-Each process hashes a token name once per hash_bits: ``from_tokens`` and the
-text parser in ``data`` look names up in a name -> index cache first. The
-parser puts a memo from raw token text (``w647:0.25``) to (index, weight) in
-front of that cache; the cache stays, since in real-valued data
-(``age:37.2``) names repeat where whole texts do not. ``canonicalize`` is the
-one place that merges, sorts, drops zeros and checks finiteness.
 """
 
 from __future__ import annotations
@@ -130,10 +123,6 @@ _index_caches: dict[int, dict] = {
 def _indexed(
     tokens: Iterable[tuple[str, float]], hash_bits: int
 ) -> Iterator[tuple[int, float]]:
-    """(index, weight) for each (token, weight), through the name cache.
-
-    from_tokens and data.parse_example_line both index through it.
-    """
     # An unusable hash_bits gets a throwaway dict, and hash_feature or
     # SparseVector rejects it.
     cache = _index_caches.get(hash_bits, {})

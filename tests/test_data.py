@@ -4,7 +4,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cptree.data as data
@@ -144,11 +144,11 @@ def test_parser_never_crashes_on_mutated_lines():
             pass  # rejected cleanly
 
 
-# --- the raw-token memo ------------------------------------------------------
+# --- the feature-text memo ---------------------------------------------------
 
 def _uncached_parse(line, hash_bits):
-    """parse_example_line without either cache: split every token, hash every
-    name, then canonicalize, each fault as a ParseError."""
+    """parse_example_line without either cache: split every token, then hash
+    each name as canonicalize reaches it, each fault as a ParseError."""
     label, tail = data._split_label(line, None)
     pairs = []
     for token in tail.split():
@@ -163,7 +163,9 @@ def _uncached_parse(line, hash_bits):
             except ValueError:
                 raise ParseError(f"non-numeric weight {weight!r} in {token!r}") from None
     try:
-        return Example(canonicalize([(hash_feature(n, hash_bits), w) for n, w in pairs],
+        # A generator, as in from_tokens: each name is hashed only when
+        # canonicalize has checked the weights before it.
+        return Example(canonicalize(((hash_feature(n, hash_bits), w) for n, w in pairs),
                                     hash_bits), label)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
@@ -187,7 +189,8 @@ _WIDE_LINES = [
     "L900 | ctx=3:0.25 grp=3:0.25 w1:0.25 w2:0.25 w3:0.25 w4:0.25 w5:0.25 w6:0.25",
 ]
 _ODD_TOKENS = ["a", "a:", ":1", "a:b:2", "a:nan", "a:1e999", "a:0", "a:-0.0", "a:1",
-               "a:-1", "b:0.5", "b:-0.5", "a:b", ":", "a::2", "w647:0.25", "w12:0.25"]
+               "a:-1", "b:0.5", "b:-0.5", "a:b", ":", "a::2", "w647:0.25", "w12:0.25",
+               "\ud800", "\ud800:2"]  # a lone surrogate cannot be encoded, so not hashed
 
 
 @st.composite
@@ -196,7 +199,7 @@ def _mutated_wide_lines(draw):
     for _ in range(draw(st.integers(0, 5))):
         pos = draw(st.integers(0, len(chars)))
         action = draw(st.sampled_from(["replace", "insert", "delete"]))
-        char = draw(st.sampled_from("aw|:. 01\t-+en"))
+        char = draw(st.sampled_from("aw|:. 01\t-+en\ud800"))
         if action == "insert" or pos == len(chars):
             chars.insert(pos, char)
         elif action == "replace":
@@ -213,18 +216,24 @@ _TOKEN_LINES = st.lists(st.sampled_from(_ODD_TOKENS), max_size=12).map(
 @settings(max_examples=300, deadline=None)
 @given(line=st.one_of(_mutated_wide_lines(), _TOKEN_LINES),
        hash_bits=st.sampled_from([10, 18, 30, 5]))
+@example(line="y | a:nan \ud800", hash_bits=18)
+@example(line="y | \ud800 a:", hash_bits=18)
 def test_memoized_parse_equals_parsing_without_caches(line, hash_bits):
-    expected = _outcome(_uncached_parse, line, hash_bits)
+    # The same feature text under another label must come out relabelled.
+    relabelled = "other |" + line.partition("|")[2]
+    expected = [_outcome(_uncached_parse, text, hash_bits) for text in (line, relabelled)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(data, "_token_memos", _fresh(data._token_memos))
+        mp.setattr(data, "_features_memos", _fresh(data._features_memos))
         mp.setattr(features, "_index_caches", _fresh(features._index_caches))
-        assert _outcome(parse_example_line, line, hash_bits) == expected  # cold
-        assert _outcome(parse_example_line, line, hash_bits) == expected  # warm
-        # A fresh memo so small that a fifth new token clears it mid-line.
-        mp.setattr(data, "_TOKEN_MEMO_CAP", 4)
-        mp.setattr(data, "_token_memos", _fresh(data._token_memos))
-        assert _outcome(parse_example_line, line, hash_bits) == expected
-        assert all(len(memo) <= 4 for memo in data._token_memos.values())
+        for _ in range(2):  # cold, then warm
+            assert [_outcome(parse_example_line, text, hash_bits)
+                    for text in (line, relabelled)] == expected
+        # A full memo takes nothing new, and still answers what it holds.
+        mp.setattr(data, "_FEATURES_MEMO_CAP", 0)
+        mp.setattr(data, "_features_memos", _fresh(data._features_memos))
+        assert [_outcome(parse_example_line, text, hash_bits)
+                for text in (line, relabelled)] == expected
+        assert not any(data._features_memos.values())
 
 
 def test_memos_are_per_hash_bits():
@@ -233,50 +242,51 @@ def test_memos_are_per_hash_bits():
             hash_feature("memo-bits", bits),)
 
 
-def test_faults_come_out_in_check_order_when_the_memo_knows_earlier_tokens(monkeypatch):
-    monkeypatch.setattr(data, "_token_memos", _fresh(data._token_memos))
-    with pytest.raises(ParseError):
-        parse_example_line("y | a:nan b c:1e999")  # which memoizes all three tokens
-    assert {"a:nan", "b", "c:1e999"} <= data._token_memos[18].keys()
-    with pytest.raises(ParseError, match=r"^non-numeric weight '' in 'd:'$"):
-        parse_example_line("y | a:nan b d: :2 c:1e999")
-    with pytest.raises(ParseError, match=r"^feature name missing in ':2'$"):
-        parse_example_line("y | a:nan b :2 d:")
+def test_faults_are_not_memoized_and_hash_bits_is_checked_with_a_warm_memo(monkeypatch):
+    monkeypatch.setattr(data, "_features_memos", _fresh(data._features_memos))
+    for _ in range(2):
+        with pytest.raises(ParseError, match=r"^non-finite value for index \d+: nan$"):
+            parse_example_line("y | b a:nan \ud800")
+        with pytest.raises(ParseError, match=r"^'utf-8' codec can't encode"):
+            parse_example_line("y | b \ud800 a:nan")
+        with pytest.raises(ParseError, match=r"^line 4: non-numeric weight '' in 'd:'$"):
+            parse_example_line("y | a:nan b d: :2", line_number=4)
+    assert not data._features_memos[18]
+    parse_example_line("y | a b:2")
+    # The memo for 18 bits knows " a b:2" now; other hash_bits must not reach it.
     with pytest.raises(ParseError, match=r"^hash_bits must be in \[10, 30\], got 5$"):
-        parse_example_line("y | a:nan b", 5)
-    with pytest.raises(ParseError, match=r"^hash_bits out of range: 5$"):
-        parse_example_line("y |", 5)
-    with pytest.raises(ParseError, match=r"^non-finite value for index \d+: nan$"):
-        parse_example_line("y | b a:nan c:1e999")
+        parse_example_line("y | a b:2", 5)
+    with pytest.raises(TypeError):
+        parse_example_line("y | a b:2", 18.0)
 
 
-def test_second_parse_of_a_file_indexes_no_token_and_shares_indices(tmp_path, monkeypatch):
+def test_second_parse_of_a_file_parses_no_features_and_shares_vectors(tmp_path, monkeypatch):
     stream = tmp_path / "stream.txt"
     stream.write_text(
         "".join(f"y{i} | memo-{i}:0.5 memo-{i + 1}:0.5 memo-shared\n" for i in range(50)),
         encoding="utf-8",
     )
-    monkeypatch.setattr(data, "_token_memos", _fresh(data._token_memos))
-    indexed = []
-    index = features._indexed
-    monkeypatch.setattr(features, "_indexed",
-                        lambda pairs, bits: indexed.extend(pairs) or index(pairs, bits))
+    monkeypatch.setattr(data, "_features_memos", _fresh(data._features_memos))
+    parsed = []
+    parse = data._parse_features
+    monkeypatch.setattr(data, "_parse_features",
+                        lambda tail, *rest: parsed.append(tail) or parse(tail, *rest))
     first = list(read_example_file(stream))
-    assert len(indexed) == len(set(indexed)) == 52
-    indexed.clear()
+    assert len(parsed) == len(set(parsed)) == 50
+    parsed.clear()
     second = list(read_example_file(stream))
-    assert indexed == []
-    assert [ex.x for ex in second] == [ex.x for ex in first]
-    for a, b in zip(first, second):
-        assert all(i is j for i, j in zip(a.x.indices, b.x.indices))
+    assert parsed == []
+    assert [ex.y for ex in second] == [ex.y for ex in first]
+    assert all(a.x is b.x for a, b in zip(first, second))
 
 
 def test_threads_sharing_the_memo_get_the_uncached_examples(monkeypatch):
-    # Four threads, a memo cleared at every fifth new token and a 1 us
-    # switch interval: any interleaving of lookups, inserts and clears
-    # must leave every example as parsing without caches makes it.
-    monkeypatch.setattr(data, "_TOKEN_MEMO_CAP", 4)
-    batches = [["y | " + " ".join(f"t{(w * 7 + j * 3 + k) % 40}:{0.5 + k}" for k in range(6))
+    # Four threads share a memo that fills after 8 feature texts, under a
+    # 1 us switch interval: any interleaving of lookups and inserts must
+    # leave every example as parsing without caches makes it.
+    monkeypatch.setattr(data, "_features_memos", _fresh(data._features_memos))
+    monkeypatch.setattr(data, "_FEATURES_MEMO_CAP", 8)
+    batches = [[f"y{j} | " + " ".join(f"t{(w * 7 + j * 3 + k) % 40}:{0.5 + k}" for k in range(6))
                 for j in range(60)] for w in range(4)]
     expected = [[_uncached_parse(line, 18) for line in batch] for batch in batches]
     results = [None] * len(batches)
@@ -297,3 +307,4 @@ def test_threads_sharing_the_memo_get_the_uncached_examples(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     for w, got in enumerate(results):
         assert got == expected[w] * 5
+    assert len(data._features_memos[18]) <= 8 + len(batches)
