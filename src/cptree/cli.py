@@ -21,7 +21,17 @@ class CliError(Exception):
     """User-facing error; printed to stderr with a nonzero exit."""
 
 
+def _check_delta(args) -> None:
+    if not 0.0 < args.delta < 1.0:
+        raise ValueError(f"--delta must be in (0, 1), got {args.delta}")
+
+
 def _config_from_args(args) -> ModelConfig:
+    """The run's config. --passes and --delta are checked here, before any
+    model is trained."""
+    if args.passes < 1:
+        raise ValueError(f"--passes must be at least 1, got {args.passes}")
+    _check_delta(args)
     return ModelConfig(
         alpha=args.alpha,
         eta=args.eta,
@@ -94,6 +104,7 @@ def cmd_train(args, out) -> int:
 
 
 def cmd_eval(args, out) -> int:
+    _check_delta(args)
     loaded = load_model(args.model)
     if args.mode and args.mode != loaded.mode:
         raise CliError(

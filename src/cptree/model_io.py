@@ -363,7 +363,21 @@ def build_estimator(mode: str, config: ModelConfig, labels: Sequence[str] = ()):
     return _MODES[mode][0](config, labels)
 
 
+_F64 = struct.Struct("<d")
+# Each field of _CONFIG, in order, with the record that holds it.
+_CONFIG_FIELDS = (("alpha", _F64), ("eta", _F64), ("hash_bits", _U32), ("passes", _U32),
+                  ("k", _U32), ("delta", _F64), ("seed", _U64))
+
+
 def _check_config(config: ModelConfig) -> None:
+    """Raise ModelFormatError unless a model file can hold config and load it back."""
+    for name, field in _CONFIG_FIELDS:
+        value = getattr(config, name)
+        try:
+            field.pack(value)
+        except struct.error:
+            kind = "a number" if field is _F64 else f"an integer in [0, 2**{8 * field.size})"
+            raise ModelFormatError(f"{name} must be {kind}, got {value!r}") from None
     if not MIN_HASH_BITS <= config.hash_bits <= MAX_HASH_BITS:
         raise ModelFormatError(
             f"hash_bits must be in [{MIN_HASH_BITS}, {MAX_HASH_BITS}], got {config.hash_bits}"
@@ -388,14 +402,18 @@ def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
     # retraining passes.
     weights.write(_U64.pack(estimator.updates))
     _MODES[mode][1](estimator, config, structure, weights)
+    # The whole file is encoded before the path is opened, so a refused save
+    # writes nothing.
+    header = BytesIO()
+    header.write(MAGIC)
+    header.write(_U32.pack(FORMAT_VERSION))
+    _w_bytes(header, mode.encode("utf-8"))
+    header.write(_CONFIG.pack(
+        config.alpha, config.eta, config.hash_bits, config.passes,
+        config.k, config.delta, config.seed,
+    ))
     with open(path, "wb") as out:
-        out.write(MAGIC)
-        out.write(_U32.pack(FORMAT_VERSION))
-        _w_bytes(out, mode.encode("utf-8"))
-        out.write(_CONFIG.pack(
-            config.alpha, config.eta, config.hash_bits, config.passes,
-            config.k, config.delta, config.seed,
-        ))
+        out.write(header.getvalue())
         for section in (structure.getvalue(), weights.getvalue()):
             out.write(_U64.pack(len(section)))
             out.write(section)

@@ -15,16 +15,34 @@ from .features import SparseVector, clip01
 from .regressor import RegressorBlock
 
 MAX_CODE_EXPONENT = 16  # practical cap: codes up to 65536 columns
+# The code columns one KWayTree keeps, in bytes: every column of a k <= 1024 tree.
+COLUMN_MEMO_BYTES = 1 << 20
 
 
 def code_column(size: int, column: int) -> list[int]:
     """One column of the size x size code (size a power of two), as 0/1 ints.
 
     Entry (row, column) is 1 - popcount(row & column) mod 2: the doubling
-    recursion [[C, C], [C, 1-C]] from [[1, 1], [1, 0]], written directly. The
-    code is symmetric, so column c is also row c.
+    recursion [[C, C], [C, 1-C]] from [[1, 1], [1, 0]]. The code is
+    symmetric, so column c is also row c.
     """
-    return [1 - ((row & column).bit_count() & 1) for row in range(size)]
+    return list(_column_bytes(size, column))
+
+
+# Swaps the bytes 0 and 1: the complement of a 0/1 column.
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _column_bytes(size: int, column: int) -> bytes:
+    """code_column(size, column) as bytes, built by doubling: row r + 2^j
+    differs from row r < 2^j only in bit j of column, so each step appends the
+    rows so far, flipped when column has that bit set."""
+    bits = b"\x01"
+    half = 1
+    while half < size:
+        bits += bits.translate(_FLIP) if column & half else bits
+        half <<= 1
+    return bits
 
 
 def hadamard_code(t: int) -> list[list[int]]:
@@ -113,8 +131,12 @@ class KWayTree:
     only call that changes a regressor, and it clears the memo. Scoring every
     label of one x so evaluates and clips each node and decodes each child
     once, and learn(x, y) with the same x object steps from the raw scores
-    on y's path. predict is score without the memo: it reads nothing from it
-    and writes nothing to it.
+    on y's path. predict is score without the memo of x: it reads nothing
+    from it and writes nothing to it.
+    Each code column a node decodes or steps with is built by doubling and
+    kept as bytes, keyed by child digit, up to COLUMN_MEMO_BYTES per tree; past
+    that a column is rebuilt on each use. A column depends only on k and the
+    digit, so the kept columns are never cleared.
     """
 
     def __init__(self, labels: Sequence[str], k: int, learning_rate: float = 0.1):
@@ -139,6 +161,8 @@ class KWayTree:
         # (x, {(level, index): (raw scores of x, row values for decoding,
         # {digit: child estimate})}) of score; learn clears it.
         self._memo = None
+        # {digit: code column of the digit, as bytes}; see _bits.
+        self._columns: dict[int, bytes] = {}
 
     @property
     def n_labels(self) -> int:
@@ -169,6 +193,15 @@ class KWayTree:
     def _column(self, digit: int) -> int:
         return self.k - 1 - digit
 
+    def _bits(self, digit: int) -> bytes:
+        """Code column _column(digit), kept while the kept columns fit."""
+        bits = self._columns.get(digit)
+        if bits is None:
+            bits = _column_bytes(self.k, self._column(digit))
+            if (len(self._columns) + 1) * self.k <= COLUMN_MEMO_BYTES:
+                self._columns[digit] = bits
+        return bits
+
     def learn(self, x: SparseVector, y: str) -> None:
         memo = self._memo
         self._memo = None
@@ -180,7 +213,8 @@ class KWayTree:
                 raise ValueError(f"label capacity {self.capacity} exhausted; cannot add {y!r}")
             slot = self.label_map[y] = self.n_labels
         for level, index, digit in self._path(slot):
-            targets = [float(bit) for bit in code_column(self.k, self._column(digit))[1:]]
+            # The trained rows' targets: the column without its all-ones row.
+            targets = self._bits(digit)[1:]
             raws = nodes.get((level, index), (None,))[0]
             self.regressors_at(level, index).update(x, targets, raws)
         self.updates += (self.k - 1) * self.depth
@@ -193,8 +227,7 @@ class KWayTree:
             # prediction (column 0, all ones) or its complement (column 1).
             r = rows[1]
             return r if self._column(digit) == 0 else 1.0 - r
-        bits = code_column(self.k, self._column(digit))
-        return clip01(decode_probability(bits, rows))
+        return clip01(decode_probability(self._bits(digit), rows))
 
     def _raws(self, key: tuple[int, int], x: SparseVector) -> list[float]:
         block = self._node_regs.get(key)

@@ -138,9 +138,10 @@ class RegressorBlock:
                raws: Sequence[float] | None = None) -> None:
         """One gradient step of every row toward its target, each in [0, 1].
 
-        raws, when given, must be raws(x) as the block stands now. Raises
-        ValueError, leaving every row as it was, if a target is out of range
-        or any row's step is not finite.
+        targets may be floats or the ints 0 and 1 of a code column (bytes),
+        which t - raw converts exactly. raws, when given, must be raws(x) as
+        the block stands now. Raises ValueError, leaving every row as it was,
+        if a target is out of range or any row's step is not finite.
         """
         for target in targets:
             if not 0.0 <= target <= 1.0:

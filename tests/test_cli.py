@@ -359,6 +359,46 @@ def test_diverging_training_is_a_one_line_error_and_writes_no_model(tmp_path, ca
     assert not model.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+    (["--k", "-1"], "k must be an integer in [0, 2**32), got -1"),
+    (["--passes", "-2"], "--passes must be at least 1, got -2"),
+    (["--passes", "0"], "--passes must be at least 1, got 0"),
+    (["--delta", "1"], "--delta must be in (0, 1), got 1.0"),
+], ids=["seed", "k", "passes-negative", "passes-zero", "delta"])
+def test_train_refuses_a_config_it_cannot_save_and_writes_no_model(argv, message, streams,
+                                                                   tmp_path, capsys):
+    train, _ = streams
+    model = tmp_path / "m.bin"
+    assert run_cli("train", "--mode", "cpt-online", "--train", str(train),
+                   "--model", str(model), *argv)[0] == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
+
+
+def test_compare_refuses_zero_passes_before_training(streams, monkeypatch, capsys):
+    train, test = streams
+    monkeypatch.setattr("cptree.cli._train_estimator", lambda *args: pytest.fail("trained"))
+    assert run_cli("compare", "--modes", "cpt-online", "--train", str(train),
+                   "--test", str(test), "--passes", "0")[0] == 1
+    assert capsys.readouterr().err == "error: --passes must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("delta", ["0", "1", "2", "-0.5", "nan"])
+def test_delta_outside_the_unit_interval_is_refused_before_any_model(delta, streams,
+                                                                     monkeypatch, capsys):
+    train, test = streams
+    for name in ("load_model", "_train_estimator", "_new_estimator"):
+        monkeypatch.setattr(f"cptree.cli.{name}", lambda *args: pytest.fail("model touched"))
+    message = f"error: --delta must be in (0, 1), got {float(delta)}\n"
+    assert run_cli("eval", "--model", "m.bin", "--test", str(test), "--delta", delta)[0] == 1
+    assert capsys.readouterr().err == message
+    for extra in ([], ["--train", str(train)]):
+        assert run_cli("compare", "--modes", "cpt-online,oaa", "--test", str(test),
+                       *extra, "--delta", delta)[0] == 1
+        assert capsys.readouterr().err == message
+
+
 @pytest.mark.parametrize("command", ["eval", "inspect"])
 def test_corrupt_node_kind_is_a_one_line_error(command, streams, tmp_path, capsys):
     train, test = streams

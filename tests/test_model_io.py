@@ -239,6 +239,37 @@ def test_config_outside_its_domain_is_not_saved(mode, field, offset, value, mess
     assert not path.exists()
 
 
+@pytest.mark.parametrize("field, value, bits", [
+    ("seed", -1, 64), ("seed", 1 << 64, 64), ("k", -1, 32), ("passes", -2, 32),
+    ("passes", 1 << 32, 32), ("hash_bits", 18.0, 32), ("seed", 0.5, 64),
+])
+def test_config_a_file_cannot_hold_is_not_saved(field, value, bits, tmp_path):
+    # The header is packed before the path is opened: a refused save leaves
+    # no file behind, and an existing file as it was.
+    est = build_estimator("cpt-online", ModelConfig())
+    config = ModelConfig(**{field: value})
+    message = rf"^{field} must be an integer in \[0, 2\*\*{bits}\), got {value!r}$"
+    path = tmp_path / "model.bin"
+    with pytest.raises(ModelFormatError, match=message):
+        save_model(path, "cpt-online", config, est)
+    assert not path.exists()
+    path.write_bytes(b"kept")
+    with pytest.raises(ModelFormatError, match=message):
+        save_model(path, "cpt-online", config, est)
+    assert path.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", "0.5"), ("eta", None), ("delta", "0.05"), ("delta", 2**1024),
+])
+def test_config_reals_must_be_numbers_a_double_holds(field, value, tmp_path):
+    path = tmp_path / "model.bin"
+    message = f"^{field} must be a number, got {re.escape(repr(value))}$"
+    with pytest.raises(ModelFormatError, match=message):
+        save_model(path, "oaa", ModelConfig(**{field: value}), OneAgainstAll())
+    assert not path.exists()
+
+
 def _diverged_tree():
     # At eta 0.5 and a feature weight of 30 each update multiplies a
     # regressor's error by 1 - 0.5 * (30**2 + 1) = -449.5: a weight overflows

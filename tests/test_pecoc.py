@@ -17,7 +17,8 @@ from cptree import (
     loss_multiplier,
     save_model,
 )
-from cptree.pecoc import MAX_CODE_EXPONENT, code_column
+from cptree.features import clip01
+from cptree.pecoc import COLUMN_MEMO_BYTES, MAX_CODE_EXPONENT, code_column
 
 from _support import ConstantRegressor, ContextRegressor, install_rows, tiny_task, vec
 
@@ -61,6 +62,23 @@ def test_code_columns_match_sign_matrix_at_size_1024():
     sign = scipy.linalg.hadamard(1024)
     for column in (0, 1, 513, 1023):
         assert code_column(1024, column) == ((1 + sign[:, column]) // 2).tolist()
+
+
+def _popcount_column(size: int, column: int) -> list[int]:
+    return (1 - np.bitwise_count(np.arange(size) & column) % 2).tolist()
+
+
+def test_doubled_columns_equal_the_popcount_formula():
+    # code_column builds a column by doubling; entry (row, column) must be
+    # 1 - popcount(row & column) mod 2 for every column up to size 1024, and
+    # for sampled columns at the largest size.
+    for t in range(1, 11):
+        size = 1 << t
+        for column in range(size):
+            assert code_column(size, column) == _popcount_column(size, column)
+    size = 1 << MAX_CODE_EXPONENT
+    for column in [0, 1, size - 1, *random.Random(23).sample(range(size), 197)]:
+        assert code_column(size, column) == _popcount_column(size, column)
 
 
 def test_code_exponent_domain():
@@ -245,6 +263,44 @@ def test_fresh_kway_tree_scores_every_label_from_untouched_nodes():
     assert [two.score(x, y) for y in "AB"] == [1.0, 0.0]
     four = KWayTree(["A", "B", "C"], 4)
     assert [four.score(x, y) for y in "ABC"] == [0.5, 0.5, 0.5]
+
+
+def test_kway_and_pecoc_keep_the_columns_of_their_own_digits():
+    # KWayTree maps child digit d to column k - 1 - d, PecocModel to column
+    # d; each keeps the columns it has decoded or stepped with, by digit.
+    labels = [f"y{i}" for i in range(16)]
+    x = vec(("a", 1.0))
+    kway, flat = KWayTree(labels, 16), PecocModel(labels)
+    assert kway.k == flat.k == 16
+    kway.score(x, "y0")
+    flat.learn(x, "y0")
+    assert kway._columns == {0: bytes(code_column(16, 15))}
+    assert flat._columns == {0: bytes(code_column(16, 0))}
+    for est in (kway, flat):
+        for y in labels:
+            est.score(x, y)
+        assert est._columns == {d: bytes(code_column(16, est._column(d))) for d in range(16)}
+        assert est.predict(x, "y3") == est.score(x, "y3")
+
+
+def test_pecoc_past_the_column_memo_scores_every_label_like_predict():
+    # At k = 2048 the columns of every label come to 4 MiB; the model keeps
+    # those that fit in COLUMN_MEMO_BYTES and rebuilds the others on each use.
+    task = tiny_task(contexts=4, labels=1025, seed=60)
+    model = PecocModel(task.labels)
+    assert model.k == 2048
+    for example in task.sample(30, seed=61):
+        model.learn(example.x, example.y)
+    x = task.features[0]
+    rows = [1.0, *map(clip01, model.regressors_at(0, 0).raws(x))]
+    for slot, y in enumerate(task.labels):
+        score = model.score(x, y)
+        assert score.hex() == model.predict(x, y).hex()
+        expected = clip01(decode_probability(code_column(model.k, slot), rows))
+        assert score.hex() == expected.hex()
+    kept = sum(map(len, model._columns.values()))
+    assert kept == COLUMN_MEMO_BYTES
+    assert all(bits == bytes(code_column(model.k, d)) for d, bits in model._columns.items())
 
 
 def test_kway_rejects_bad_fanout():
