@@ -9,7 +9,8 @@ import time
 
 from .data import format_example_line, read_example_file, read_label_file
 from .evaluation import EvalReport, progressive_validate
-from .model_io import LABELED_MODES, MODES, ModelConfig, build_estimator, load_model, save_model
+from .model_io import (LABELED_MODES, MODES, ModelConfig, build_estimator, check_config_fits,
+                       load_model, save_model)
 from .pecoc import KWayTree, loss_multiplier
 from .tree import CondProbTree, max_depth_bound, max_side_fraction, total_depth_bound
 
@@ -97,6 +98,10 @@ def _report_row(mode: str, report: EvalReport) -> tuple:
 
 def cmd_train(args, out) -> int:
     cfg = _config_from_args(args)
+    # A config the model header cannot hold is refused before training. Its
+    # domain is checked at save: the estimator refuses a bad eta first, with
+    # its own message.
+    check_config_fits(cfg)
     est = _train_estimator(args.mode, cfg, args.train)
     save_model(args.model, args.mode, cfg, est)
     print(f"trained mode={args.mode} -> {args.model}", file=out)

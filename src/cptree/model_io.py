@@ -369,8 +369,10 @@ _CONFIG_FIELDS = (("alpha", _F64), ("eta", _F64), ("hash_bits", _U32), ("passes"
                   ("k", _U32), ("delta", _F64), ("seed", _U64))
 
 
-def _check_config(config: ModelConfig) -> None:
-    """Raise ModelFormatError unless a model file can hold config and load it back."""
+def check_config_fits(config: ModelConfig) -> None:
+    """Raise ModelFormatError unless every field of config packs into the
+    header record that holds it. Whether a value is in its domain is left
+    to _check_config."""
     for name, field in _CONFIG_FIELDS:
         value = getattr(config, name)
         try:
@@ -378,6 +380,11 @@ def _check_config(config: ModelConfig) -> None:
         except struct.error:
             kind = "a number" if field is _F64 else f"an integer in [0, 2**{8 * field.size})"
             raise ModelFormatError(f"{name} must be {kind}, got {value!r}") from None
+
+
+def _check_config(config: ModelConfig) -> None:
+    """Raise ModelFormatError unless a model file can hold config and load it back."""
+    check_config_fits(config)
     if not MIN_HASH_BITS <= config.hash_bits <= MAX_HASH_BITS:
         raise ModelFormatError(
             f"hash_bits must be in [{MIN_HASH_BITS}, {MAX_HASH_BITS}], got {config.hash_bits}"

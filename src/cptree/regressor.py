@@ -4,7 +4,12 @@ on squared loss, alone or as a block of rows that share every input.
 Every node regressor the estimators hold, and every test or oracle stand-in
 for one, has the same three calls: raw(x), the unclipped score; predict(x),
 equal to clip01(raw(x)); and update(x, target, raw=None), one step toward
-target, given raw(x) when the caller already has it.
+target, given raw(x) when the caller already has it. CondProbTree's path
+walks make no call on a node whose regressor is exactly a LinearRegressor:
+they compute the same raw score and step from its weights and bias (only
+the first step of a leaf that insertion splits calls update). Other
+regressors, subclasses of LinearRegressor and the oracle and test stand-ins
+among them, go through these calls.
 
 A KWayTree node holds k - 1 rows that always score and step on the same x.
 It has the block form of that interface, RegressorBlock: raws(x), the raw
@@ -45,6 +50,9 @@ class LinearRegressor:
 
     The learning rate is fixed for the life of the model (no decay); rate
     selection is done by grid search in the evaluation harness.
+
+    CondProbTree repeats raw and update inline for a node of exactly this
+    class, so a change to either must be made in tree.py too.
     """
 
     __slots__ = ("weights", "bias", "learning_rate")

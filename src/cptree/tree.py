@@ -123,6 +123,15 @@ class CondProbTree:
     and the dict holds only final products, so score may run concurrently
     between training phases: a caller on another x replaces the tuple
     without touching the dict a caller on this x still holds.
+
+    A node whose regressor is exactly a LinearRegressor is scored and
+    stepped by the tree itself, in each path walk: its raw score adds x's
+    features in x's order, and its step keeps LinearRegressor.update's
+    rules, so scores and weights are the ones its methods give, bit for bit.
+    Only the first step of a leaf that insertion splits calls update.
+    Every other regressor, a subclass included, goes through its own raw and
+    update: the oracle stand-ins of install_oracle_regressors and any
+    regressor_factory's own class work as they did.
     """
 
     def __init__(
@@ -278,12 +287,22 @@ class CondProbTree:
             # A loop, not a list comprehension: the comprehension cost about
             # 5% per call on a fresh x (CPython 3.11, 2-core x86 machine).
             path = self.path_to(y)
+            pairs = tuple(zip(x.indices, x.values))
             raws = []
             q = 1.0
             for node_id, go_right in path:
-                r = nodes[node_id].reg.raw(x)
+                reg = nodes[node_id].reg
+                if type(reg) is LinearRegressor:
+                    r = reg.bias
+                    weights = reg.weights
+                    for i, v in pairs:
+                        w = weights.get(i)
+                        if w is not None:
+                            r += w * v
+                else:
+                    r = reg.raw(x)
                 raws.append(r)
-                f = clip01(r)
+                f = r if 0.0 <= r <= 1.0 else clip01(r)
                 q *= f if go_right else 1.0 - f
             self._memo = (x, self.updates, y, path, raws)
             return q
@@ -301,7 +320,19 @@ class CondProbTree:
         q = prefix[cur]
         for child in reversed(below):
             node = nodes[cur]
-            f = clip01(node.reg.raw(x))
+            reg = node.reg
+            if type(reg) is LinearRegressor:
+                r = reg.bias
+                weights = reg.weights
+                # A zip per node, not one tuple of pairs per call: over every
+                # label of one x this stage evaluates about one node per call.
+                for i, v in zip(x.indices, x.values):
+                    w = weights.get(i)
+                    if w is not None:
+                        r += w * v
+            else:
+                r = reg.raw(x)
+            f = r if 0.0 <= r <= 1.0 else clip01(r)
             left, right = q * (1.0 - f), q * f
             prefix[node.left] = left
             prefix[node.right] = right
@@ -337,8 +368,25 @@ class CondProbTree:
         if path is None:
             path = self.path_to(y)
             raws = [None] * len(path)
+        pairs = tuple(zip(x.indices, x.values))
         for (node_id, go_right), raw in zip(path, raws):
-            nodes[node_id].reg.update(x, 1.0 if go_right else 0.0, raw)
+            reg = nodes[node_id].reg
+            if type(reg) is not LinearRegressor:
+                reg.update(x, 1.0 if go_right else 0.0, raw)
+                continue
+            weights = reg.weights
+            if raw is None:
+                raw = reg.bias
+                for i, v in pairs:
+                    w = weights.get(i)
+                    if w is not None:
+                        raw += w * v
+            if (delta := reg.learning_rate * (go_right - raw)) != 0.0:
+                if not -math.inf < delta < math.inf:
+                    raise ValueError(f"regressor diverged: step {delta} is not finite")
+                for i, v in pairs:
+                    weights[i] = weights.get(i, 0.0) + delta * v
+                reg.bias += delta
         self.updates += len(path)
         self.last_example_updates = len(path)
 
@@ -351,11 +399,22 @@ class CondProbTree:
             self.root = leaf_id = self._add_node(y, None)
         else:
             nodes = self.nodes
+            pairs = tuple(zip(x.indices, x.values))
             cur = self.root
             node = nodes[cur]
             while not node.is_leaf:
-                raw = node.reg.raw(x)
-                p = clip01(raw)
+                reg = node.reg
+                plain = type(reg) is LinearRegressor
+                if plain:
+                    weights = reg.weights
+                    raw = reg.bias
+                    for i, v in pairs:
+                        w = weights.get(i)
+                        if w is not None:
+                            raw += w * v
+                else:
+                    raw = reg.raw(x)
+                p = raw if 0.0 <= raw <= 1.0 else clip01(raw)
                 if self.policy == "random":
                     go_right = 1 if self._rng.random() < 0.5 else 0
                 else:
@@ -363,7 +422,14 @@ class CondProbTree:
                 # p == 1/2 counts as preferring left, matching the tie-break.
                 if go_right != (p > 0.5):
                     self.disagreement_count += 1
-                node.reg.update(x, float(go_right), raw)
+                if not plain:
+                    reg.update(x, float(go_right), raw)
+                elif (delta := reg.learning_rate * (go_right - raw)) != 0.0:
+                    if not -math.inf < delta < math.inf:
+                        raise ValueError(f"regressor diverged: step {delta} is not finite")
+                    for i, v in pairs:
+                        weights[i] = weights.get(i, 0.0) + delta * v
+                    reg.bias += delta
                 path.append(cur)
                 if go_right:
                     node.n_right += 1

@@ -376,6 +376,22 @@ def test_train_refuses_a_config_it_cannot_save_and_writes_no_model(argv, message
     assert not model.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "seed must be an integer in [0, 2**64), got -1"),
+    (["--k", "-1"], "k must be an integer in [0, 2**32), got -1"),
+], ids=["seed", "k"])
+def test_train_refuses_a_config_the_header_cannot_hold_before_training(argv, message, streams,
+                                                                       tmp_path, monkeypatch,
+                                                                       capsys):
+    train, _ = streams
+    monkeypatch.setattr("cptree.cli._train_estimator", lambda *args: pytest.fail("trained"))
+    model = tmp_path / "m.bin"
+    assert run_cli("train", "--mode", "cpt-online", "--train", str(train),
+                   "--model", str(model), *argv)[0] == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
+
+
 def test_compare_refuses_zero_passes_before_training(streams, monkeypatch, capsys):
     train, test = streams
     monkeypatch.setattr("cptree.cli._train_estimator", lambda *args: pytest.fail("trained"))

@@ -76,22 +76,43 @@ def test_freeze_disables_learning():
     assert recorder.calls == ["score"] * 10
 
 
-def test_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
+def counted_evaluations(calls: list[int]):
+    """A regressor factory whose LinearRegressors count, in calls[0], the
+    one-argument get calls on their weights: a node evaluation, whether the
+    tree computes it inline or through raw, makes one per feature of x. A
+    step's get(i, 0.0) is not counted."""
+
+    class Weights(dict):
+        def get(self, key, *default):
+            if not default:
+                calls[0] += 1
+            return super().get(key, *default)
+
+    def factory():
+        reg = LinearRegressor()
+        reg.weights = Weights()
+        return reg
+
+    return factory
+
+
+def test_tree_learns_from_the_raw_values_its_score_computed():
     # One raw per node on y's path, taken by score and reused by learn, or
     # taken by insertion's descent: as many raws as updates per example.
     stream = tiny_task(contexts=4, labels=12, seed=5).sample(400, seed=6)
-    tree = CondProbTree(alpha=0.5)
-    calls = count_calls(monkeypatch, LinearRegressor, "raw")
+    calls = [0]
+    tree = CondProbTree(alpha=0.5, regressor_factory=counted_evaluations(calls))
     seen = []
 
     def watched():
         for example in stream:
             start = calls[0]
             yield example
-            seen.append((calls[0] - start, tree.last_example_updates))
+            seen.append(((calls[0] - start) / len(example.x.indices), tree.last_example_updates))
 
     progressive_validate(watched(), tree)
     assert len(seen) == 400 and tree.n_labels == 12
+    assert sum(raws for raws, _ in seen) > 0
     assert all(raws == updates for raws, updates in seen), seen
 
 
@@ -109,19 +130,21 @@ def test_kway_tree_learns_from_the_raw_values_its_score_computed(monkeypatch):
     assert calls[0] * (tree.k - 1) == tree.updates - updates == 300 * 3 * tree.depth
 
 
-def test_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(monkeypatch):
+def test_tree_scores_every_label_of_one_x_with_each_node_evaluated_once():
     # The first predict on an x walks its label's path; later ones on the
     # same x object evaluate each internal node at most once between them.
     task = tiny_task(contexts=4, labels=24, seed=5)
-    tree = CondProbTree(alpha=0.5)
+    calls = [0]
+    tree = CondProbTree(alpha=0.5, regressor_factory=counted_evaluations(calls))
     for example in task.sample(600, seed=6):
         tree.learn(example.x, example.y)
     n = tree.n_labels
-    calls = count_calls(monkeypatch, LinearRegressor, "raw")
     x = task.features[1]
+    start = calls[0]
     scores = [tree.predict(x, y) for y in tree.leaf_index]
+    evaluations = (calls[0] - start) / len(x.indices)
     assert n == 24 and abs(math.fsum(scores) - 1.0) <= 1e-12
-    assert calls[0] <= n - 1 + tree.max_depth
+    assert 0 < evaluations <= n - 1 + tree.max_depth
 
 
 def test_kway_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(monkeypatch):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from cptree import (
     CondProbTree,
+    LinearRegressor,
+    ModelConfig,
     UnknownLabelError,
     insert_direction,
     insert_objective,
@@ -19,6 +21,7 @@ from cptree import (
     max_side_fraction,
     total_depth_bound,
 )
+from cptree.model_io import save_model
 from cptree.synthetic import install_oracle_regressors
 
 from _support import ConstantRegressor, check_leaf_counts, product_bounds, tiny_task, vec
@@ -417,6 +420,114 @@ def test_diverging_learning_raises_before_any_prediction_leaves_unit_interval():
             tree.learn(x, "AB"[i % 2])
             for y in "AB":
                 assert 0.0 <= tree.predict(x, y) <= 1.0
+
+
+# --- inline node arithmetic -------------------------------------------------
+
+class Plain(LinearRegressor):
+    """Not exactly a LinearRegressor, so the tree scores and steps it through
+    raw and update: the methods its inline arithmetic must reproduce."""
+
+
+def _twins(make, rate):
+    """The tree make(regressor_factory) builds with default regressors, which
+    the tree evaluates itself, and with Plain ones at the same rate."""
+    return make(None), make(lambda: Plain(rate))
+
+
+def _model_bytes(tree, mode, rate, tmp_path):
+    path = tmp_path / "twin.bin"
+    save_model(path, mode, ModelConfig(alpha=tree.alpha, eta=rate, seed=3), tree)
+    return path.read_bytes()
+
+
+def _twin_ops(seed):
+    """A stream of (op, x, y) over a few multi-feature x objects of weights
+    other than 1 and a growing label set: score then learn, learn alone,
+    and a score-all of one x, twice over so the second reads prefixes."""
+    rng = random.Random(seed)
+    xs = [vec(*((f"f{rng.randrange(12)}", rng.choice([0.25, -0.5, 0.75, 1.5]))
+                for _ in range(rng.randrange(1, 5))))
+          for _ in range(8)]
+    ops = []
+    for i in range(500):
+        x = rng.choice(xs)
+        y = f"y{rng.randrange(min(3 + i // 8, 40))}"
+        ops.append((rng.choice(["score-learn", "score-learn", "learn", "score-all"]), x, y))
+    return ops
+
+
+def _run_twin_ops(tree, ops):
+    scores = []
+    for op, x, y in ops:
+        if op == "score-all":
+            scores += [tree.score(x, label).hex() for label in tree.leaf_index]
+            scores += [tree.score(x, label).hex() for label in tree.leaf_index]
+        else:
+            if op == "score-learn":
+                scores.append(tree.score(x, y).hex())
+            tree.learn(x, y)
+    return scores
+
+
+@pytest.mark.parametrize("mode", ["cpt-online", "cpt-random", "cpt-fixed"])
+def test_inline_node_arithmetic_matches_the_regressor_methods(mode, tmp_path):
+    rate = 0.15
+    if mode == "cpt-fixed":
+        def make(factory):
+            return CondProbTree.balanced([f"y{i}" for i in range(10)], rate, factory)
+    else:
+        def make(factory):
+            return CondProbTree(alpha=0.5, learning_rate=rate, policy=mode[4:], seed=3,
+                                regressor_factory=factory)
+    inline, methods = _twins(make, rate)
+    ops = _twin_ops(seed=11)
+    scores = _run_twin_ops(inline, ops)
+    assert scores == _run_twin_ops(methods, ops)
+    assert inline.n_labels == 40 and len(scores) > 1000
+    assert _model_bytes(inline, mode, rate, tmp_path) == _model_bytes(methods, mode, rate, tmp_path)
+
+
+@pytest.mark.parametrize("scored", [False, True])
+def test_inline_step_of_zero_touches_no_weight(scored, tmp_path):
+    # The split step gives the root bias 1.0, so x = g:1 then steps it by
+    # exactly 0 toward "B": no weight for g may appear.
+    inline, methods = _twins(lambda factory: CondProbTree(learning_rate=1.0,
+                                                          regressor_factory=factory), 1.0)
+    g = vec(("g", 1.0))
+    saved = []
+    for tree in (inline, methods):
+        tree.learn(vec(), "A")
+        tree.learn(vec(), "B")
+        if scored:
+            assert tree.score(g, "B") == 1.0
+        tree.learn(g, "B")
+        root = tree.nodes[tree.root].reg
+        assert (root.bias, root.weights) == (1.0, {})
+        saved.append(_model_bytes(tree, "cpt-online", 1.0, tmp_path))
+    assert saved[0] == saved[1]
+
+
+def test_inline_divergence_raises_where_the_regressor_methods_do():
+    # The repro of the divergence test above: both trees refuse the same
+    # step and keep the same state.
+    inline, methods = _twins(lambda factory: CondProbTree(learning_rate=0.5,
+                                                          regressor_factory=factory), 0.5)
+    x = vec(("f", 30.0))
+    stopped = []
+    for tree in (inline, methods):
+        with pytest.raises(ValueError, match="regressor diverged: step .* is not finite"):
+            for i in range(200):
+                tree.learn(x, "AB"[i % 2])
+                for y in "AB":
+                    tree.predict(x, y)
+        stopped.append((i, tree.updates))
+    assert stopped[0] == stopped[1]
+    # A weight may have overflowed before the refused step, which no model
+    # file holds, so the states compare node by node.
+    states = [[(node.label, node.reg.bias.hex(), {i: w.hex() for i, w in node.reg.weights.items()})
+               for node in tree.nodes] for tree in (inline, methods)]
+    assert states[0] == states[1]
 
 
 # --- structural statistics ---------------------------------------------------
