@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -20,6 +21,21 @@ REPORT_COLUMNS = ("mode", "examples", "sq_loss", "ci", "equivalent",
 
 class CliError(Exception):
     """User-facing error; printed to stderr with a nonzero exit."""
+
+
+def _check_output_path(flag: str, path) -> None:
+    """Refuse an output path that cannot be written: an empty one, one that
+    is a directory or one whose directory does not exist. Called before any
+    work; creates no file."""
+    if path is None:
+        return
+    if not path:
+        raise CliError(f"{flag} is an empty path")
+    if os.path.isdir(path):
+        raise CliError(f"{flag} {path} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise CliError(f"{flag} {path}: directory {folder} does not exist")
 
 
 def _check_delta(args) -> None:
@@ -97,6 +113,7 @@ def _report_row(mode: str, report: EvalReport) -> tuple:
 
 
 def cmd_train(args, out) -> int:
+    _check_output_path("--model", args.model)
     cfg = _config_from_args(args)
     # A config the model header cannot hold is refused before training. Its
     # domain is checked at save: the estimator refuses a bad eta first, with
@@ -109,6 +126,7 @@ def cmd_train(args, out) -> int:
 
 
 def cmd_eval(args, out) -> int:
+    _check_output_path("--report", args.report)
     _check_delta(args)
     loaded = load_model(args.model)
     if args.mode and args.mode != loaded.mode:
@@ -130,6 +148,7 @@ def cmd_compare(args, out) -> int:
     for mode in modes:
         if mode not in MODES:
             raise CliError(f"unknown mode: {mode}")
+    _check_output_path("--report", args.report)
     cfg = _config_from_args(args)
     rows = []
     for mode in modes:
@@ -150,6 +169,7 @@ def cmd_tradeoff(args, out) -> int:
     ks = [int(v) for v in args.k_list.split(",") if v.strip()]
     if not ks:
         raise CliError("--k-list must contain at least one value")
+    _check_output_path("--report", args.report)
     lines = ["k\tregressors_per_example\tmultiplier"]
     print("         k  regressors/example  multiplier", file=out)
     for k in ks:
@@ -209,6 +229,7 @@ def cmd_inspect(args, out) -> int:
 def cmd_synth(args, out) -> int:
     from .synthetic import SyntheticTask
 
+    _check_output_path("--out", args.out)
     # Sizes are split evenly over the groups, so each must cover every group.
     clustered = args.task == "clustered"
     if clustered and args.groups < 1:

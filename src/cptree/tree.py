@@ -119,10 +119,12 @@ class CondProbTree:
     score(x, y), with the same x object, steps those regressors from the
     stored values instead of walking the path and scoring x again. A later
     call on that x swaps in a dict of prefix products, so scoring every
-    label of one x evaluates each internal node once. The memo is one tuple
-    and the dict holds only final products, so score may run concurrently
-    between training phases: a caller on another x replaces the tuple
-    without touching the dict a caller on this x still holds.
+    label of one x evaluates each internal node once; once the dict holds
+    as many entries as a subtree off y's path has leaves, a call fills that
+    whole subtree in one traversal. The memo is one tuple and the dict
+    holds only final products, so score may run concurrently between
+    training phases: a caller on another x replaces the tuple without
+    touching the dict a caller on this x still holds.
 
     A node whose regressor is exactly a LinearRegressor is scored and
     stepped by the tree itself, in each path walk: its raw score adds x's
@@ -271,12 +273,18 @@ class CondProbTree:
         learn uses. A later call on the same x object, with no update
         between them, swaps in a prefix dict, node id -> product of the
         estimates from the root down to it, and climbs from y's leaf to the
-        nearest node in it, then walks back down, evaluating each node's
-        regressor once and storing both children's products. Every product
-        still multiplies from the root down, as the walk does. The dict
-        starts from the root alone: seeding it from the first call's path
-        slowed the second call and the 99th percentile of an a10_online
-        closed loop (README, "Every label of one x").
+        nearest node in it, cur. If cur's subtree has no more leaves than
+        the dict has entries, the call evaluates every internal node below
+        cur, which costs fewer evaluations than the dict's entries did;
+        otherwise it walks back down y's path. Either way each node's
+        regressor is evaluated once per x and stores both children's
+        products, and every product still multiplies from the root down, as
+        the walk does. The dict starts from the root alone, so the second
+        call never fills: seeding it from the first call's path slowed the
+        second call and the 99th percentile of an a10_online closed loop
+        (README, "Every label of one x"). A call evaluates at most
+        max(len(path_to(y)), len(dict)) nodes, and all n labels of one x at
+        most n - 1 + max_depth.
         """
         leaf = self.leaf_index.get(y)
         if leaf is None:
@@ -312,33 +320,48 @@ class CondProbTree:
         q = prefix.get(leaf)
         if q is not None:
             return q
-        below = [leaf]  # nodes on y's path not in the dict, deepest first
+        # The nodes to evaluate, popped from the end: y's path from cur, the
+        # nearest node in the dict, down to y's parent.
+        todo = []
         cur = nodes[leaf].parent
         while cur not in prefix:
-            below.append(cur)
+            todo.append(cur)
             cur = nodes[cur].parent
-        q = prefix[cur]
-        for child in reversed(below):
-            node = nodes[cur]
+        todo.append(cur)
+        # No node below cur is in the dict yet. Its subtree has one internal
+        # node fewer than it has leaves; with no more leaves than the dict
+        # has entries, the calls on this x have already paid for it, so
+        # evaluate all of it.
+        node = nodes[cur]
+        fill = node.n_left + node.n_right <= len(prefix)
+        if fill:
+            todo = [cur]
+        # One tuple per call: a fill, or the second call's walk, evaluates
+        # many nodes.
+        pairs = tuple(zip(x.indices, x.values))
+        while todo:
+            node_id = todo.pop()
+            node = nodes[node_id]
             reg = node.reg
             if type(reg) is LinearRegressor:
                 r = reg.bias
                 weights = reg.weights
-                # A zip per node, not one tuple of pairs per call: over every
-                # label of one x this stage evaluates about one node per call.
-                for i, v in zip(x.indices, x.values):
+                for i, v in pairs:
                     w = weights.get(i)
                     if w is not None:
                         r += w * v
             else:
                 r = reg.raw(x)
             f = r if 0.0 <= r <= 1.0 else clip01(r)
-            left, right = q * (1.0 - f), q * f
-            prefix[node.left] = left
-            prefix[node.right] = right
-            q = right if child == node.right else left
-            cur = child
-        return q
+            q = prefix[node_id]
+            prefix[node.left] = q * (1.0 - f)
+            prefix[node.right] = q * f
+            if fill:  # a side with one leaf is a leaf
+                if node.n_left > 1:
+                    todo.append(node.left)
+                if node.n_right > 1:
+                    todo.append(node.right)
+        return prefix[leaf]
 
     predict = score
 

@@ -400,6 +400,38 @@ def test_compare_refuses_zero_passes_before_training(streams, monkeypatch, capsy
     assert capsys.readouterr().err == "error: --passes must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--model"), ("eval", "--report"), ("compare", "--report"),
+    ("tradeoff", "--report"), ("synth", "--out"),
+])
+@pytest.mark.parametrize("where", ["directory", "missing-directory", "empty"])
+def test_an_unwritable_output_path_is_refused_before_any_work(command, flag, where, streams,
+                                                              tmp_path, monkeypatch, capsys):
+    train, test = streams
+    for name in ("load_model", "_train_estimator", "_new_estimator"):
+        monkeypatch.setattr(f"cptree.cli.{name}", lambda *args: pytest.fail("model touched"))
+    monkeypatch.setattr("cptree.synthetic.SyntheticTask.random",
+                        lambda *args, **kwargs: pytest.fail("task built"))
+    before = sorted(tmp_path.rglob("*"))
+    path = {"directory": tmp_path, "missing-directory": tmp_path / "nodir" / "out.txt",
+            "empty": ""}[where]
+    argv = {
+        "train": ["--mode", "cpt-online", "--train", str(train)],
+        "eval": ["--model", str(tmp_path / "m.bin"), "--test", str(test)],
+        "compare": ["--modes", "cpt-online", "--train", str(train), "--test", str(test)],
+        "tradeoff": ["--n", "64", "--k-list", "2,4"],
+        "synth": ["--examples", "10"],
+    }[command]
+    assert run_cli(command, *argv, flag, str(path)) == (1, "")
+    message = {
+        "directory": f"{path} is a directory",
+        "missing-directory": f"{path}: directory {tmp_path / 'nodir'} does not exist",
+        "empty": "is an empty path",
+    }[where]
+    assert capsys.readouterr().err == f"error: {flag} {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("delta", ["0", "1", "2", "-0.5", "nan"])
 def test_delta_outside_the_unit_interval_is_refused_before_any_model(delta, streams,
                                                                      monkeypatch, capsys):

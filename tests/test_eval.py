@@ -18,6 +18,7 @@ from cptree import (
     progressive_validate,
 )
 from cptree import pecoc
+from cptree.features import SparseVector
 from cptree.regressor import RegressorBlock
 from cptree.synthetic import (
     OracleEstimator,
@@ -145,6 +146,82 @@ def test_tree_scores_every_label_of_one_x_with_each_node_evaluated_once():
     evaluations = (calls[0] - start) / len(x.indices)
     assert n == 24 and abs(math.fsum(scores) - 1.0) <= 1e-12
     assert 0 < evaluations <= n - 1 + tree.max_depth
+
+
+def counted_tree(calls: list[int]) -> tuple[SyntheticTask, CondProbTree]:
+    task = tiny_task(contexts=4, labels=24, seed=5)
+    tree = CondProbTree(alpha=0.5, regressor_factory=counted_evaluations(calls))
+    for example in task.sample(600, seed=6):
+        tree.learn(example.x, example.y)
+    return task, tree
+
+
+def fresh(x: SparseVector) -> SparseVector:
+    """An equal x that no memo has seen."""
+    return SparseVector(x.indices, x.values, x.hash_bits)
+
+
+def test_tree_second_call_on_an_x_evaluates_at_most_its_label_path():
+    # The dict starts from the root alone, whose subtree it has not paid for.
+    calls = [0]
+    task, tree = counted_tree(calls)
+    labels = list(tree.leaf_index)
+    for first in labels[:3]:
+        for y in labels:
+            x = fresh(task.features[2])
+            tree.predict(x, first)
+            start = calls[0]
+            tree.predict(x, y)
+            assert (calls[0] - start) / len(x.indices) <= len(tree.path_to(y))
+
+
+def test_tree_call_evaluates_at_most_its_path_or_the_dict_entries_before_it():
+    calls = [0]
+    task, tree = counted_tree(calls)
+    n, rng, filled = tree.n_labels, random.Random(7), 0
+    for round_ in range(6):
+        labels = list(tree.leaf_index)
+        rng.shuffle(labels)
+        x = fresh(task.features[round_ % 4])
+        begin = calls[0]
+        for y in labels:
+            memo = tree._memo
+            stored = len(memo[2]) if memo and memo[0] is x and len(memo) == 3 else 1
+            start = calls[0]
+            tree.predict(x, y)
+            evaluations = (calls[0] - start) / len(x.indices)
+            path = len(tree.path_to(y))
+            assert evaluations <= max(path, stored)
+            filled += evaluations > path
+        assert (calls[0] - begin) / len(x.indices) <= n - 1 + tree.max_depth
+    assert filled  # some call filled a subtree off its label's path
+
+
+def test_tree_fills_a_subtree_that_the_dict_has_paid_for():
+    calls = [0]
+    task, tree = counted_tree(calls)
+    x = task.features[1]
+    labels = list(tree.leaf_index)
+    tree.predict(x, labels[0])
+    for y in labels[1:]:
+        prefix = tree._memo[2] if len(tree._memo) == 3 else {tree.root: 1.0}
+        cur = tree.nodes[tree.leaf_index[y]].parent
+        while cur not in prefix:
+            cur = tree.nodes[cur].parent
+        node = tree.nodes[cur]
+        leaves, stored = node.n_left + node.n_right, len(prefix)
+        tree.predict(x, y)
+        if 3 <= leaves <= stored:
+            break
+    else:
+        pytest.fail("no label's nearest stored node had a subtree the dict paid for")
+    under = [z for z in labels if cur in {node_id for node_id, _ in tree.path_to(z)}]
+    assert len(under) == leaves
+    start = calls[0]
+    scores = [tree.predict(x, z).hex() for z in under]
+    assert calls[0] == start
+    # Filled products are the ones a first call's path walk gives, bit for bit.
+    assert scores == [tree.predict(fresh(x), z).hex() for z in under]
 
 
 def test_kway_tree_scores_every_label_of_one_x_with_each_node_evaluated_once(monkeypatch):
