@@ -22,14 +22,15 @@ yields holds a weight for every feature the block stores, 0.0 where that row
 never stepped.
 
 Each estimator keeps one memo for the x object it last saw: CondProbTree's
-score, which is also its predict, keeps y's path and raw scores, then prefix
-products, filling a whole subtree in one traversal once the dict holds as
-many entries as the subtree has leaves; KWayTree.score keeps each node's
-raws, their clipped values and the child estimates decoded from them. Both
-trust that a node regressor changes only through their own learning. Code
-that swaps or edits a CondProbTree regressor by hand must then call
-tree.regressors_changed(), as install_oracle_regressors does; for a
-KWayTree, it sets est._memo = None.
+score, which is also its predict, keeps y and the raw scores of the nodes on
+y's path in climb order, from y's parent up to the root, but not the path,
+which learn climbs again; then prefix products, filling a whole subtree in
+one traversal once the dict holds as many entries as the subtree has leaves;
+KWayTree.score keeps each node's raws, their clipped values and the child
+estimates decoded from them. Both trust that a node regressor changes only
+through their own learning. Code that swaps or edits a CondProbTree
+regressor by hand must then call tree.regressors_changed(), as
+install_oracle_regressors does; for a KWayTree, it sets est._memo = None.
 """
 
 from __future__ import annotations

@@ -114,10 +114,10 @@ class CondProbTree:
 
     score, which is also predict, changes no model state but keeps a memo
     for the x object it last saw, valid while updates is unchanged (see
-    regressors_changed). After the first call on an x it holds y's path and
-    the raw score of x at each node on it: learn(x, y) right after
-    score(x, y), with the same x object, steps those regressors from the
-    stored values instead of walking the path and scoring x again. A later
+    regressors_changed). After the first call on an x it holds y and the raw
+    score of x at each node on y's path, in climb order, and no path: learn
+    right after score(x, y), with the same x object and y, climbs again and
+    steps each node from its stored value instead of scoring x again. A later
     call on that x swaps in a dict of prefix products, so scoring every
     label of one x evaluates each internal node once; once the dict holds
     as many entries as a subtree off y's path has leaves, a call fills that
@@ -160,7 +160,7 @@ class CondProbTree:
         self.updates = 0  # total regressor updates, for complexity accounting
         self.last_example_updates = 0
         self.last_insert_path: list[int] = []
-        self._memo = None  # (x, updates, y, path, raws), then (x, updates, prefix dict)
+        self._memo = None  # (x, updates, y, raws), then (x, updates, prefix dict)
 
     @classmethod
     def balanced(
@@ -227,7 +227,7 @@ class CondProbTree:
         leaves = [1] * len(nodes)
         for node_id in reversed(range(len(nodes))):
             node = nodes[node_id]
-            if not node.is_leaf:
+            if node.left is not None:
                 node.n_left, node.n_right = leaves[node.left], leaves[node.right]
                 leaves[node_id] = node.n_left + node.n_right
 
@@ -269,22 +269,22 @@ class CondProbTree:
     def score(self, x: SparseVector, y: str) -> float:
         """Estimated P(y | x); labels never seen score 0.
 
-        The first call on an x object walks y's path and keeps the memo
-        learn uses. A later call on the same x object, with no update
-        between them, swaps in a prefix dict, node id -> product of the
-        estimates from the root down to it, and climbs from y's leaf to the
-        nearest node in it, cur. If cur's subtree has no more leaves than
-        the dict has entries, the call evaluates every internal node below
-        cur, which costs fewer evaluations than the dict's entries did;
-        otherwise it walks back down y's path. Either way each node's
-        regressor is evaluated once per x and stores both children's
-        products, and every product still multiplies from the root down, as
-        the walk does. The dict starts from the root alone, so the second
-        call never fills: seeding it from the first call's path slowed the
-        second call and the 99th percentile of an a10_online closed loop
-        (README, "Every label of one x"). A call evaluates at most
-        max(len(path_to(y)), len(dict)) nodes, and all n labels of one x at
-        most n - 1 + max_depth.
+        The first call on an x object climbs from y's leaf, keeps the raws
+        learn uses, and multiplies the estimates from the root down. A later
+        call on the same x object, with no update between them, swaps in a
+        prefix dict, node id -> product of the estimates from the root down
+        to it, and climbs from y's leaf to the nearest node in it, cur. If
+        cur's subtree has no more leaves than the dict has entries, the call
+        evaluates every internal node below cur, which costs fewer
+        evaluations than the dict's entries did; otherwise it walks back
+        down y's path. Either way each node's regressor is evaluated once
+        per x and stores both children's products, and every product
+        multiplies from the root down, as the first call's does. The dict
+        starts from the root alone, so the second call never fills: seeding
+        it from the first call's path slowed the second call and the 99th
+        percentile of an a10_online closed loop (README, "Every label of one
+        x"). A call evaluates at most max(len(path_to(y)), len(dict)) nodes,
+        and all n labels of one x at most n - 1 + max_depth.
         """
         leaf = self.leaf_index.get(y)
         if leaf is None:
@@ -292,14 +292,13 @@ class CondProbTree:
         nodes = self.nodes
         memo = self._memo
         if memo is None or memo[0] is not x or memo[1] != self.updates:
-            # A loop, not a list comprehension: the comprehension cost about
-            # 5% per call on a fresh x (CPython 3.11, 2-core x86 machine).
-            path = self.path_to(y)
+            # Climb from y's leaf, then multiply from the root down.
             pairs = tuple(zip(x.indices, x.values))
-            raws = []
-            q = 1.0
-            for node_id, go_right in path:
-                reg = nodes[node_id].reg
+            raws, factors = [], []
+            cur, node_id = leaf, nodes[leaf].parent
+            while node_id is not None:
+                node = nodes[node_id]
+                reg = node.reg
                 if type(reg) is LinearRegressor:
                     r = reg.bias
                     weights = reg.weights
@@ -311,10 +310,11 @@ class CondProbTree:
                     r = reg.raw(x)
                 raws.append(r)
                 f = r if 0.0 <= r <= 1.0 else clip01(r)
-                q *= f if go_right else 1.0 - f
-            self._memo = (x, self.updates, y, path, raws)
-            return q
-        if len(memo) == 5:
+                factors.append(f if node.right == cur else 1.0 - f)
+                cur, node_id = node_id, node.parent
+            self._memo = (x, self.updates, y, raws)
+            return math.prod(reversed(factors), start=1.0)
+        if len(memo) == 4:
             memo = self._memo = (x, memo[1], {self.root: 1.0})
         prefix = memo[2]
         q = prefix.get(leaf)
@@ -372,28 +372,39 @@ class CondProbTree:
         self._memo = None
 
     def learn(self, x: SparseVector, y: str) -> None:
+        """One online step on (x, y). Right after score(x, y) on the same x
+        object, with no update between, the nodes step from the memo's raw
+        scores; for another known label, train_known climbs y's path and
+        scores x at each node; a new label is inserted."""
         memo = self._memo
-        # The first score of this x object was for y, with no update since.
-        if memo and memo[0] is x and memo[1] == self.updates and len(memo) == 5 and memo[2] == y:
-            self.train_known(x, y, memo[3], memo[4])
+        if memo and memo[0] is x and memo[1] == self.updates and len(memo) == 4 and memo[2] == y:
+            self.train_known(x, y, memo[3])
         elif y in self.leaf_index:
             self.train_known(x, y)
         else:
             self.insert_label(x, y)
 
-    def train_known(self, x: SparseVector, y: str, path=None, raws=None) -> None:
+    def train_known(self, x: SparseVector, y: str, raws=None) -> None:
         """Update the regressors along y's path; y must already be a leaf.
 
-        path and raws, when given, are path_to(y) and each of its nodes' raw
-        score of x, taken since the last update.
+        It climbs from y's leaf and steps each node on the way: a step reads
+        only its node's regressor and x, so the order leaves the result as it
+        was. raws, when given, are the nodes' raw scores of x since the last
+        update, in climb order: y's parent first, the root last.
         """
+        cur = self.leaf_index.get(y)
+        if cur is None:
+            raise UnknownLabelError(y)
         nodes = self.nodes
-        if path is None:
-            path = self.path_to(y)
-            raws = [None] * len(path)
         pairs = tuple(zip(x.indices, x.values))
-        for (node_id, go_right), raw in zip(path, raws):
-            reg = nodes[node_id].reg
+        depth, node_id = 0, nodes[cur].parent
+        while node_id is not None:
+            node = nodes[node_id]
+            go_right = node.right == cur
+            cur, node_id = node_id, node.parent
+            raw = raws[depth] if raws else None
+            depth += 1
+            reg = node.reg
             if type(reg) is not LinearRegressor:
                 reg.update(x, 1.0 if go_right else 0.0, raw)
                 continue
@@ -410,8 +421,8 @@ class CondProbTree:
                 for i, v in pairs:
                     weights[i] = weights.get(i, 0.0) + delta * v
                 reg.bias += delta
-        self.updates += len(path)
-        self.last_example_updates = len(path)
+        self.updates += depth
+        self.last_example_updates = depth
 
     def insert_label(self, x: SparseVector, y: str) -> int:
         """Add a new leaf for y, training every regressor passed; returns its id."""
@@ -423,9 +434,11 @@ class CondProbTree:
         else:
             nodes = self.nodes
             pairs = tuple(zip(x.indices, x.values))
+            coin = self._rng.random if self.policy == "random" else None
+            alpha = self.alpha
             cur = self.root
             node = nodes[cur]
-            while not node.is_leaf:
+            while node.left is not None:
                 reg = node.reg
                 plain = type(reg) is LinearRegressor
                 if plain:
@@ -438,10 +451,10 @@ class CondProbTree:
                 else:
                     raw = reg.raw(x)
                 p = raw if 0.0 <= raw <= 1.0 else clip01(raw)
-                if self.policy == "random":
-                    go_right = 1 if self._rng.random() < 0.5 else 0
+                if coin:
+                    go_right = 1 if coin() < 0.5 else 0
                 else:
-                    go_right = insert_direction(p, node.n_left, node.n_right, self.alpha)
+                    go_right = insert_direction(p, node.n_left, node.n_right, alpha)
                 # p == 1/2 counts as preferring left, matching the tie-break.
                 if go_right != (p > 0.5):
                     self.disagreement_count += 1

@@ -19,6 +19,7 @@ from cptree import (
     insert_objective,
     max_depth_bound,
     max_side_fraction,
+    progressive_validate,
     total_depth_bound,
 )
 from cptree.model_io import save_model
@@ -244,6 +245,22 @@ def test_default_balanced_tree_steps_at_rate_one_tenth():
     assert root.bias == 0.1
     assert root.weights == {X.indices[0]: 0.1}
     assert tree.predict(X, "b") == 0.2
+
+
+def test_learning_and_progressive_validation_build_no_path_list(monkeypatch):
+    # Both climb from y's leaf; path_to stays for callers outside the walks.
+    calls = []
+    path_to = CondProbTree.path_to
+    monkeypatch.setattr(CondProbTree, "path_to",
+                        lambda tree, y: calls.append(y) or path_to(tree, y))
+    examples = tiny_task(contexts=4, labels=16, seed=8).sample(400, seed=9)
+    learned, validated = CondProbTree(alpha=0.5), CondProbTree(alpha=0.5)
+    for example in examples:
+        learned.learn(example.x, example.y)
+    progressive_validate(examples, validated)
+    assert calls == []
+    assert learned.n_labels == 16 and learned.updates > 400
+    assert validated.structure_signature() == learned.structure_signature()
 
 
 # --- insertion rule --------------------------------------------------------
@@ -525,9 +542,33 @@ def test_inline_divergence_raises_where_the_regressor_methods_do():
     assert stopped[0] == stopped[1]
     # A weight may have overflowed before the refused step, which no model
     # file holds, so the states compare node by node.
-    states = [[(node.label, node.reg.bias.hex(), {i: w.hex() for i, w in node.reg.weights.items()})
-               for node in tree.nodes] for tree in (inline, methods)]
-    assert states[0] == states[1]
+    assert _node_states(inline) == _node_states(methods)
+    # A step that is not finite in the middle of y's path: the climb steps
+    # from y's leaf up, so the node below has stepped, and the refused node
+    # and the root above it are as they were.
+    for scored in (False, True):
+        inline, methods = _twins(lambda factory: CondProbTree.balanced(
+            "abcdefgh", 0.5, regressor_factory=factory), 0.5)
+        x = vec(("f", 10.0))
+        for tree in (inline, methods):
+            _, (mid, _), (low, _) = tree.path_to("b")
+            tree.nodes[mid].reg.weights[x.indices[0]] = 1e308  # raw(x) is inf
+            tree.regressors_changed()
+            before = _node_states(tree)
+            if scored:
+                assert tree.score(x, "b") == 0.0
+            with pytest.raises(ValueError, match="regressor diverged: step -inf is not finite"):
+                tree.learn(x, "b")
+            after = _node_states(tree)
+            assert [i for i in range(len(after)) if after[i] != before[i]] == [low]
+            assert tree.updates == 0
+        assert _node_states(inline) == _node_states(methods)
+
+
+def _node_states(tree):
+    """Each node's label, bias and weights, by float.hex."""
+    return [(node.label, node.reg.bias.hex(), {i: w.hex() for i, w in node.reg.weights.items()})
+            for node in tree.nodes]
 
 
 # --- structural statistics ---------------------------------------------------
