@@ -149,16 +149,17 @@ def _write_regressor(out: BinaryIO, reg: LinearRegressor, cfg: ModelConfig) -> N
         raise ModelFormatError(f"regressor learning_rate {reg.learning_rate} != eta {cfg.eta}")
     weights = reg.weights
     keys = sorted(weights)  # ints sort much faster than (index, weight) tuples
-    _check_indices(keys, len(keys), cfg.hash_bits)
+    _check_top_index(keys, cfg.hash_bits)
     out.write(_REGRESSOR.pack(reg.bias, len(keys)))
     out.writelines(map(_WEIGHT.pack, keys, map(weights.__getitem__, keys)))
 
 
-def _read_regressor(r: _Reader, cfg: ModelConfig) -> LinearRegressor:
+def _read_regressor(r: _Reader, cfg: ModelConfig, ints: dict[int, int]) -> LinearRegressor:
     bias, nnz = r.unpack(_REGRESSOR)
     reg = LinearRegressor(cfg.eta)
     reg.bias = bias
-    reg.weights = dict(_WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz)))
+    share = ints.setdefault
+    reg.weights = {share(i, i): x for i, x in _WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz))}
     _check_indices(list(reg.weights), nnz, cfg.hash_bits)
     _check_values([reg.bias], [reg.weights.values()])
     return reg
@@ -170,6 +171,11 @@ def _check_indices(keys: list[int], count: int, hash_bits: int) -> None:
     repeat (which leaves a dict of fewer than count keys), is damage."""
     if len(keys) != count or keys != sorted(keys):
         raise ModelFormatError("regressor weight indices are not strictly increasing")
+    _check_top_index(keys, hash_bits)
+
+
+def _check_top_index(keys: list[int], hash_bits: int) -> None:
+    """keys, sorted, lie inside the config's hash space."""
     if keys and keys[-1] >= 1 << hash_bits:
         raise ModelFormatError(
             f"regressor weight index {keys[-1]} is not below 2^{hash_bits}")
@@ -199,7 +205,8 @@ def _encode_tree(tree: CondProbTree, cfg: ModelConfig, structure: BinaryIO,
             _write_regressor(weights, node.reg, cfg)
 
 
-def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTree:
+def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader,
+                 ints: dict[int, int]) -> CondProbTree:
     tree = build(cfg, [])
     n_records, tree.disagreement_count = s.unpack(_TREE_HEAD)
     if tree.policy == "random":
@@ -212,7 +219,7 @@ def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader) -> CondProbTre
             if kind == _LEAF_KIND:
                 yield s.string(), None
             elif kind == _INTERNAL_KIND:
-                yield None, _read_regressor(w, cfg)
+                yield None, _read_regressor(w, cfg, ints)
             else:
                 raise ModelFormatError(f"unknown node kind {kind}")
 
@@ -228,14 +235,15 @@ def _encode_oaa(est: OneAgainstAll, cfg: ModelConfig, structure: BinaryIO,
         _write_regressor(weights, reg, cfg)
 
 
-def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader) -> OneAgainstAll:
+def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader,
+                ints: dict[int, int]) -> OneAgainstAll:
     est = OneAgainstAll(cfg.eta)
     (count,) = s.unpack(_U32)
     for _ in range(count):
         label = s.string()
         if label in est.regressors:
             raise ModelFormatError(f"label {label!r} appears twice")
-        est.regressors[label] = _read_regressor(w, cfg)
+        est.regressors[label] = _read_regressor(w, cfg, ints)
     return est
 
 
@@ -252,20 +260,22 @@ def _encode_kway(est: KWayTree, cfg: ModelConfig, structure: BinaryIO,
         block = est._node_regs[key]
         rows = block._weights
         features = sorted(rows)
-        _check_indices(features, len(features), cfg.hash_bits)
+        _check_top_index(features, cfg.hash_bits)
         _check_values(block._biases, rows.values())
         weights.write(biases.pack(*block._biases))
         weights.write(_U32.pack(len(features)))
         weights.writelines(record.pack(i, *rows[i]) for i in features)
 
 
-def _decode_kway(make, cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
+def _decode_kway(make, cfg: ModelConfig, s: _Reader, w: _Reader,
+                 ints: dict[int, int]) -> KWayTree:
     k, depth, n = s.unpack(_KWAY_HEAD)
     est = make([s.string() for _ in range(n)], k, cfg.eta)
     if (est.k, est.depth) != (k, depth):
         raise ModelFormatError(f"fan-out {k} and depth {depth} do not match {n} labels")
     (node_count,) = s.unpack(_U32)
     biases, record = struct.Struct(f"<{k - 1}d"), struct.Struct(f"<I{k - 1}d")
+    share = ints.setdefault
     prev = (-1, -1)
     for _ in range(node_count):
         level, index = key = s.unpack(_KWAY_NODE)
@@ -279,7 +289,8 @@ def _decode_kway(make, cfg: ModelConfig, s: _Reader, w: _Reader) -> KWayTree:
         if count * record.size > w.left():  # before a record is read
             raise ModelFormatError(f"node {key}: {count} features exceed the weights section")
         rows = block._weights = {
-            r[0]: array("d", r[1:]) for r in record.iter_unpack(w.take(count * record.size))}
+            share(r[0], r[0]): array("d", r[1:])
+            for r in record.iter_unpack(w.take(count * record.size))}
         _check_indices(list(rows), count, cfg.hash_bits)
         _check_values(block._biases, rows.values())
     return est
@@ -297,7 +308,8 @@ def _encode_table(est: TableBaseline, cfg: ModelConfig, structure: BinaryIO,
             weights.write(_U64.pack(count))
 
 
-def _decode_table(cfg: ModelConfig, s: _Reader, w: _Reader) -> TableBaseline:
+def _decode_table(cfg: ModelConfig, s: _Reader, w: _Reader,
+                  ints: dict[int, int]) -> TableBaseline:
     est = TableBaseline()
     (n_contexts,) = s.unpack(_U64)
     key = None
@@ -333,11 +345,13 @@ def _kway_mode(make):
 
 
 # mode -> (build(config, labels), encode(estimator, config, structure, weights),
-#          decode(config, structure, weights)).
+#          decode(config, structure, weights, ints)).
 # build returns a fresh estimator; only LABELED_MODES read labels. Each codec
 # pair handles only its own records: save_model and load_model own the update
 # counter that opens every weights section, and the section framing. Tree
-# and k-way decoders start from the mode's own constructor.
+# and k-way decoders start from the mode's own constructor. ints is one load's
+# table from each feature index to the one int that every weight dict of the
+# loaded model uses for it, as a trained model's dicts share the parser's.
 _MODES = {
     "cpt-online": _tree_mode(lambda cfg, labels: CondProbTree(
         alpha=cfg.alpha, learning_rate=cfg.eta, policy="online", seed=cfg.seed)),
@@ -453,7 +467,7 @@ def load_model(path) -> LoadedModel:
     s, w = _Reader(structure), _Reader(weights)
     try:
         (updates,) = w.unpack(_U64)
-        est = _MODES[mode][2](config, s, w)
+        est = _MODES[mode][2](config, s, w, {})
     except ModelFormatError:
         raise
     except ValueError as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import math
 import random
@@ -384,6 +385,59 @@ def test_loaded_tree_keeps_learning_consistently(tmp_path):
     save_model(tmp_path / "again.bin", "cpt-online", cfg, twin)
     save_model(path, "cpt-online", cfg, est)
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def _weight_dicts(est):
+    """Every dict of feature index to weight or block row that est holds."""
+    if isinstance(est, CondProbTree):
+        return [node.reg.weights for node in est.nodes]
+    if isinstance(est, OneAgainstAll):
+        return [reg.weights for reg in est.regressors.values()]
+    return [block._weights for block in est._node_regs.values()]
+
+
+@pytest.mark.parametrize("mode", [m for m in MODES if m != "table"])
+def test_a_load_holds_one_int_per_feature_index(mode, tmp_path):
+    # A trained model's dicts share the parser's int for each token; a loaded
+    # one shares one int per index across the whole model, however many
+    # regressors or block rows hold it.
+    cfg, est = build(mode)
+    save_model(tmp_path / "model.bin", mode, cfg, est)
+    keys = [key for weights in _weight_dicts(load_model(tmp_path / "model.bin").estimator)
+            for key in weights]
+    assert len(set(keys)) > 1
+    assert len({id(key) for key in keys}) == len(set(keys))
+
+
+def test_loaded_tree_is_as_small_as_the_trained_one(tmp_path):
+    # Few contexts over many labels: many regressors, each holding some of
+    # the same feature indices, as in the A10 shape.
+    task = SyntheticTask.random(contexts=64, labels=200, seed=54)
+    examples = task.sample(3000, seed=55)
+    cfg = ModelConfig(alpha=1.0, eta=0.1)
+    path = tmp_path / "model.bin"
+
+    def traced():
+        # A full collection also empties the interpreter's free lists, which
+        # training fills with spare tuples and floats.
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        before = traced()
+        est = build_estimator("cpt-online", cfg)
+        for example in examples:
+            est.learn(example.x, example.y)
+        trained = traced() - before
+        save_model(path, "cpt-online", cfg, est)
+        before = traced()
+        loaded = load_model(path).estimator
+        loaded_bytes = traced() - before
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.nodes) == len(est.nodes) == 2 * len(task.labels) - 1
+    assert loaded_bytes <= 1.05 * trained, (loaded_bytes, trained)
 
 
 def test_reloaded_random_tree_flips_the_coins_the_saved_one_would(tmp_path):
