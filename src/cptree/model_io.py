@@ -9,19 +9,16 @@ runs produce identical bytes and a reload reproduces predictions exactly.
 Format 4 stores only what a computation reads. A regressor record is a bias
 and its (feature, weight) pairs. A tree is its nodes in preorder: a kind
 byte, then a leaf's label or, in the weights section, an internal node's
-regressor. The preorder fixes the shape, so no record holds a node id, a
-child id or a leaf count: the loader hands the records to the tree's own
-preorder builder, which numbers nodes by record and counts the leaves. A
-kway or pecoc node is one block record, as RegressorBlock holds it: its
-k - 1 biases, a feature count, then one (feature, k - 1 weights) record per
-feature. No record holds a learning rate, because every regressor of a
-model runs at the config's eta (save_model refuses an estimator or a
-regressor at another rate), or an update count, which nothing read. Leaf
-records hold no regressor: no example steps a leaf's, so the builder gives
-each leaf a fresh one. A cpt-random tree's header
-holds its coin's state, so a reloaded tree flips the coins the saved one
-would have. This build reads format 4 only; a model of an earlier format must
-be retrained.
+regressor; leaves hold none. The preorder fixes the shape, so no record
+holds a node id, a child id or a leaf count: the writer reads the tree's
+node lists, and the loader hands (bias, weights) records to the tree's
+preorder builder. A kway or pecoc node is one block record, as
+RegressorBlock holds it: its k - 1 biases, a feature count, then one
+(feature, k - 1 weights) record per feature. No record holds a learning
+rate: every regressor runs at the config's eta, and save_model refuses one
+at another rate. A cpt-random tree's header holds its coin's state, so a
+reloaded tree flips the coins the saved one would have. This build reads
+format 4 only; a model of an earlier format must be retrained.
 """
 
 from __future__ import annotations
@@ -144,25 +141,30 @@ def _check_values(biases: Sequence[float], rows) -> None:
 
 
 def _write_regressor(out: BinaryIO, reg: LinearRegressor, cfg: ModelConfig) -> None:
-    _check_values([reg.bias], [reg.weights.values()])
     if reg.learning_rate != cfg.eta:  # the loader builds every regressor at eta
         raise ModelFormatError(f"regressor learning_rate {reg.learning_rate} != eta {cfg.eta}")
-    weights = reg.weights
+    _write_weights(out, reg.bias, reg.weights, cfg)
+
+
+def _write_weights(out: BinaryIO, bias: float, weights: dict[int, float],
+                   cfg: ModelConfig) -> None:
+    """One regressor record: bias, then its weights by feature index."""
+    _check_values([bias], [weights.values()])
     keys = sorted(weights)  # ints sort much faster than (index, weight) tuples
     _check_top_index(keys, cfg.hash_bits)
-    out.write(_REGRESSOR.pack(reg.bias, len(keys)))
+    out.write(_REGRESSOR.pack(bias, len(keys)))
     out.writelines(map(_WEIGHT.pack, keys, map(weights.__getitem__, keys)))
 
 
-def _read_regressor(r: _Reader, cfg: ModelConfig, ints: dict[int, int]) -> LinearRegressor:
+def _read_weights(r: _Reader, cfg: ModelConfig,
+                  ints: dict[int, int]) -> tuple[float, dict[int, float]]:
+    """One regressor record, as (bias, weights)."""
     bias, nnz = r.unpack(_REGRESSOR)
-    reg = LinearRegressor(cfg.eta)
-    reg.bias = bias
     share = ints.setdefault
-    reg.weights = {share(i, i): x for i, x in _WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz))}
-    _check_indices(list(reg.weights), nnz, cfg.hash_bits)
-    _check_values([reg.bias], [reg.weights.values()])
-    return reg
+    weights = {share(i, i): x for i, x in _WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz))}
+    _check_indices(list(weights), nnz, cfg.hash_bits)
+    _check_values([bias], [weights.values()])
+    return bias, weights
 
 
 def _check_indices(keys: list[int], count: int, hash_bits: int) -> None:
@@ -195,14 +197,18 @@ def _encode_tree(tree: CondProbTree, cfg: ModelConfig, structure: BinaryIO,
     structure.write(_TREE_HEAD.pack(len(order), tree.disagreement_count))
     if tree.policy == "random":
         structure.write(_COIN.pack(*tree._rng.getstate()[1]))
+    labels, biases, dicts, standins = tree._label, tree._bias, tree._weights, tree._standins
     for node_id, _ in order:
-        node = tree.nodes[node_id]
-        if node.is_leaf:
+        label = labels[node_id]
+        if label is not None:
             structure.write(_KIND.pack(_LEAF_KIND))
-            _w_bytes(structure, node.label.encode("utf-8"))
+            _w_bytes(structure, label.encode("utf-8"))
         else:
             structure.write(_KIND.pack(_INTERNAL_KIND))
-            _write_regressor(weights, node.reg, cfg)
+            if node_id in standins:
+                _write_regressor(weights, standins[node_id], cfg)
+            else:
+                _write_weights(weights, biases[node_id], dicts[node_id], cfg)
 
 
 def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader,
@@ -219,7 +225,7 @@ def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader,
             if kind == _LEAF_KIND:
                 yield s.string(), None
             elif kind == _INTERNAL_KIND:
-                yield None, _read_regressor(w, cfg, ints)
+                yield None, _read_weights(w, cfg, ints)
             else:
                 raise ModelFormatError(f"unknown node kind {kind}")
 
@@ -243,7 +249,8 @@ def _decode_oaa(cfg: ModelConfig, s: _Reader, w: _Reader,
         label = s.string()
         if label in est.regressors:
             raise ModelFormatError(f"label {label!r} appears twice")
-        est.regressors[label] = _read_regressor(w, cfg, ints)
+        reg = est.regressors[label] = LinearRegressor(cfg.eta)
+        reg.bias, reg.weights = _read_weights(w, cfg, ints)
     return est
 
 

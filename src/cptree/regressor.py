@@ -1,15 +1,14 @@
 """Online linear probability regressor trained by incremental gradient descent
 on squared loss, alone or as a block of rows that share every input.
 
-Every node regressor the estimators hold, and every test or oracle stand-in
-for one, has the same three calls: raw(x), the unclipped score; predict(x),
-equal to clip01(raw(x)); and update(x, target, raw=None), one step toward
-target, given raw(x) when the caller already has it. CondProbTree's path
-walks make no call on a node whose regressor is exactly a LinearRegressor:
-they compute the same raw score and step from its weights and bias (only
-the first step of a leaf that insertion splits calls update). Other
-regressors, subclasses of LinearRegressor and the oracle and test stand-ins
-among them, go through these calls.
+A node regressor, and every test or oracle stand-in for one, has three
+calls: raw(x), the unclipped score; predict(x), equal to clip01(raw(x));
+and update(x, target, raw=None), one step toward target, given raw(x) when
+the caller already has it. OneAgainstAll holds LinearRegressors. A
+CondProbTree holds none: each internal node is a bias and a weight dict in
+the tree's lists, which its walks score and step with LinearRegressor's
+arithmetic, and leaves hold nothing. Only a stand-in put at a tree node
+(CondProbTree.set_regressor or a regressor_factory) goes through the calls.
 
 A KWayTree node holds k - 1 rows that always score and step on the same x.
 It has the block form of that interface, RegressorBlock: raws(x), the raw
@@ -21,16 +20,11 @@ block keeps no record of which rows have stepped on a feature: each row it
 yields holds a weight for every feature the block stores, 0.0 where that row
 never stepped.
 
-Each estimator keeps one memo for the x object it last saw: CondProbTree's
-score, which is also its predict, keeps y and the raw scores of the nodes on
-y's path in climb order, from y's parent up to the root, but not the path,
-which learn climbs again; then prefix products, filling a whole subtree in
-one traversal once the dict holds as many entries as the subtree has leaves;
-KWayTree.score keeps each node's raws, their clipped values and the child
-estimates decoded from them. Both trust that a node regressor changes only
-through their own learning. Code that swaps or edits a CondProbTree
-regressor by hand must then call tree.regressors_changed(), as
-install_oracle_regressors does; for a KWayTree, it sets est._memo = None.
+Each estimator keeps one memo for the x object it last saw (CondProbTree's
+is described on the class). Both trust that a node regressor changes only
+through their own learning: code that edits a CondProbTree node's weights
+by hand must call tree.regressors_changed() (set_regressor drops the memo
+itself); for a KWayTree, it sets est._memo = None.
 """
 
 from __future__ import annotations
@@ -54,8 +48,8 @@ class LinearRegressor:
     The learning rate is fixed for the life of the model (no decay); rate
     selection is done by grid search in the evaluation harness.
 
-    CondProbTree repeats raw and update inline for a node of exactly this
-    class, so a change to either must be made in tree.py too.
+    CondProbTree repeats raw and update inline over its node lists, so a
+    change to either must be made in tree.py too.
     """
 
     __slots__ = ("weights", "bias", "learning_rate")

@@ -285,8 +285,7 @@ def install_oracle_regressors(tree: CondProbTree, task: SyntheticTask) -> None:
     """Replace every internal node's regressor with the true conditional."""
     _, right = node_conditionals(tree, task)
     for node_id, probs in right.items():
-        tree.nodes[node_id].reg = OracleNodeRegressor(task, probs)
-    tree.regressors_changed()
+        tree.set_regressor(node_id, OracleNodeRegressor(task, probs))
 
 
 def true_regret(estimator: Estimator, task: SyntheticTask) -> float:

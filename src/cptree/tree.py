@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 from .features import SparseVector, clip01
 from .regressor import LinearRegressor
@@ -77,22 +78,54 @@ def total_depth_bound(n_labels: int, side_fraction: float) -> float:
     return n_labels * math.log(n_labels) / entropy
 
 
-class _Node:
-    """Only internal nodes carry leaf counts (n_left, n_right). No example
-    steps a leaf's regressor; the node keeps it when the leaf splits."""
+class NodeWeights(NamedTuple):
+    """A node's own weight dict (a new empty one at a leaf) and a copy of its
+    bias. It scores as a LinearRegressor would; it has no update."""
 
-    __slots__ = ("left", "right", "label", "reg", "n_left", "n_right", "parent")
+    weights: dict[int, float]
+    bias: float
 
-    def __init__(self, label, reg, parent):
-        self.left = None
-        self.right = None
-        self.label = label
-        self.reg = reg
-        self.parent = parent
+    raw = LinearRegressor.raw
+    predict = LinearRegressor.predict
+
+
+class NodeView(NamedTuple):
+    """One node, built when tree.nodes is indexed. reg is the node's stand-in
+    (see CondProbTree.set_regressor) or else its NodeWeights."""
+
+    parent: int | None
+    left: int | None
+    right: int | None
+    label: str | None
+    n_left: int
+    n_right: int
+    reg: object
 
     @property
     def is_leaf(self) -> bool:
         return self.left is None
+
+
+class _Nodes(Sequence):
+    """tree.nodes: every node as a NodeView, by node id, read-only."""
+
+    __slots__ = ("_tree",)
+
+    def __init__(self, tree: "CondProbTree"):
+        self._tree = tree
+
+    def __len__(self) -> int:
+        return len(self._tree._parent)
+
+    def __getitem__(self, node_id: int) -> NodeView:
+        t = self._tree
+        node_id = range(len(t._parent))[node_id]  # a negative id counts from the end
+        reg = t._standins.get(node_id)
+        if reg is None:
+            weights = t._weights[node_id]
+            reg = NodeWeights({} if weights is None else weights, t._bias[node_id])
+        return NodeView(t._parent[node_id], t._left[node_id], t._right[node_id],
+                        t._label[node_id], t._n_left[node_id], t._n_right[node_id], reg)
 
 
 @dataclass
@@ -112,6 +145,21 @@ class CondProbTree:
     policy "random" makes a fair coin flip at each node instead, but trains the
     traversed regressors the same way. Training is strictly sequential.
 
+    Nodes live in parallel lists indexed by node id: _parent, _left, _right,
+    _n_left and _n_right (leaves under each side), _label, _bias and
+    _weights. A leaf has no children, counts of 0 and weights None: no
+    example steps a leaf, so it holds no regressor. An internal node has no
+    label; the walks score and step its bias and weight dict themselves,
+    with LinearRegressor's arithmetic in its order, so scores and weights
+    match its methods bit for bit. Only _build_preorder and insertion's
+    split add nodes; both keep max_depth. tree.nodes shows each node as a
+    NodeView built on access.
+
+    The one seam for stand-in regressors (tests, install_oracle_regressors)
+    is _standins, filled by set_regressor and, at each new internal node,
+    by regressor_factory: the walks call a stand-in's raw and update, and a
+    plain tree pays one test of the empty dict per node.
+
     score, which is also predict, changes no model state but keeps a memo
     for the x object it last saw, valid while updates is unchanged (see
     regressors_changed). After the first call on an x it holds y and the raw
@@ -125,15 +173,6 @@ class CondProbTree:
     holds only final products, so score may run concurrently between
     training phases: a caller on another x replaces the tuple without
     touching the dict a caller on this x still holds.
-
-    A node whose regressor is exactly a LinearRegressor is scored and
-    stepped by the tree itself, in each path walk: its raw score adds x's
-    features in x's order, and its step keeps LinearRegressor.update's
-    rules, so scores and weights are the ones its methods give, bit for bit.
-    Only the first step of a leaf that insertion splits calls update.
-    Every other regressor, a subclass included, goes through its own raw and
-    update: the oracle stand-ins of install_oracle_regressors and any
-    regressor_factory's own class work as they did.
     """
 
     def __init__(
@@ -142,20 +181,25 @@ class CondProbTree:
         learning_rate: float = 0.1,
         policy: str = "online",
         seed: int = 0,
-        regressor_factory: Callable[[], LinearRegressor] | None = None,
+        regressor_factory: Callable[[], object] | None = None,
     ):
         if policy not in ("online", "random"):
             raise ValueError(f"unknown policy: {policy}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         self.alpha = alpha
         self.learning_rate = learning_rate
         self.policy = policy
         self._rng = random.Random(seed)
-        self._factory = regressor_factory or (lambda: LinearRegressor(learning_rate))
-        self.nodes: list[_Node] = []
+        self._factory = regressor_factory
+        self._parent, self._left, self._right, self._n_left, self._n_right = [], [], [], [], []
+        self._label, self._bias, self._weights = [], [], []
+        self._standins: dict[int, object] = {}  # node id -> stand-in regressor
         self.root: int | None = None
         self.leaf_index: dict[str, int] = {}
+        self.max_depth = 0
         self.disagreement_count = 0
         self.updates = 0  # total regressor updates, for complexity accounting
         self.last_example_updates = 0
@@ -167,7 +211,7 @@ class CondProbTree:
         cls,
         labels: Sequence[str],
         learning_rate: float = 0.1,
-        regressor_factory: Callable[[], LinearRegressor] | None = None,
+        regressor_factory: Callable[[], object] | None = None,
     ) -> "CondProbTree":
         """Build a fixed balanced tree over labels known up front (untrained).
 
@@ -191,62 +235,90 @@ class CondProbTree:
 
     def _build_preorder(self, records) -> None:
         """Fill this empty tree from its nodes in preorder, each given as
-        (label, regressor): label None for an internal node, regressor None
-        for a fresh one. A node's id is its record number.
+        (label, state): label None for an internal node, whose state is its
+        (bias, weights), or None for a fresh one. A node's id is its record
+        number.
 
         Raises ValueError on a repeated label and on records that go on
         after the tree is complete or end inside a subtree.
         """
-        nodes, leaf_index, factory = self.nodes, self.leaf_index, self._factory
+        lefts, rights, leaf_index = self._left, self._right, self.leaf_index
+        factory, max_depth = self._factory, 0
         # A node's parent is the last internal node whose right child has not
-        # come yet.
-        waiting: list[int] = []
-        for node_id, (label, reg) in enumerate(records):
+        # come yet: waiting holds those nodes with their depths.
+        waiting: list[tuple[int, int]] = []
+        for label, state in records:
             if waiting:
-                parent = waiting[-1]
-                if nodes[parent].left is None:
-                    nodes[parent].left = node_id
-                else:
-                    nodes[parent].right = node_id
+                parent, depth = waiting[-1]
+                if lefts[parent] is not None:  # this node is its right child
                     waiting.pop()
-            elif node_id:
+            elif self._parent:
                 raise ValueError("node records continue after the tree is complete")
             else:
-                parent, self.root = None, node_id
-            nodes.append(_Node(label, factory() if reg is None else reg, parent))
+                parent, depth = None, -1
+            depth += 1
             if label is None:
-                waiting.append(node_id)
+                node_id = self._add_node(None, parent, *(state or (0.0, {})))
+                waiting.append((node_id, depth))
+                if factory:
+                    self._standins[node_id] = factory()
             elif label in leaf_index:
                 raise ValueError(f"label {label!r} appears twice")
             else:
-                leaf_index[label] = node_id
+                self._add_node(label, parent)
+                max_depth = max(max_depth, depth)
         if waiting:
             raise ValueError("node records end inside a subtree")
+        self.max_depth = max_depth
         # Every child comes after its parent, so in reverse each child's leaf
         # count is known before its parent's.
-        leaves = [1] * len(nodes)
-        for node_id in reversed(range(len(nodes))):
-            node = nodes[node_id]
-            if node.left is not None:
-                node.n_left, node.n_right = leaves[node.left], leaves[node.right]
-                leaves[node_id] = node.n_left + node.n_right
+        n_left, n_right = self._n_left, self._n_right
+        leaves = [1] * len(lefts)
+        for node_id in reversed(range(len(lefts))):
+            left = lefts[node_id]
+            if left is not None:
+                n_left[node_id], n_right[node_id] = leaves[left], leaves[rights[node_id]]
+                leaves[node_id] = n_left[node_id] + n_right[node_id]
 
-    def _add_node(self, label: str | None, parent: int | None) -> int:
-        """Append a node with a fresh regressor; index it if a leaf."""
-        node_id = len(self.nodes)
-        self.nodes.append(_Node(label, self._factory(), parent))
+    def _add_node(self, label: str | None, parent: int | None, bias: float = 0.0,
+                  weights: dict[int, float] | None = None) -> int:
+        """Append a node with no children as the root, parent's left child,
+        or its right child once it has a left one; index it if a leaf."""
+        node_id = len(self._parent)
+        self._parent.append(parent)
+        self._left.append(None)
+        self._right.append(None)
+        self._n_left.append(0)
+        self._n_right.append(0)
+        self._label.append(label)
+        self._bias.append(bias)
+        self._weights.append(weights)
+        if parent is None:
+            self.root = node_id
+        elif self._left[parent] is None:
+            self._left[parent] = node_id
+        else:
+            self._right[parent] = node_id
         if label is not None:
             self.leaf_index[label] = node_id
         return node_id
 
     @property
-    def n_labels(self) -> int:
-        return len(self.leaf_index)
+    def nodes(self) -> _Nodes:
+        """Every node as a NodeView, by node id: read-only, each built on access."""
+        return _Nodes(self)
+
+    def set_regressor(self, node_id: int, reg) -> None:
+        """Score and step internal node node_id through reg's raw(x) and
+        update(x, target, raw=None) from now on. Drops the score memo."""
+        if self._left[node_id] is None:
+            raise ValueError(f"node {node_id} is a leaf, which holds no regressor")
+        self._standins[node_id] = reg
+        self._memo = None
 
     @property
-    def max_depth(self) -> int:
-        """Depth of the deepest leaf, counted by depth_stats() on every read."""
-        return self.depth_stats().max_depth
+    def n_labels(self) -> int:
+        return len(self.leaf_index)
 
     def path_to(self, y: str) -> list[tuple[int, int]]:
         """Internal nodes from root toward y's leaf, each with its direction
@@ -254,14 +326,14 @@ class CondProbTree:
         node_id = self.leaf_index.get(y)
         if node_id is None:
             raise UnknownLabelError(y)
-        nodes = self.nodes
+        parents, rights = self._parent, self._right
         steps: list[tuple[int, int]] = []
         cur = node_id
-        parent = nodes[cur].parent
+        parent = parents[cur]
         while parent is not None:
-            steps.append((parent, 1 if nodes[parent].right == cur else 0))
+            steps.append((parent, 1 if rights[parent] == cur else 0))
             cur = parent
-            parent = nodes[cur].parent
+            parent = parents[cur]
         steps.reverse()
         return steps
 
@@ -275,43 +347,39 @@ class CondProbTree:
         prefix dict, node id -> product of the estimates from the root down
         to it, and climbs from y's leaf to the nearest node in it, cur. If
         cur's subtree has no more leaves than the dict has entries, the call
-        evaluates every internal node below cur, which costs fewer
-        evaluations than the dict's entries did; otherwise it walks back
-        down y's path. Either way each node's regressor is evaluated once
-        per x and stores both children's products, and every product
-        multiplies from the root down, as the first call's does. The dict
-        starts from the root alone, so the second call never fills: seeding
-        it from the first call's path slowed the second call and the 99th
-        percentile of an a10_online closed loop (README, "Every label of one
-        x"). A call evaluates at most max(len(path_to(y)), len(dict)) nodes,
-        and all n labels of one x at most n - 1 + max_depth.
+        evaluates every internal node below cur; otherwise it walks back
+        down y's path. Either way each node is evaluated once per x and
+        stores both children's products, each multiplied from the root down
+        as in the first call. The dict starts from the root alone (README,
+        "Every label of one x"). A call evaluates at most
+        max(len(path_to(y)), len(dict)) nodes, and all n labels of one x at
+        most n - 1 + max_depth.
         """
         leaf = self.leaf_index.get(y)
         if leaf is None:
             return 0.0
-        nodes = self.nodes
+        parents, rights, biases = self._parent, self._right, self._bias
+        weights_of, standins = self._weights, self._standins
         memo = self._memo
         if memo is None or memo[0] is not x or memo[1] != self.updates:
             # Climb from y's leaf, then multiply from the root down.
             pairs = tuple(zip(x.indices, x.values))
             raws, factors = [], []
-            cur, node_id = leaf, nodes[leaf].parent
+            cur, node_id = leaf, parents[leaf]
             while node_id is not None:
-                node = nodes[node_id]
-                reg = node.reg
-                if type(reg) is LinearRegressor:
-                    r = reg.bias
-                    weights = reg.weights
+                if standins and node_id in standins:
+                    r = standins[node_id].raw(x)
+                else:
+                    r = biases[node_id]
+                    weights = weights_of[node_id]
                     for i, v in pairs:
                         w = weights.get(i)
                         if w is not None:
                             r += w * v
-                else:
-                    r = reg.raw(x)
                 raws.append(r)
                 f = r if 0.0 <= r <= 1.0 else clip01(r)
-                factors.append(f if node.right == cur else 1.0 - f)
-                cur, node_id = node_id, node.parent
+                factors.append(f if rights[node_id] == cur else 1.0 - f)
+                cur, node_id = node_id, parents[node_id]
             self._memo = (x, self.updates, y, raws)
             return math.prod(reversed(factors), start=1.0)
         if len(memo) == 4:
@@ -323,17 +391,17 @@ class CondProbTree:
         # The nodes to evaluate, popped from the end: y's path from cur, the
         # nearest node in the dict, down to y's parent.
         todo = []
-        cur = nodes[leaf].parent
+        cur = parents[leaf]
         while cur not in prefix:
             todo.append(cur)
-            cur = nodes[cur].parent
+            cur = parents[cur]
         todo.append(cur)
         # No node below cur is in the dict yet. Its subtree has one internal
         # node fewer than it has leaves; with no more leaves than the dict
         # has entries, the calls on this x have already paid for it, so
         # evaluate all of it.
-        node = nodes[cur]
-        fill = node.n_left + node.n_right <= len(prefix)
+        lefts, n_lefts, n_rights = self._left, self._n_left, self._n_right
+        fill = n_lefts[cur] + n_rights[cur] <= len(prefix)
         if fill:
             todo = [cur]
         # One tuple per call: a fill, or the second call's walk, evaluates
@@ -341,34 +409,33 @@ class CondProbTree:
         pairs = tuple(zip(x.indices, x.values))
         while todo:
             node_id = todo.pop()
-            node = nodes[node_id]
-            reg = node.reg
-            if type(reg) is LinearRegressor:
-                r = reg.bias
-                weights = reg.weights
+            if standins and node_id in standins:
+                r = standins[node_id].raw(x)
+            else:
+                r = biases[node_id]
+                weights = weights_of[node_id]
                 for i, v in pairs:
                     w = weights.get(i)
                     if w is not None:
                         r += w * v
-            else:
-                r = reg.raw(x)
             f = r if 0.0 <= r <= 1.0 else clip01(r)
             q = prefix[node_id]
-            prefix[node.left] = q * (1.0 - f)
-            prefix[node.right] = q * f
+            left, right = lefts[node_id], rights[node_id]
+            prefix[left] = q * (1.0 - f)
+            prefix[right] = q * f
             if fill:  # a side with one leaf is a leaf
-                if node.n_left > 1:
-                    todo.append(node.left)
-                if node.n_right > 1:
-                    todo.append(node.right)
+                if n_lefts[node_id] > 1:
+                    todo.append(left)
+                if n_rights[node_id] > 1:
+                    todo.append(right)
         return prefix[leaf]
 
     predict = score
 
     def regressors_changed(self) -> None:
-        """Drop the score memo. Call after swapping or editing a node's
-        regressor by hand: the memo trusts that regressors change only by
-        learning, which bumps updates."""
+        """Drop the score memo. Call after editing a node's weights or a
+        stand-in by hand: the memo trusts that regressors change only by
+        learning, which bumps updates, or through set_regressor."""
         self._memo = None
 
     def learn(self, x: SparseVector, y: str) -> None:
@@ -395,32 +462,31 @@ class CondProbTree:
         cur = self.leaf_index.get(y)
         if cur is None:
             raise UnknownLabelError(y)
-        nodes = self.nodes
+        parents, rights, biases = self._parent, self._right, self._bias
+        weights_of, standins, rate = self._weights, self._standins, self.learning_rate
         pairs = tuple(zip(x.indices, x.values))
-        depth, node_id = 0, nodes[cur].parent
+        depth, node_id = 0, parents[cur]
         while node_id is not None:
-            node = nodes[node_id]
-            go_right = node.right == cur
-            cur, node_id = node_id, node.parent
+            go_right = rights[node_id] == cur
             raw = raws[depth] if raws else None
             depth += 1
-            reg = node.reg
-            if type(reg) is not LinearRegressor:
-                reg.update(x, 1.0 if go_right else 0.0, raw)
-                continue
-            weights = reg.weights
-            if raw is None:
-                raw = reg.bias
-                for i, v in pairs:
-                    w = weights.get(i)
-                    if w is not None:
-                        raw += w * v
-            if (delta := reg.learning_rate * (go_right - raw)) != 0.0:
-                if not -math.inf < delta < math.inf:
-                    raise ValueError(f"regressor diverged: step {delta} is not finite")
-                for i, v in pairs:
-                    weights[i] = weights.get(i, 0.0) + delta * v
-                reg.bias += delta
+            if standins and node_id in standins:
+                standins[node_id].update(x, 1.0 if go_right else 0.0, raw)
+            else:
+                weights = weights_of[node_id]
+                if raw is None:
+                    raw = biases[node_id]
+                    for i, v in pairs:
+                        w = weights.get(i)
+                        if w is not None:
+                            raw += w * v
+                if (delta := rate * (go_right - raw)) != 0.0:
+                    if not -math.inf < delta < math.inf:
+                        raise ValueError(f"regressor diverged: step {delta} is not finite")
+                    for i, v in pairs:
+                        weights[i] = weights.get(i, 0.0) + delta * v
+                    biases[node_id] += delta
+            cur, node_id = node_id, parents[node_id]
         self.updates += depth
         self.last_example_updates = depth
 
@@ -430,20 +496,19 @@ class CondProbTree:
             raise ValueError(f"label already present: {y}")
         path: list[int] = []
         if self.root is None:
-            self.root = leaf_id = self._add_node(y, None)
+            leaf_id = self._add_node(y, None)
         else:
-            nodes = self.nodes
+            lefts, rights, n_lefts, n_rights = self._left, self._right, self._n_left, self._n_right
+            biases, weights_of, standins = self._bias, self._weights, self._standins
+            rate, alpha = self.learning_rate, self.alpha
             pairs = tuple(zip(x.indices, x.values))
             coin = self._rng.random if self.policy == "random" else None
-            alpha = self.alpha
             cur = self.root
-            node = nodes[cur]
-            while node.left is not None:
-                reg = node.reg
-                plain = type(reg) is LinearRegressor
-                if plain:
-                    weights = reg.weights
-                    raw = reg.bias
+            while (left := lefts[cur]) is not None:
+                reg = standins.get(cur) if standins else None
+                if reg is None:
+                    weights = weights_of[cur]
+                    raw = biases[cur]
                     for i, v in pairs:
                         w = weights.get(i)
                         if w is not None:
@@ -454,34 +519,41 @@ class CondProbTree:
                 if coin:
                     go_right = 1 if coin() < 0.5 else 0
                 else:
-                    go_right = insert_direction(p, node.n_left, node.n_right, alpha)
+                    go_right = insert_direction(p, n_lefts[cur], n_rights[cur], alpha)
                 # p == 1/2 counts as preferring left, matching the tie-break.
                 if go_right != (p > 0.5):
                     self.disagreement_count += 1
-                if not plain:
+                if reg is not None:
                     reg.update(x, float(go_right), raw)
-                elif (delta := reg.learning_rate * (go_right - raw)) != 0.0:
+                elif (delta := rate * (go_right - raw)) != 0.0:
                     if not -math.inf < delta < math.inf:
                         raise ValueError(f"regressor diverged: step {delta} is not finite")
                     for i, v in pairs:
                         weights[i] = weights.get(i, 0.0) + delta * v
-                    reg.bias += delta
+                    biases[cur] += delta
                 path.append(cur)
                 if go_right:
-                    node.n_right += 1
-                    cur = node.right
+                    n_rights[cur] += 1
+                    cur = rights[cur]
                 else:
-                    node.n_left += 1
-                    cur = node.left
-                node = nodes[cur]
-            # Split the reached leaf into fresh leaves, old label left and y right;
-            # the node keeps the leaf's unstepped regressor and learns y lies right.
+                    n_lefts[cur] += 1
+                    cur = left
+            # Split the reached leaf into two new leaves, its label left and y
+            # right, and step the node toward y's side.
             path.append(cur)
-            node.left = self._add_node(node.label, cur)
-            node.right = leaf_id = self._add_node(y, cur)
-            node.label = None
-            node.n_left = node.n_right = 1
-            node.reg.update(x, 1.0)
+            self._add_node(self._label[cur], cur)
+            leaf_id = self._add_node(y, cur)
+            self._label[cur] = None
+            n_lefts[cur] = n_rights[cur] = 1
+            if self._factory:
+                reg = self._standins[cur] = self._factory()
+                reg.update(x, 1.0)
+            else:
+                # A fresh node's raw score is 0.0, so the step toward 1 is
+                # the learning rate itself, added to 0.0 weights and bias.
+                weights_of[cur] = {i: 0.0 + rate * v for i, v in pairs}
+                biases[cur] = 0.0 + rate
+            self.max_depth = max(self.max_depth, len(path))
         # One update per internal node on the new leaf's path.
         self.updates += len(path)
         self.last_example_updates = len(path)
@@ -491,24 +563,24 @@ class CondProbTree:
     def preorder(self) -> list[tuple[int, int]]:
         """Every node as (node id, depth), each parent before its children and
         the left subtree before the right: the model file's record order."""
-        nodes = self.nodes
+        lefts, rights = self._left, self._right
         order: list[tuple[int, int]] = []
         stack = [] if self.root is None else [(self.root, 0)]
         while stack:
             node_id, depth = stack.pop()
             order.append((node_id, depth))
-            node = nodes[node_id]
-            if not node.is_leaf:
-                stack.append((node.right, depth + 1))
-                stack.append((node.left, depth + 1))
+            left = lefts[node_id]
+            if left is not None:
+                stack.append((rights[node_id], depth + 1))
+                stack.append((left, depth + 1))
         return order
 
     def depth_stats(self) -> DepthStats:
         """Leaves per depth, counted by one preorder traversal."""
-        nodes = self.nodes
+        lefts = self._left
         histogram: dict[int, int] = {}
         for node_id, depth in self.preorder():
-            if nodes[node_id].is_leaf:
+            if lefts[node_id] is None:
                 histogram[depth] = histogram.get(depth, 0) + 1
         return DepthStats(
             n_leaves=sum(histogram.values()),
@@ -519,8 +591,8 @@ class CondProbTree:
 
     def structure_signature(self) -> tuple:
         """Preorder shape-and-label fingerprint, regressor state excluded."""
-        nodes = [self.nodes[node_id] for node_id, _ in self.preorder()]
+        lefts, labels, n_lefts, n_rights = self._left, self._label, self._n_left, self._n_right
         return tuple(
-            ("leaf", node.label) if node.is_leaf else ("internal", node.n_left, node.n_right)
-            for node in nodes
+            ("leaf", labels[i]) if lefts[i] is None else ("internal", n_lefts[i], n_rights[i])
+            for i, _ in self.preorder()
         )

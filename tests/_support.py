@@ -161,8 +161,8 @@ class RowListPecocModel(_RowListNodes, PecocModel):
 
 def check_leaf_counts(tree) -> None:
     """Assert that every internal node of tree stores the leaf counts of its
-    two subtrees, recounted from the leaves up, and that its leaves are the
-    ones leaf_index names."""
+    two subtrees, recounted from the leaves up, that its leaves are the
+    ones leaf_index names, and that its max_depth is its deepest leaf's."""
     nodes = tree.nodes
     counts = {}  # node id -> leaves in its subtree
     leaves = []
@@ -175,6 +175,7 @@ def check_leaf_counts(tree) -> None:
             assert (node.n_left, node.n_right) == (counts[node.left], counts[node.right]), node_id
             counts[node_id] = node.n_left + node.n_right
     assert sorted(leaves) == sorted(tree.leaf_index.items())
+    assert tree.max_depth == tree.depth_stats().max_depth
 
 
 def count_calls(monkeypatch, owner: type, name: str) -> list[int]:

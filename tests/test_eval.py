@@ -394,7 +394,7 @@ def test_node_regret_localizes_a_perturbation():
     by_key = {
         task.features[c].key_bytes(): 0.5 + delta for c in range(task.context_count)
     }
-    tree.nodes[target].reg = ContextRegressor(by_key)
+    tree.set_regressor(target, ContextRegressor(by_key))
     regrets = node_regret(tree, task)
     assert math.isclose(regrets[target], delta**2, abs_tol=1e-15)
     for node_id, regret in regrets.items():

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 import sys
@@ -22,7 +23,7 @@ from cptree import (
     progressive_validate,
     total_depth_bound,
 )
-from cptree.model_io import save_model
+from cptree.model_io import load_model, save_model
 from cptree.synthetic import install_oracle_regressors
 
 from _support import ConstantRegressor, check_leaf_counts, product_bounds, tiny_task, vec
@@ -151,18 +152,18 @@ def test_predict_on_another_x_in_mid_walk_leaves_the_memo_right():
     x, other = task.features
     labels = list(tree.leaf_index)
     target = max(labels, key=lambda y: len(tree.path_to(y)))
-    deepest = tree.nodes[tree.path_to(target)[-1][0]]
-    deepest.reg = _Interrupting(
-        deepest.reg, lambda: [tree.predict(other, y) for y in labels]
+    deepest = tree.path_to(target)[-1][0]
+    interrupting = _Interrupting(
+        tree.nodes[deepest].reg, lambda: [tree.predict(other, y) for y in labels]
     )
-    tree.regressors_changed()
+    tree.set_regressor(deepest, interrupting)
     side = tree.path_to(target)[0][1]
     start = next(y for y in labels if tree.path_to(y)[0][1] != side)
     tree.predict(x, start)
     tree.predict(x, start)  # x's memo holds the products on start's path, on the root's other side
     # Mid-walk, another caller scores every label of other, replacing the memo.
     assert tree.predict(x, target) == walked[0, target]
-    assert deepest.reg.interrupt is None
+    assert interrupting.interrupt is None
     for c, y in [(1, y) for y in labels] + [(0, y) for y in labels]:
         assert tree.predict(task.features[c], y) == walked[c, y], (c, y)
 
@@ -217,11 +218,9 @@ def test_training_rightmost_label_in_balanced_four_leaf_tree():
         if not node.is_leaf
         for t in node.reg.targets
     ]
-    leaf_targets = [
-        t for node in tree.nodes if node.is_leaf for t in node.reg.targets
-    ]
+    leaf_states = [(node.reg.bias, node.reg.weights) for node in tree.nodes if node.is_leaf]
     assert internal_targets == [1.0, 1.0]
-    assert leaf_targets == []  # no example steps a leaf
+    assert leaf_states == [(0.0, {})] * 4  # no example steps a leaf, which holds no regressor
     assert tree.last_example_updates == 2
 
 
@@ -323,11 +322,62 @@ def test_second_label_splits_root_old_left_new_right():
     assert (root.n_left, root.n_right) == (1, 1)
     assert tree.nodes[root.left].label == "old"
     assert tree.nodes[root.right].label == "new"
-    # The split node kept the old leaf's regressor and learned (x, 1); both
-    # leaves got fresh ones, which no example steps.
-    assert root.reg is factory_calls[0] and root.reg.targets == [1.0]
-    assert tree.nodes[root.left].reg.targets == []
-    assert tree.nodes[root.right].reg.targets == []
+    # The split node got the factory's one regressor and learned (x, 1); the
+    # leaves hold none, and no example steps them.
+    assert factory_calls == [root.reg] and root.reg.targets == [1.0]
+    assert tree.nodes[root.left].reg.weights == {}
+    assert tree.nodes[root.right].reg.weights == {}
+
+
+def test_a_grown_tree_adds_no_collected_object_per_label():
+    # The nodes live in the tree's lists and a leaf holds no regressor, so a
+    # label adds list entries, floats and a weight dict of ints and floats,
+    # none of which the garbage collector tracks.
+    xs = [vec((f"f{i}", 1.0)) for i in range(64)]
+    labels = [f"y{i}" for i in range(2000)]
+    tree = CondProbTree(alpha=0.5)
+    gc.collect()
+    before = len(gc.get_objects())
+    for i, y in enumerate(labels):
+        tree.learn(xs[i % len(xs)], y)
+    gc.collect()
+    assert len(gc.get_objects()) - before <= 20
+    assert tree.n_labels == 2000 and len(tree.nodes) == 3999
+    assert all(tree._weights[leaf] is None for leaf in tree.leaf_index.values())
+
+
+def test_nodes_are_read_only():
+    tree = grown(["a", "b"])
+    root = tree.nodes[tree.root]
+    with pytest.raises(AttributeError):
+        root.reg = ConstantRegressor(0.5)
+    with pytest.raises(AttributeError):
+        root.reg.bias = 1.0
+    with pytest.raises(TypeError):
+        tree.nodes[tree.root] = root
+    with pytest.raises(IndexError):
+        tree.nodes[3]
+    with pytest.raises(ValueError, match="node 1 is a leaf, which holds no regressor"):
+        tree.set_regressor(tree.leaf_index["a"], ConstantRegressor(0.5))
+    assert tree.nodes[tree.root] == root and tree.nodes[-1] == tree.nodes[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stream=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 3)), max_size=60),
+    policy=st.sampled_from(["online", "random"]),
+    alpha=st.sampled_from([0.2, 0.5, 1.0]),
+)
+def test_max_depth_is_kept_by_insertion_and_by_the_loader(tmp_path_factory, stream, policy,
+                                                          alpha):
+    tree = CondProbTree(alpha=alpha, policy=policy, seed=7)
+    for label, feature in stream:
+        tree.learn(vec((f"f{feature}", 1.0)), f"y{label}")
+        assert tree.max_depth == tree.depth_stats().max_depth
+    path = tmp_path_factory.getbasetemp() / "depth.bin"
+    save_model(path, f"cpt-{policy}", ModelConfig(alpha=alpha, seed=7), tree)
+    loaded = load_model(path).estimator
+    assert loaded.max_depth == loaded.depth_stats().max_depth == tree.max_depth
 
 
 def test_alpha_one_builds_perfectly_balanced_trees():
@@ -589,7 +639,7 @@ def test_depth_stats_of_perfect_four_leaf_tree():
 
 def test_balanced_tree_over_no_label_is_empty():
     tree = CondProbTree.balanced([])
-    assert tree.root is None and tree.nodes == []
+    assert tree.root is None and len(tree.nodes) == 0
     stats = tree.depth_stats()
     assert (stats.n_leaves, stats.max_depth, stats.total_leaf_depth,
             stats.depth_histogram) == (0, 0, 0, {})
@@ -620,7 +670,7 @@ def _check_preorder(tree):
     leaf_depths = {y: len(tree.path_to(y)) for y in tree.leaf_index}
     assert leaf_depths == {y: depth[leaf] for y, leaf in tree.leaf_index.items()}
     stats = tree.depth_stats()
-    assert stats.max_depth == max(leaf_depths.values(), default=0)
+    assert stats.max_depth == max(leaf_depths.values(), default=0) == tree.max_depth
     assert stats.total_leaf_depth == sum(leaf_depths.values())
     assert stats.depth_histogram == Counter(leaf_depths.values())
 
