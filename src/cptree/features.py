@@ -79,9 +79,6 @@ class SparseVector:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def squared_norm(self) -> float:
-        return sum(v * v for v in self.values)
-
     def key_bytes(self) -> bytes:
         """Exact byte serialization, usable as a lookup key for this vector."""
         parts = [struct.pack("<II", self.hash_bits, len(self.indices))]

@@ -9,6 +9,7 @@ decoder (k >= n, depth 1), which is PecocModel: one code over all labels.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .features import SparseVector, clip01
@@ -125,14 +126,13 @@ class KWayTree:
     are stored as one RegressorBlock: one pass over x per node evaluation or
     step, one lookup per feature for all k - 1 rows. A node steps all its
     rows or, when one step is not finite, none of them.
-    score keeps a one-entry memo for the x object it last saw: for every
-    node it has evaluated since the last learn, the raw scores of x, their
-    clipped values and the child estimates decoded from them. learn is the
-    only call that changes a regressor, and it clears the memo. Scoring every
-    label of one x so evaluates and clips each node and decodes each child
-    once, and learn(x, y) with the same x object steps from the raw scores
-    on y's path. predict is score without the memo of x: it reads nothing
-    from it and writes nothing to it.
+    score, which is also predict, keeps a one-entry memo for the x object it
+    last saw: for every node it has evaluated since the last learn, the raw
+    scores of x, their clipped values and the child estimates decoded from
+    them. learn is the only call that changes a regressor, and it clears the
+    memo. Scoring every label of one x so evaluates and clips each node and
+    decodes each child once, and learn(x, y) with the same x object steps
+    from the raw scores on y's path.
     Each code column a node decodes or steps with is built by doubling and
     kept as bytes, keyed by child digit, up to COLUMN_MEMO_BYTES per tree; past
     that a column is rebuilt on each use. A column depends only on k and the
@@ -144,6 +144,8 @@ class KWayTree:
             raise ValueError(f"k must be a power of two >= 2, got {k}")
         if k > 1 << MAX_CODE_EXPONENT:
             raise ValueError(f"k must be at most {1 << MAX_CODE_EXPONENT}, got {k}")
+        if not 0.0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         # Slots fill in arrival order and are never freed: the next is len(label_map).
         self.label_map = {y: s for s, y in enumerate(labels)}
         if len(self.label_map) != len(labels):
@@ -229,11 +231,6 @@ class KWayTree:
             return r if self._column(digit) == 0 else 1.0 - r
         return clip01(decode_probability(self._bits(digit), rows))
 
-    def _raws(self, key: tuple[int, int], x: SparseVector) -> list[float]:
-        block = self._node_regs.get(key)
-        # An untouched node has no block yet; a fresh one would score 0.
-        return block.raws(x) if block is not None else [0.0] * (self.k - 1)
-
     def score(self, x: SparseVector, y: str) -> float:
         """Product of per-node child estimates; labels never seen score 0."""
         slot = self.label_map.get(y)
@@ -248,7 +245,9 @@ class KWayTree:
             key = (level, index)
             node = nodes.get(key)
             if node is None:
-                raws = self._raws(key, x)
+                block = self._node_regs.get(key)
+                # An untouched node has no block yet; a fresh one would score 0.
+                raws = block.raws(x) if block is not None else [0.0] * (self.k - 1)
                 node = nodes[key] = (raws, [1.0, *map(clip01, raws)], {})
             estimates = node[2]
             p = estimates.get(digit)
@@ -257,16 +256,7 @@ class KWayTree:
             q *= p
         return q
 
-    def predict(self, x: SparseVector, y: str) -> float:
-        """score(x, y), from a walk of y's path that leaves the memo as it is."""
-        slot = self.label_map.get(y)
-        if slot is None:
-            return 0.0
-        q = 1.0
-        for level, index, digit in self._path(slot):
-            rows = [1.0, *map(clip01, self._raws((level, index), x))]
-            q *= self._child_estimate(rows, digit)
-        return q
+    predict = score
 
 
 class PecocModel(KWayTree):

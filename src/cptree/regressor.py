@@ -20,11 +20,9 @@ block keeps no record of which rows have stepped on a feature: each row it
 yields holds a weight for every feature the block stores, 0.0 where that row
 never stepped.
 
-Each estimator keeps one memo for the x object it last saw (CondProbTree's
-is described on the class). Both trust that a node regressor changes only
-through their own learning: code that edits a CondProbTree node's weights
-by hand must call tree.regressors_changed() (set_regressor drops the memo
-itself); for a KWayTree, it sets est._memo = None.
+Each tree estimator keeps one memo for the x object it last saw, described
+on its class. A node regressor changes only by the estimator's own learning
+or, at a CondProbTree node, through set_regressor; both keep the memo right.
 """
 
 from __future__ import annotations

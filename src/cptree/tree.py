@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .features import SparseVector, clip01
@@ -79,10 +80,11 @@ def total_depth_bound(n_labels: int, side_fraction: float) -> float:
 
 
 class NodeWeights(NamedTuple):
-    """A node's own weight dict (a new empty one at a leaf) and a copy of its
-    bias. It scores as a LinearRegressor would; it has no update."""
+    """A read-only view of a node's own weight dict (an empty one at a leaf)
+    and a copy of its bias. It scores as a LinearRegressor would; it has no
+    update."""
 
-    weights: dict[int, float]
+    weights: Mapping[int, float]
     bias: float
 
     raw = LinearRegressor.raw
@@ -123,7 +125,8 @@ class _Nodes(Sequence):
         reg = t._standins.get(node_id)
         if reg is None:
             weights = t._weights[node_id]
-            reg = NodeWeights({} if weights is None else weights, t._bias[node_id])
+            reg = NodeWeights(MappingProxyType({} if weights is None else weights),
+                              t._bias[node_id])
         return NodeView(t._parent[node_id], t._left[node_id], t._right[node_id],
                         t._label[node_id], t._n_left[node_id], t._n_right[node_id], reg)
 
@@ -153,7 +156,7 @@ class CondProbTree:
     with LinearRegressor's arithmetic in its order, so scores and weights
     match its methods bit for bit. Only _build_preorder and insertion's
     split add nodes; both keep max_depth. tree.nodes shows each node as a
-    NodeView built on access.
+    NodeView built on access, whose weights cannot be written.
 
     The one seam for stand-in regressors (tests, install_oracle_regressors)
     is _standins, filled by set_regressor and, at each new internal node,
@@ -161,8 +164,9 @@ class CondProbTree:
     plain tree pays one test of the empty dict per node.
 
     score, which is also predict, changes no model state but keeps a memo
-    for the x object it last saw, valid while updates is unchanged (see
-    regressors_changed). After the first call on an x it holds y and the raw
+    for the x object it last saw, valid while updates is unchanged. Only
+    learning, which bumps updates, and set_regressor, which drops the memo,
+    change a regressor. After the first call on an x it holds y and the raw
     score of x at each node on y's path, in climb order, and no path: learn
     right after score(x, y), with the same x object and y, climbs again and
     steps each node from its stored value instead of scoring x again. A later
@@ -310,7 +314,8 @@ class CondProbTree:
 
     def set_regressor(self, node_id: int, reg) -> None:
         """Score and step internal node node_id through reg's raw(x) and
-        update(x, target, raw=None) from now on. Drops the score memo."""
+        update(x, target, raw=None) from now on. Drops the score memo, so a
+        stand-in edited by hand goes back in through here."""
         if self._left[node_id] is None:
             raise ValueError(f"node {node_id} is a leaf, which holds no regressor")
         self._standins[node_id] = reg
@@ -431,12 +436,6 @@ class CondProbTree:
         return prefix[leaf]
 
     predict = score
-
-    def regressors_changed(self) -> None:
-        """Drop the score memo. Call after editing a node's weights or a
-        stand-in by hand: the memo trusts that regressors change only by
-        learning, which bumps updates, or through set_regressor."""
-        self._memo = None
 
     def learn(self, x: SparseVector, y: str) -> None:
         """One online step on (x, y). Right after score(x, y) on the same x

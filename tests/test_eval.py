@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -244,14 +245,14 @@ def test_kway_tree_decodes_each_child_of_one_x_once(monkeypatch):
         tree.learn(example.x, example.y)
     children = {step for slot in tree.label_map.values() for step in tree._path(slot)}
     x = task.features[1]
-    expected = [tree.predict(x, y).hex() for y in tree.label_map]
+    expected = [tree.score(dataclasses.replace(x), y).hex() for y in tree.label_map]
     calls = count_calls(monkeypatch, pecoc, "decode_probability")
     scores = [tree.score(x, y).hex() for y in tree.label_map]
     assert len(children) == 3 + 12  # the root's 3 filled children, then the 12 labels
     assert calls[0] <= len(children) and scores == expected
     # learn changes the rows and clears the memo: the same x object decodes again.
     tree.learn(x, task.labels[3])
-    expected = [tree.predict(x, y).hex() for y in tree.label_map]
+    expected = [tree.score(dataclasses.replace(x), y).hex() for y in tree.label_map]
     start = calls[0]
     assert [tree.score(x, y).hex() for y in tree.label_map] == expected != scores
     assert 0 < calls[0] - start <= len(children)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -280,12 +281,14 @@ def test_kway_and_pecoc_keep_the_columns_of_their_own_digits():
         for y in labels:
             est.score(x, y)
         assert est._columns == {d: bytes(code_column(16, est._column(d))) for d in range(16)}
-        assert est.predict(x, "y3") == est.score(x, "y3")
+        assert est.score(x, "y3") == est.score(dataclasses.replace(x), "y3")
 
 
 def test_pecoc_past_the_column_memo_scores_every_label_like_predict():
     # At k = 2048 the columns of every label come to 4 MiB; the model keeps
     # those that fit in COLUMN_MEMO_BYTES and rebuilds the others on each use.
+    # A score-all of one x object reads the memo; each label of a fresh equal
+    # x object starts a new one.
     task = tiny_task(contexts=4, labels=1025, seed=60)
     model = PecocModel(task.labels)
     assert model.k == 2048
@@ -293,11 +296,11 @@ def test_pecoc_past_the_column_memo_scores_every_label_like_predict():
         model.learn(example.x, example.y)
     x = task.features[0]
     rows = [1.0, *map(clip01, model.regressors_at(0, 0).raws(x))]
-    for slot, y in enumerate(task.labels):
-        score = model.score(x, y)
-        assert score.hex() == model.predict(x, y).hex()
+    scores = [model.score(x, y).hex() for y in task.labels]
+    assert scores == [model.score(dataclasses.replace(x), y).hex() for y in task.labels]
+    for slot, score in enumerate(scores):
         expected = clip01(decode_probability(code_column(model.k, slot), rows))
-        assert score.hex() == expected.hex()
+        assert score == expected.hex()
     kept = sum(map(len, model._columns.values()))
     assert kept == COLUMN_MEMO_BYTES
     assert all(bits == bytes(code_column(model.k, d)) for d, bits in model._columns.items())
@@ -394,37 +397,29 @@ def test_kway_node_steps_every_row_or_none():
     assert math.isfinite(before[0][0]) and rows() == before and tree.updates == updates
 
 
-def _memo_state(est) -> tuple:
-    memo = est._memo
-    if memo is None:
-        return None, None
-    nodes = {key: ([r.hex() for r in raws], [v.hex() for v in clipped],
-                   sorted((d, p.hex()) for d, p in estimates.items()))
-             for key, (raws, clipped, estimates) in memo[1].items()}
-    return memo[0], nodes
-
-
 @pytest.mark.parametrize("k", [2, 4, 16, None])
 def test_kway_predict_is_score_without_the_memo(tmp_path, k):
-    # predict walks y's path on its own: every label's answer equals score's
-    # bit for bit, on each x of a trained stream, and the memo and the model
-    # bytes stay as they were.
+    # predict is score. Every label's score of one x object, from the memo,
+    # equals its score on a fresh equal x object, which starts a new memo,
+    # bit for bit, on each x of a trained stream; the first x has the memo
+    # of a score right after a learn. A score-all leaves the model bytes as
+    # they were.
     task = tiny_task(contexts=6, labels=24, seed=40)
     mode, config = ("pecoc", ModelConfig()) if k is None else ("kway", ModelConfig(k=k))
     est = PecocModel(task.labels) if k is None else KWayTree(task.labels, k)
+    assert est.predict == est.score
     labels = [*task.labels, "never-seen"]
     for n, example in enumerate(task.sample(240, seed=41)):
         est.learn(example.x, example.y)
         if n % 40 == 0:
             est.score(example.x, example.y)
-            before = _memo_state(est)
             save_model(tmp_path / "before.bin", mode, config, est)
-            predicted = [[est.predict(x, y).hex() for y in labels] for x in task.features]
-            assert _memo_state(est) == before and before[0] is example.x
+            xs = [example.x, *task.features]
+            scores = [[est.score(x, y).hex() for y in labels] for x in xs]
             save_model(tmp_path / "after.bin", mode, config, est)
             assert (tmp_path / "after.bin").read_bytes() == (tmp_path / "before.bin").read_bytes()
-            assert predicted == [[est.score(x, y).hex() for y in labels] for x in task.features]
-            assert predicted[0][-1] == (0.0).hex()
+            fresh = [[est.score(dataclasses.replace(x), y).hex() for y in labels] for x in xs]
+            assert scores == fresh and scores[0][-1] == (0.0).hex()
 
 
 def test_installed_rows_replace_what_score_remembers():

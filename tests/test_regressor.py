@@ -1,9 +1,11 @@
 import math
 import random
+import re
 
 import pytest
 
-from cptree import KWayTree, LinearRegressor, ModelConfig, load_model, save_model
+from cptree import (CondProbTree, KWayTree, LinearRegressor, ModelConfig, PecocModel, load_model,
+                    save_model)
 from _support import RowList, block_of, install_rows, row_state, vec
 
 
@@ -50,13 +52,21 @@ def test_zero_gradient_leaves_weights_unchanged():
     assert (dict(reg.weights), reg.bias) == frozen
 
 
+def _squared_norm(x) -> float:
+    # A plain loop: from Python 3.12 the builtin sum() compensates rounding.
+    total = 0.0
+    for v in x.values:
+        total += v * v
+    return total
+
+
 def test_update_is_exact_error_contraction():
     # One step multiplies the raw-score error by exactly
     # 1 - eta * (||x||^2 + 1); the +1 is the bias coordinate.
     rng = random.Random(5)
     for _ in range(300):
         x = vec(*[(f"f{i}", rng.uniform(-1.5, 1.5)) for i in range(rng.randrange(1, 5))])
-        eta = rng.uniform(0.01, 0.9 / (x.squared_norm() + 1.0))
+        eta = rng.uniform(0.01, 0.9 / (_squared_norm(x) + 1.0))
         reg = LinearRegressor(eta)
         reg.bias = rng.uniform(-1, 1)
         for i in x.indices:
@@ -65,7 +75,7 @@ def test_update_is_exact_error_contraction():
         before = abs(reg.raw(x) - target)
         reg.update(x, target)
         after = abs(reg.raw(x) - target)
-        expected = (1.0 - eta * (x.squared_norm() + 1.0)) * before
+        expected = (1.0 - eta * (_squared_norm(x) + 1.0)) * before
         assert math.isclose(after, expected, abs_tol=1e-9)
         if before > 1e-9:
             assert after < before
@@ -122,9 +132,15 @@ def test_opposite_infinite_weights_raise_on_predict():
 
 
 def test_learning_rate_must_be_positive():
-    for bad in (float("nan"), float("inf"), 0.0, -0.1):
-        with pytest.raises(ValueError, match="learning_rate"):
-            LinearRegressor(bad)
+    # Every estimator that steps regressors refuses a bad rate when it is
+    # built, before any example.
+    makers = (LinearRegressor, lambda rate: CondProbTree(learning_rate=rate),
+              lambda rate: KWayTree(["A", "B"], 2, rate), lambda rate: PecocModel(["A", "B"], rate))
+    for bad in (float("nan"), float("inf"), 0.0, -0.1, -1.0):
+        message = re.escape(f"learning_rate must be positive and finite, got {bad}")
+        for make in makers:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make(bad)
 
 
 # --- the block form: the k - 1 rows of one k-way node ---------------------------

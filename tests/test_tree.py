@@ -353,6 +353,12 @@ def test_nodes_are_read_only():
         root.reg = ConstantRegressor(0.5)
     with pytest.raises(AttributeError):
         root.reg.bias = 1.0
+    weights, leaf = dict(root.reg.weights), tree.nodes[tree.leaf_index["a"]]
+    with pytest.raises(TypeError):
+        root.reg.weights[0] = 1.0
+    with pytest.raises(TypeError):
+        leaf.reg.weights[0] = 1.0
+    assert root.reg.weights == weights == tree._weights[tree.root] and leaf.reg.weights == {}
     with pytest.raises(TypeError):
         tree.nodes[tree.root] = root
     with pytest.raises(IndexError):
@@ -602,8 +608,9 @@ def test_inline_divergence_raises_where_the_regressor_methods_do():
         x = vec(("f", 10.0))
         for tree in (inline, methods):
             _, (mid, _), (low, _) = tree.path_to("b")
-            tree.nodes[mid].reg.weights[x.indices[0]] = 1e308  # raw(x) is inf
-            tree.regressors_changed()
+            # tree.nodes shows the inline node's weights read-only.
+            weights = tree._weights[mid] if tree is inline else tree.nodes[mid].reg.weights
+            weights[x.indices[0]] = 1e308  # raw(x) is inf
             before = _node_states(tree)
             if scored:
                 assert tree.score(x, "b") == 0.0
