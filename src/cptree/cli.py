@@ -10,8 +10,8 @@ import time
 
 from .data import format_example_line, read_example_file, read_label_file
 from .evaluation import EvalReport, progressive_validate
-from .model_io import (LABELED_MODES, MODES, ModelConfig, build_estimator, check_config_fits,
-                       load_model, save_model)
+from .model_io import (LABELED_MODES, MODES, ModelConfig, build_estimator, check_config,
+                       check_config_fits, load_model, save_model)
 from .pecoc import KWayTree, loss_multiplier
 from .tree import CondProbTree, max_depth_bound, max_side_fraction, total_depth_bound
 
@@ -69,8 +69,10 @@ def _new_estimator(mode: str, cfg: ModelConfig, path):
     return build_estimator(mode, cfg, labels)
 
 
-def _train_estimator(mode: str, cfg: ModelConfig, train_path):
+def _train_estimator(mode: str, cfg: ModelConfig, train_path, check=None):
     est = _new_estimator(mode, cfg, train_path)
+    if check:  # after the estimator's own checks, before any example is read
+        check(cfg)
     # Later passes see only labels the first one inserted: a tree keeps its shape.
     for _ in range(cfg.passes):
         for example in read_example_file(train_path, cfg.hash_bits):
@@ -115,11 +117,10 @@ def _report_row(mode: str, report: EvalReport) -> tuple:
 def cmd_train(args, out) -> int:
     _check_output_path("--model", args.model)
     cfg = _config_from_args(args)
-    # A config the model header cannot hold is refused before training. Its
-    # domain is checked at save: the estimator refuses a bad eta first, with
-    # its own message.
+    # A config save_model would refuse is refused before training: an
+    # estimator built at a bad eta refuses it first, with its own message.
     check_config_fits(cfg)
-    est = _train_estimator(args.mode, cfg, args.train)
+    est = _train_estimator(args.mode, cfg, args.train, check_config)
     save_model(args.model, args.mode, cfg, est)
     print(f"trained mode={args.mode} -> {args.model}", file=out)
     return 0

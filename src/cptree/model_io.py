@@ -7,18 +7,18 @@ length-prefixed UTF-8 strings. All reals are 8-byte IEEE floats, so identical
 runs produce identical bytes and a reload reproduces predictions exactly.
 
 Format 4 stores only what a computation reads. A regressor record is a bias
-and its (feature, weight) pairs. A tree is its nodes in preorder: a kind
-byte, then a leaf's label or, in the weights section, an internal node's
-regressor; leaves hold none. The preorder fixes the shape, so no record
-holds a node id, a child id or a leaf count: the writer reads the tree's
-node lists, and the loader hands (bias, weights) records to the tree's
-preorder builder. A kway or pecoc node is one block record, as
-RegressorBlock holds it: its k - 1 biases, a feature count, then one
-(feature, k - 1 weights) record per feature. No record holds a learning
-rate: every regressor runs at the config's eta, and save_model refuses one
-at another rate. A cpt-random tree's header holds its coin's state, so a
-reloaded tree flips the coins the saved one would have. This build reads
-format 4 only; a model of an earlier format must be retrained.
+and its (feature, weight) pairs. A tree is its nodes in preorder: a kind byte,
+then a leaf's label or, in the weights section, an internal node's regressor;
+leaves hold none. The preorder fixes the shape, so no record holds a node id,
+a child id or a leaf count: the writer reads the tree's node lists, and the
+loader hands its labels, biases and weight dicts, in preorder lists, to the
+tree's builder. A kway or pecoc node is one block record, as RegressorBlock
+holds it: its k - 1 biases, a feature count, then one (feature, k - 1 weights)
+record per feature. No record holds a learning rate: every regressor runs at
+the config's eta, and save_model refuses one at another rate. A cpt-random
+tree's header holds its coin's state, so a reloaded tree flips the coins the
+saved one would have. This build reads format 4 only; a model of an earlier
+format must be retrained.
 """
 
 from __future__ import annotations
@@ -158,12 +158,23 @@ def _write_weights(out: BinaryIO, bias: float, weights: dict[int, float],
 
 def _read_weights(r: _Reader, cfg: ModelConfig,
                   ints: dict[int, int]) -> tuple[float, dict[int, float]]:
-    """One regressor record, as (bias, weights)."""
-    bias, nnz = r.unpack(_REGRESSOR)
+    """One regressor record, as (bias, weights), checked as _write_weights
+    checks what it writes; a helper is called only to name a failure."""
+    raw, start = r.raw, r._pos + _REGRESSOR.size
+    if start > len(raw):
+        raise ModelFormatError("truncated model file")
+    bias, nnz = _REGRESSOR.unpack_from(raw, r._pos)
+    end = r._pos = start + _WEIGHT.size * nnz
+    if end > len(raw):  # before a weight is read
+        raise ModelFormatError("truncated model file")
     share = ints.setdefault
-    weights = {share(i, i): x for i, x in _WEIGHT.iter_unpack(r.take(_WEIGHT.size * nnz))}
-    _check_indices(list(weights), nnz, cfg.hash_bits)
-    _check_values([bias], [weights.values()])
+    weights = {share(i, i): x for i, x in _WEIGHT.iter_unpack(raw[start:end])}
+    keys = list(weights)
+    if len(keys) != nnz or keys != sorted(keys) or keys and keys[-1] >> cfg.hash_bits:
+        _check_indices(keys, nnz, cfg.hash_bits)
+    # A 0.0 bias may be -0.0; a sum that is not finite may hide a value that is not.
+    if bias == 0.0 or not math.isfinite(sum(weights.values(), bias)):
+        _check_values([bias], [weights.values()])
     return bias, weights
 
 
@@ -219,17 +230,37 @@ def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader,
         # setstate raises ValueError on a coin position past the state's end.
         tree._rng.setstate((random.Random.VERSION, s.unpack(_COIN), None))
 
-    def records():
+    # Read in place: a kind byte, then a leaf's length-prefixed UTF-8 label.
+    # An internal node's regressor is the next record of the weights section.
+    raw, pos, end = s.raw, s._pos, len(s.raw)
+    labels, biases, dicts = [], [], []
+    try:
         for _ in range(n_records):
-            (kind,) = s.unpack(_KIND)
-            if kind == _LEAF_KIND:
-                yield s.string(), None
-            elif kind == _INTERNAL_KIND:
-                yield None, _read_weights(w, cfg, ints)
+            if pos >= end:
+                raise ModelFormatError("truncated model file")
+            kind = raw[pos]
+            if kind == _INTERNAL_KIND:
+                bias, weights = _read_weights(w, cfg, ints)
+                labels.append(None)
+                biases.append(bias)
+                dicts.append(weights)
+                pos += 1
+            elif kind == _LEAF_KIND:
+                start = pos + 1 + _U32.size
+                if start > end:
+                    raise ModelFormatError("truncated model file")
+                pos = start + _U32.unpack_from(raw, pos + 1)[0]
+                if pos > end:
+                    raise ModelFormatError("truncated model file")
+                labels.append(str(raw[start:pos], "utf-8"))
+                biases.append(0.0)
+                dicts.append(None)
             else:
                 raise ModelFormatError(f"unknown node kind {kind}")
-
-    tree._build_preorder(records())
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"string is not UTF-8: {exc}") from exc
+    s._pos = pos
+    tree._build_preorder(labels, biases, dicts)
     return tree
 
 
@@ -393,7 +424,7 @@ _CONFIG_FIELDS = (("alpha", _F64), ("eta", _F64), ("hash_bits", _U32), ("passes"
 def check_config_fits(config: ModelConfig) -> None:
     """Raise ModelFormatError unless every field of config packs into the
     header record that holds it. Whether a value is in its domain is left
-    to _check_config."""
+    to check_config."""
     for name, field in _CONFIG_FIELDS:
         value = getattr(config, name)
         try:
@@ -403,7 +434,7 @@ def check_config_fits(config: ModelConfig) -> None:
             raise ModelFormatError(f"{name} must be {kind}, got {value!r}") from None
 
 
-def _check_config(config: ModelConfig) -> None:
+def check_config(config: ModelConfig) -> None:
     """Raise ModelFormatError unless a model file can hold config and load it back."""
     check_config_fits(config)
     if not MIN_HASH_BITS <= config.hash_bits <= MAX_HASH_BITS:
@@ -420,7 +451,7 @@ def save_model(path, mode: str, config: ModelConfig, estimator) -> None:
     """Write estimator to path, encoded and checked as load_model checks it."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode: {mode}")
-    _check_config(config)
+    check_config(config)
     rate = getattr(estimator, "learning_rate", config.eta)  # a table has none
     if rate != config.eta:
         raise ModelFormatError(f"learning_rate {rate} differs from the config's eta {config.eta}")
@@ -462,7 +493,7 @@ def read_sections(path) -> tuple[str, ModelConfig, bytes, bytes]:
     if mode not in MODES:
         raise ModelFormatError(f"unknown mode tag {mode!r}")
     config = ModelConfig(*r.unpack(_CONFIG))
-    _check_config(config)
+    check_config(config)
     structure = r.take(r.unpack(_U64)[0])
     weights = r.take(r.unpack(_U64)[0])
     r.finish("weights section")

@@ -223,71 +223,79 @@ class CondProbTree:
         follow the objective at alpha = 1. A repeated label raises ValueError.
         """
         tree = cls(alpha=1.0, learning_rate=learning_rate, regressor_factory=regressor_factory)
-
-        def records(lo: int, hi: int):
+        # Each range of labels is a node, split with the larger half left.
+        # The stack pops a left half before its right, so nodes come in preorder.
+        order, stack = [], [(0, len(labels))] if labels else []
+        while stack:
+            lo, hi = stack.pop()
             if hi - lo == 1:
-                yield labels[lo], None
+                order.append(labels[lo])
             else:
-                yield None, None
+                order.append(None)
                 mid = lo + (hi - lo + 1) // 2
-                yield from records(lo, mid)
-                yield from records(mid, hi)
-
-        if labels:
-            tree._build_preorder(records(0, len(labels)))
+                stack += (mid, hi), (lo, mid)
+        tree._build_preorder(order, [0.0] * len(order),
+                             [None if label is not None else {} for label in order])
         return tree
 
-    def _build_preorder(self, records) -> None:
-        """Fill this empty tree from its nodes in preorder, each given as
-        (label, state): label None for an internal node, whose state is its
-        (bias, weights), or None for a fresh one. A node's id is its record
-        number.
+    def _build_preorder(self, labels: list, biases: list, weights: list) -> None:
+        """Fill this empty tree, and keep these lists, from its nodes in
+        preorder: each node's label (None at an internal node), bias and
+        weight dict (0.0 and None at a leaf). A node's id is its place.
 
         Raises ValueError on a repeated label and on records that go on
-        after the tree is complete or end inside a subtree.
-        """
-        lefts, rights, leaf_index = self._left, self._right, self.leaf_index
-        factory, max_depth = self._factory, 0
-        # A node's parent is the last internal node whose right child has not
-        # come yet: waiting holds those nodes with their depths.
+        after the tree is complete or end inside a subtree."""
+        n = len(labels)
+        parents, lefts, rights = [None] * n, [None] * n, [None] * n
+        leaf_index, factory = self.leaf_index, self._factory
+        # A node is the left child of the node before it if that is internal,
+        # else the right child of the last internal node still waiting for
+        # one, each held with its children's depth. Pointers reuse the ids.
         waiting: list[tuple[int, int]] = []
-        for label, state in records:
-            if waiting:
-                parent, depth = waiting[-1]
-                if lefts[parent] is not None:  # this node is its right child
-                    waiting.pop()
-            elif self._parent:
-                raise ValueError("node records continue after the tree is complete")
-            else:
-                parent, depth = None, -1
-            depth += 1
+        parent, right, depth, max_depth = None, False, 0, 0
+        for node_id, label in enumerate(labels):
+            parents[node_id] = parent
+            if right:
+                rights[parent] = node_id
+            elif node_id:  # the root, node 0, has no parent
+                lefts[parent] = node_id
             if label is None:
-                node_id = self._add_node(None, parent, *(state or (0.0, {})))
+                depth += 1
                 waiting.append((node_id, depth))
+                parent, right = node_id, False
                 if factory:
                     self._standins[node_id] = factory()
-            elif label in leaf_index:
+                continue
+            if label in leaf_index:
                 raise ValueError(f"label {label!r} appears twice")
-            else:
-                self._add_node(label, parent)
-                max_depth = max(max_depth, depth)
-        if waiting:
+            leaf_index[label] = node_id
+            if depth > max_depth:
+                max_depth = depth
+            if waiting:
+                (parent, depth), right = waiting.pop(), True
+            elif node_id + 1 < n:
+                raise ValueError("node records continue after the tree is complete")
+        # No record came after the tree was complete, so it is complete iff
+        # it has one leaf more than it has internal nodes.
+        if n and 2 * len(leaf_index) != n + 1:
             raise ValueError("node records end inside a subtree")
-        self.max_depth = max_depth
         # Every child comes after its parent, so in reverse each child's leaf
         # count is known before its parent's.
-        n_left, n_right = self._n_left, self._n_right
-        leaves = [1] * len(lefts)
-        for node_id in reversed(range(len(lefts))):
+        n_left, n_right, leaves = [0] * n, [0] * n, [1] * n
+        for node_id in reversed(range(n)):
             left = lefts[node_id]
             if left is not None:
                 n_left[node_id], n_right[node_id] = leaves[left], leaves[rights[node_id]]
                 leaves[node_id] = n_left[node_id] + n_right[node_id]
+        self._parent, self._left, self._right = parents, lefts, rights
+        self._n_left, self._n_right = n_left, n_right
+        self._label, self._bias, self._weights = labels, biases, weights
+        self.root = 0 if n else None
+        self.max_depth = max_depth
 
-    def _add_node(self, label: str | None, parent: int | None, bias: float = 0.0,
-                  weights: dict[int, float] | None = None) -> int:
-        """Append a node with no children as the root, parent's left child,
-        or its right child once it has a left one; index it if a leaf."""
+    def _add_node(self, label: str | None, parent: int | None) -> int:
+        """For insertion: append a node with no children as the root, parent's
+        left child, or its right child once it has a left one; index a leaf."""
         node_id = len(self._parent)
         self._parent.append(parent)
         self._left.append(None)
@@ -295,8 +303,8 @@ class CondProbTree:
         self._n_left.append(0)
         self._n_right.append(0)
         self._label.append(label)
-        self._bias.append(bias)
-        self._weights.append(weights)
+        self._bias.append(0.0)
+        self._weights.append(None)
         if parent is None:
             self.root = node_id
         elif self._left[parent] is None:

@@ -360,6 +360,18 @@ def test_kway_and_pecoc_refuse_a_bad_learning_rate_before_training(mode, streams
     assert not model.exists()
 
 
+@pytest.mark.parametrize("mode", ["oaa", "table"])
+def test_oaa_and_table_refuse_a_bad_eta_before_reading_an_example(mode, streams, tmp_path,
+                                                                  monkeypatch, capsys):
+    train, _ = streams
+    monkeypatch.setattr("cptree.cli.read_example_file", lambda *args: pytest.fail("trained"))
+    model = tmp_path / "m.bin"
+    assert run_cli("train", "--mode", mode, "--train", str(train),
+                   "--model", str(model), "--eta", "-1")[0] == 1
+    assert capsys.readouterr().err == "error: eta must be positive and finite, got -1.0\n"
+    assert not model.exists()
+
+
 def test_diverging_training_is_a_one_line_error_and_writes_no_model(tmp_path, capsys):
     train = tmp_path / "train.txt"
     write_lines(train, [f"{'AB'[i % 2]} | f:30" for i in range(200)])

@@ -167,13 +167,25 @@ def test_bad_magic_is_rejected(tmp_path):
 
 
 def test_truncated_file_is_rejected(tmp_path):
-    cfg, est = build("oaa")
     path = tmp_path / "model.bin"
-    save_model(path, "oaa", cfg, est)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 5])
-    with pytest.raises(ModelFormatError):
-        load_model(path)
+    for mode in MODES:
+        cfg, est = build(mode)
+        save_model(path, mode, cfg, est)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - 5])
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+        # Each section cut to every shorter length, with its length prefix
+        # to match: the records the counts ask for run out.
+        path.write_bytes(raw)
+        _, _, structure, weights = read_sections(path)
+        cuts = [(structure[:n], weights) for n in range(len(structure))]
+        cuts += [(structure, weights[:n]) for n in range(len(weights))]
+        for cut in cuts:
+            path.write_bytes(raw)
+            _replace_sections(path, *cut)
+            with pytest.raises(ModelFormatError):
+                load_model(path)
 
 
 def _hash_bits_message(hash_bits):

@@ -657,6 +657,19 @@ def test_balanced_tree_rejects_a_repeated_label():
         CondProbTree.balanced(["a", "b", "a"])
 
 
+def test_balanced_tree_puts_the_larger_half_of_each_node_on_the_left():
+    for n in range(1, 301):
+        labels = [f"y{i}" for i in range(n)]
+        tree = CondProbTree.balanced(labels)
+        check_leaf_counts(tree)
+        nodes = tree.nodes
+        order = [nodes[node_id] for node_id, _ in tree.preorder()]
+        assert [node.label for node in order if node.is_leaf] == labels
+        for node in order:
+            if not node.is_leaf:
+                assert node.n_left == (node.n_left + node.n_right + 1) // 2, n
+
+
 def _check_preorder(tree):
     order = tree.preorder()
     assert sorted(node_id for node_id, _ in order) == list(range(len(tree.nodes)))
