@@ -13,6 +13,7 @@ from .evaluation import EvalReport, progressive_validate
 from .model_io import (LABELED_MODES, MODES, ModelConfig, build_estimator, check_config,
                        check_config_fits, load_model, save_model)
 from .pecoc import KWayTree, loss_multiplier
+from .regressor import check_learning_rate
 from .tree import CondProbTree, max_depth_bound, max_side_fraction, total_depth_bound
 
 REPORT_COLUMNS = ("mode", "examples", "sq_loss", "ci", "equivalent",
@@ -65,6 +66,9 @@ def _new_estimator(mode: str, cfg: ModelConfig, path):
     at path, in first-seen order."""
     labels = ()
     if mode in LABELED_MODES:
+        # Each of these estimators refuses a bad rate when it is built; the
+        # same check here refuses it before the label pass.
+        check_learning_rate(cfg.eta)
         labels = list(dict.fromkeys(read_label_file(path)))
     return build_estimator(mode, cfg, labels)
 
@@ -117,8 +121,9 @@ def _report_row(mode: str, report: EvalReport) -> tuple:
 def cmd_train(args, out) -> int:
     _check_output_path("--model", args.model)
     cfg = _config_from_args(args)
-    # A config save_model would refuse is refused before training: an
-    # estimator built at a bad eta refuses it first, with its own message.
+    # A config save_model would refuse is refused before training. A bad
+    # eta is refused first, with the estimator's own message: by a labeled
+    # mode before its label pass, by the others when they are built.
     check_config_fits(cfg)
     est = _train_estimator(args.mode, cfg, args.train, check_config)
     save_model(args.model, args.mode, cfg, est)

@@ -9,11 +9,10 @@ decoder (k >= n, depth 1), which is PecocModel: one code over all labels.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .features import SparseVector, clip01
-from .regressor import RegressorBlock
+from .regressor import RegressorBlock, check_learning_rate
 
 MAX_CODE_EXPONENT = 16  # practical cap: codes up to 65536 columns
 # The code columns one KWayTree keeps, in bytes: every column of a k <= 1024 tree.
@@ -144,8 +143,7 @@ class KWayTree:
             raise ValueError(f"k must be a power of two >= 2, got {k}")
         if k > 1 << MAX_CODE_EXPONENT:
             raise ValueError(f"k must be at most {1 << MAX_CODE_EXPONENT}, got {k}")
-        if not 0.0 < learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+        check_learning_rate(learning_rate)
         # Slots fill in arrival order and are never freed: the next is len(label_map).
         self.label_map = {y: s for s, y in enumerate(labels)}
         if len(self.label_map) != len(labels):
@@ -240,20 +238,29 @@ class KWayTree:
         if memo is None or memo[0] is not x:
             memo = self._memo = (x, {})
         nodes = memo[1]
+        # The steps of _path(slot), walked inline.
+        k = self.k
+        block = self.capacity
+        index = 0
         q = 1.0
-        for level, index, digit in self._path(slot):
+        for level in range(self.depth):
+            block //= k
+            digit = (slot // block) % k
             key = (level, index)
             node = nodes.get(key)
             if node is None:
-                block = self._node_regs.get(key)
+                regs = self._node_regs.get(key)
                 # An untouched node has no block yet; a fresh one would score 0.
-                raws = block.raws(x) if block is not None else [0.0] * (self.k - 1)
-                node = nodes[key] = (raws, [1.0, *map(clip01, raws)], {})
+                raws = regs.raws(x) if regs is not None else [0.0] * (k - 1)
+                # clip01 only out of range, where it also refuses a NaN.
+                rows = [1.0, *[r if 0.0 <= r <= 1.0 else clip01(r) for r in raws]]
+                node = nodes[key] = (raws, rows, {})
             estimates = node[2]
             p = estimates.get(digit)
             if p is None:
                 p = estimates[digit] = self._child_estimate(node[1], digit)
             q *= p
+            index = index * k + digit
         return q
 
     predict = score

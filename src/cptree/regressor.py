@@ -12,10 +12,10 @@ arithmetic, and leaves hold nothing. Only a stand-in put at a tree node
 
 A KWayTree node holds k - 1 rows that always score and step on the same x.
 It has the block form of that interface, RegressorBlock: raws(x), the raw
-scores of every row in one pass over x, which adds four features to every
-row per list pass, in x's order, and the last one to three one at a time,
-whatever x's length; update(x, targets, raws=None), one step of
-every row; and iteration, which yields each row as a LinearRegressor. A
+scores of every row in one pass over x, which adds eight stored features to
+every row per list pass, in x's order, then four, then the last one to three
+one at a time, whatever x's length; update(x, targets, raws=None), one step
+of every row; and iteration, which yields each row as a LinearRegressor. A
 block keeps no record of which rows have stepped on a feature: each row it
 yields holds a weight for every feature the block stores, 0.0 where that row
 never stepped.
@@ -32,6 +32,13 @@ from array import array
 from typing import Iterator, Sequence
 
 from .features import SparseVector, clip01
+
+
+def check_learning_rate(rate: float) -> None:
+    """Raise ValueError unless rate is positive and finite: the one check
+    every estimator that learns at a rate makes when it is built."""
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"learning_rate must be positive and finite, got {rate}")
 
 
 class LinearRegressor:
@@ -53,8 +60,7 @@ class LinearRegressor:
     __slots__ = ("weights", "bias", "learning_rate")
 
     def __init__(self, learning_rate: float = 0.1):
-        if not 0.0 < learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+        check_learning_rate(learning_rate)
         self.weights: dict[int, float] = {}
         self.bias = 0.0
         self.learning_rate = learning_rate
@@ -120,20 +126,29 @@ class RegressorBlock:
     def raws(self, x: SparseVector) -> list[float]:
         """Every row's unclipped score bias + w . x, in one pass over x.
 
-        Features that the block stores are added in x's order, four per list
-        pass: t + wa*va + wb*vb + wc*vc + wd*vd sums left to right, so each
-        total is the one that one pass per feature gives, bit for bit, with a
-        quarter of the lists built.
+        Features that the block stores are added in x's order, eight per list
+        pass, then four, then one at a time: t + wa*va + ... + wh*vh sums
+        left to right, so each total is the one that one pass per feature
+        gives, bit for bit, with an eighth of the lists built.
         """
         totals = list(self._biases)
         get = self._weights.get
         present = [(row, v) for i, v in zip(x.indices, x.values) if (row := get(i)) is not None]
-        whole = len(present) & ~3
-        quads = iter(present[:whole])
-        for (ra, va), (rb, vb), (rc, vc), (rd, vd) in zip(quads, quads, quads, quads):
+        n = len(present)
+        eights = n & ~7
+        groups = iter(present[:eights])
+        for ((ra, va), (rb, vb), (rc, vc), (rd, vd),
+             (re, ve), (rf, vf), (rg, vg), (rh, vh)) in zip(*[groups] * 8):
+            totals = [t + wa * va + wb * vb + wc * vc + wd * vd
+                      + we * ve + wf * vf + wg * vg + wh * vh
+                      for t, wa, wb, wc, wd, we, wf, wg, wh
+                      in zip(totals, ra, rb, rc, rd, re, rf, rg, rh)]
+        fours = n & ~3
+        if fours > eights:
+            (ra, va), (rb, vb), (rc, vc), (rd, vd) = present[eights:fours]
             totals = [t + wa * va + wb * vb + wc * vc + wd * vd
                       for t, wa, wb, wc, wd in zip(totals, ra, rb, rc, rd)]
-        for row, v in present[whole:]:
+        for row, v in present[fours:]:
             totals = [t + w * v for t, w in zip(totals, row)]
         return totals
 

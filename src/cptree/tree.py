@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .features import SparseVector, clip01
-from .regressor import LinearRegressor
+from .regressor import LinearRegressor, check_learning_rate
 
 
 class UnknownLabelError(KeyError):
@@ -191,8 +191,7 @@ class CondProbTree:
             raise ValueError(f"unknown policy: {policy}")
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 < learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
+        check_learning_rate(learning_rate)
         self.alpha = alpha
         self.learning_rate = learning_rate
         self.policy = policy

@@ -13,6 +13,7 @@ from cptree import (
     read_sections,
 )
 from cptree.cli import main
+from cptree.data import read_label_file
 
 
 def run_cli(*argv):
@@ -357,6 +358,31 @@ def test_kway_and_pecoc_refuse_a_bad_learning_rate_before_training(mode, streams
     assert run_cli("train", "--mode", *mode, "--train", str(train),
                    "--model", str(model), "--eta", "-1")[0] == 1
     assert capsys.readouterr().err == "error: learning_rate must be positive and finite, got -1.0\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("mode", [["cpt-fixed"], ["kway", "--k", "2"], ["pecoc"]],
+                         ids=["cpt-fixed", "kway", "pecoc"])
+def test_labeled_modes_refuse_a_bad_learning_rate_before_reading_a_label(mode, streams, tmp_path,
+                                                                        monkeypatch, capsys):
+    train, _ = streams
+    seen = []
+
+    def counted(path):
+        for label in read_label_file(path):
+            seen.append(label)
+            yield label
+
+    monkeypatch.setattr("cptree.cli.read_label_file", counted)
+    model = tmp_path / "m.bin"
+    argv = ["train", "--mode", *mode, "--train", str(train), "--model", str(model)]
+    assert run_cli(*argv)[0] == 0
+    assert len(seen) == 6  # the counter sees the label pass of a good rate
+    seen.clear()
+    model.unlink()
+    assert run_cli(*argv, "--eta", "-1")[0] == 1
+    assert capsys.readouterr().err == "error: learning_rate must be positive and finite, got -1.0\n"
+    assert seen == []
     assert not model.exists()
 
 

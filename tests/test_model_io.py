@@ -87,6 +87,60 @@ def test_scores_match_golden_hashes(mode):
     assert hashlib.sha256(scores).hexdigest() == GOLDEN_SCORES_SHA256[mode]
 
 
+WIDE_LABELS = [f"W{j}" for j in range(40)]
+
+
+def _wide_examples(count, seed):
+    """count seeded examples over WIDE_LABELS, each x of 24 tokens: two tied
+    to the label and 22 distinct words with values of both signs."""
+    rng = random.Random(seed)
+    examples = []
+    for _ in range(count):
+        j = rng.randrange(len(WIDE_LABELS))
+        tokens = [(f"c{j % 8}", 1.0), (f"d{j // 8}", 1.0)]
+        tokens += [(f"w{w}", rng.choice([1.0, 0.5, -2.0, 3.25])) for w in rng.sample(range(300), 22)]
+        examples.append((from_tokens(tokens, 18), WIDE_LABELS[j]))
+    return examples
+
+
+def build_wide(mode):
+    """A k = 16 kway or a pecoc model trained progressively on 24-token
+    lines, and the packed scores of that pass, of every label on eight of
+    its x, and of a held-out stream."""
+    cfg = ModelConfig(eta=0.02, hash_bits=18, k=16 if mode == "kway" else 0)
+    est = build_estimator(mode, cfg, WIDE_LABELS)
+    scores = []
+    for x, y in _wide_examples(400, seed=61):
+        scores.append(est.score(x, y))
+        est.learn(x, y)
+    held_out = _wide_examples(200, seed=62)
+    for x, _ in held_out[:8]:
+        scores.extend(est.score(x, label) for label in WIDE_LABELS)
+    scores.extend(est.score(x, y) for x, y in held_out)
+    return cfg, est, struct.pack(f"<{len(scores)}d", *scores)
+
+
+# sha256 of build_wide(mode)'s model file and scores, recorded at commit
+# fc73a51, before RegressorBlock.raws summed eight stored features per list
+# pass. Unlike build(mode), whose x have one token each, these reach every
+# grouped pass.
+GOLDEN_WIDE_SHA256 = {
+    "kway": ("37d2b3bf00a071f22634704edad7babd0ac4c8881169181e34c5ba578176edf3",
+             "66ce12b786fd25e9e2579f8a3fd42737681b778816e16a91964222024b87f4dd"),
+    "pecoc": ("831b93f907c9ad41a75e6d1268ede81b1cea1df8f53087150109f941876735c6",
+              "675849e2a9a48fcfc5c3cd2a9927331ff75ca27203b4cf9f565fc7fb35ca15bd"),
+}
+
+
+@pytest.mark.parametrize("mode", ["kway", "pecoc"])
+def test_wide_models_and_scores_match_golden_hashes(mode, tmp_path):
+    cfg, est, scores = build_wide(mode)
+    path = tmp_path / "model.bin"
+    save_model(path, mode, cfg, est)
+    got = (hashlib.sha256(path.read_bytes()).hexdigest(), hashlib.sha256(scores).hexdigest())
+    assert got == GOLDEN_WIDE_SHA256[mode]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_round_trip_reproduces_predictions_exactly(mode, tmp_path):
     cfg, est = build(mode)

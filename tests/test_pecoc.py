@@ -432,6 +432,51 @@ def test_installed_rows_replace_what_score_remembers():
     assert [tree.score(x, y) for y in "ABCD"] == [0.25, 0.5, 0.0, 0.25]
 
 
+def _wide_tree(k):
+    labels = [f"L{j}" for j in range(40)]
+    return PecocModel(labels) if k is None else KWayTree(labels, k)
+
+
+@pytest.mark.parametrize("k", [2, 16, None])
+def test_a_nan_raw_score_is_refused(k):
+    # score clips an in-range row inline and calls clip01 only for one out
+    # of range; a NaN is neither, and must raise as clip01 does.
+    tree = _wide_tree(k)
+    *_, (level, index, _) = tree._path(tree.label_map["L27"])
+    tree.regressors_at(level, index)._biases[-1] = math.nan
+    x = vec(("a", 1.0))
+    for _ in range(2):  # a second try must not find a half-made memo entry
+        with pytest.raises(ValueError, match="^cannot clip nan to a probability$"):
+            tree.score(x, "L27")
+
+
+@pytest.mark.parametrize("k", [2, 4, 16, None])
+def test_score_calls_clip01_only_to_decode_when_rows_are_in_range(k, monkeypatch):
+    # With every row's raw score in [0, 1], a memo-miss score calls clip01
+    # once per node on the path, to clip the decoded estimate; at k = 2 the
+    # estimate is the row itself and needs none. A row out of range adds one
+    # call.
+    tree = _wide_tree(k)
+    rng = random.Random(5)
+    path = tree._path(tree.label_map["L27"])
+    for level, index, _ in path:
+        tree.regressors_at(level, index)._biases[:] = [rng.random() for _ in range(tree.k - 1)]
+    calls = [0]
+
+    def counted(value):
+        calls[0] += 1
+        return clip01(value)
+
+    monkeypatch.setattr("cptree.pecoc.clip01", counted)
+    decodes = 0 if k == 2 else len(path)
+    tree.score(vec(("a", 1.0)), "L27")
+    assert calls[0] == decodes
+    tree.regressors_at(0, 0)._biases[0] = 1.5
+    calls[0] = 0
+    tree.score(vec(("a", 1.0)), "L27")
+    assert calls[0] == decodes + 1
+
+
 def test_kway_unknown_label_scores_zero_and_capacity_is_enforced():
     tree = KWayTree(["a", "b", "c"], 2)  # capacity 4
     assert tree.score(vec(("u", 1.0)), "zzz") == 0.0

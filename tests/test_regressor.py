@@ -176,13 +176,14 @@ def test_block_reads_back_its_rows_and_scores_them_bit_for_bit():
 
 
 def test_block_sums_four_features_per_pass_as_one_per_pass():
-    # raws adds four stored features per list pass from 4 features on. Every
-    # count of stored features from 0 to 13 meets each remainder mod 4, with
-    # features no row stored between them, the odd rows' signed zeros and
-    # partial features, and weights and values of both signs.
+    # raws adds eight stored features per list pass, then four, then one at
+    # a time. Every count of stored features from 0 to 25 meets each
+    # remainder mod 8, with and without the four-wide pass, with features no
+    # row stored between them, the odd rows' signed zeros and partial
+    # features, and weights and values of both signs.
     rows = _odd_rows() + [LinearRegressor(0.1) for _ in range(2)]
     rng = random.Random(12)
-    stored = ["a", "b", "c"] + [f"s{j}" for j in range(10)]
+    stored = ["a", "b", "c"] + [f"s{j}" for j in range(23)]
     for name in stored[3:]:
         index = vec((name, 1.0)).indices[0]
         for reg in rows:
@@ -190,7 +191,7 @@ def test_block_sums_four_features_per_pass_as_one_per_pass():
                 reg.weights[index] = rng.choice([-0.0, 0.0, rng.uniform(-3, 3)])
     rows[3].bias, rows[4].bias = -1.75, 3.0
     block, twin = block_of(rows), RowList(rows)
-    for n in range(14):
+    for n in range(26):
         for _ in range(20):
             names = rng.sample(stored, n) + [f"u{j}" for j in rng.sample(range(30), rng.randrange(4))]
             x = vec(*[(name, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 4.0)) for name in names])
