@@ -228,6 +228,9 @@ def cmd_inspect(args, out) -> int:
         print(f"slots: {est.capacity}", file=out)
         print(f"regressors per node: {est.k - 1}", file=out)
         print(f"active nodes: {len(est._node_regs)}", file=out)
+        stored = sum(len(block._weights) for block in est._node_regs.values())
+        print(f"stored features: {stored}", file=out)
+        print(f"stored weights: {stored * (est.k - 1)}", file=out)
         return 0
     raise CliError(f"inspect requires a tree model, got mode {loaded.mode}")
 

@@ -15,7 +15,9 @@ It has the block form of that interface, RegressorBlock: raws(x), the raw
 scores of every row in one pass over x, which adds eight stored features to
 every row per list pass, in x's order, then four, then the last one to three
 one at a time, whatever x's length; update(x, targets, raws=None), one step
-of every row; and iteration, which yields each row as a LinearRegressor. A
+of every row, which builds the row of a feature the block does not yet store
+once per distinct value in x and copies it for each later new feature with
+that value; and iteration, which yields each row as a LinearRegressor. A
 block keeps no record of which rows have stepped on a feature: each row it
 yields holds a weight for every feature the block stores, 0.0 where that row
 never stepped.
@@ -160,6 +162,19 @@ class RegressorBlock:
         which t - raw converts exactly. raws, when given, must be raws(x) as
         the block stands now. Raises ValueError, leaving every row as it was,
         if a target is out of range or any row's step is not finite.
+
+        A stored feature's row steps cell by cell, row[r] += delta * v, for
+        the rows whose step is not 0. A new feature's row is d * v + 0.0 for
+        every row's step d, built once per distinct value v in x: the first
+        new feature with that value stores it, and each later one a copy, so
+        no two features share an array. Each cell is the 0.0 + d * v that
+        stepping a zeroed row gives, bit for bit, since IEEE addition
+        commutes; a row whose step is 0 gets +0.0, as a zeroed row left it,
+        because + 0.0 turns a -0.0 product into +0.0. Keying by value is
+        exact for the same reason: equal floats differ at most in the sign
+        of a zero, which + 0.0 clears. A row built from a list or copied
+        from an array is sized to its k - 1 cells, as the loader's are,
+        where a zeroed row built from bytes is over-allocated.
         """
         for target in targets:
             if not 0.0 <= target <= 1.0:
@@ -178,13 +193,16 @@ class RegressorBlock:
         for r, delta in steps:
             biases[r] += delta
         weights = self._weights
-        zeros = bytes(8 * len(deltas))
+        new_rows: dict[float, array] = {}
         for i, v in zip(x.indices, x.values):
             row = weights.get(i)
-            if row is None:
-                row = weights[i] = array("d", zeros)
-            for r, delta in steps:
-                row[r] += delta * v
+            if row is not None:
+                for r, delta in steps:
+                    row[r] += delta * v
+            elif (first := new_rows.get(v)) is None:
+                weights[i] = new_rows[v] = array("d", [d * v + 0.0 for d in deltas])
+            else:
+                weights[i] = array("d", first)
 
     def __iter__(self) -> Iterator[LinearRegressor]:
         """Each row as a LinearRegressor that owns a copy of its state: a

@@ -233,6 +233,7 @@ def test_inspect_kway_model(tmp_path):
     assert text.splitlines() == [
         "mode: kway", "labels: 5", "k: 4", "depth: 2", "slots: 16",
         "regressors per node: 3", "active nodes: 3",
+        "stored features: 10", "stored weights: 30",
     ]
 
 
@@ -247,6 +248,24 @@ def test_inspect_pecoc_model(tmp_path):
     assert text.splitlines() == [
         "mode: pecoc", "labels: 5", "k: 8", "depth: 1", "slots: 8",
         "regressors per node: 7", "active nodes: 1",
+        "stored features: 5", "stored weights: 35",
+    ]
+
+
+@pytest.mark.parametrize("mode", ["kway", "pecoc"])
+def test_inspect_counts_the_stored_features_and_weights_of_every_block(tmp_path, mode):
+    train = tmp_path / "train.txt"
+    write_lines(train, [f"y{i % 11} | f{i % 7} g{i % 5}:0.5 h{i}:-0.25" for i in range(40)])
+    model = tmp_path / "m.bin"
+    k = ["--k", "4"] if mode == "kway" else []
+    assert run_cli("train", "--mode", mode, *k, "--train", str(train), "--model", str(model))[0] == 0
+    est = load_model(model).estimator
+    features = sum(len(block._weights) for block in est._node_regs.values())
+    assert features > 40
+    code, text = run_cli("inspect", "--model", str(model))
+    assert code == 0
+    assert text.splitlines()[-2:] == [
+        f"stored features: {features}", f"stored weights: {features * (est.k - 1)}",
     ]
 
 

@@ -5,7 +5,8 @@ grid and both policies. After every example the two trees must have updated
 the same number of regressors; at the end they must have the same shape,
 the same regressor state node by node and bit-identical predictions.
 KWayTree and PecocModel, whose nodes store their rows as one block, are
-checked the same way against twins whose nodes are separate regressors.
+checked the same way against twins whose nodes are separate regressors, on
+those streams and on streams of up to 24 features per x.
 """
 
 import dataclasses
@@ -296,3 +297,31 @@ def test_block_nodes_match_separate_row_regressors(tmp_path_factory, drawn, k, k
     assert saved == _saved(directory, mode, config, rows)
     loaded = load_model(directory / f"{mode}.bin").estimator
     assert _saved(directory, mode, config, loaded) == saved
+
+
+# Wide x: up to 24 features per x from a vocabulary of up to 48, so raws
+# meets its eight- and four-feature passes, and many new features of one
+# update share a value, whose new row update builds once and copies. With
+# |v| <= 0.5 on at most 24 features, ||x||^2 <= 6 and eta * (||x||^2 + 1)
+# stays below 2, so learning converges.
+WIDE_VALUES = (-0.25, 0.25, 0.5)
+
+
+@st.composite
+def wide_streams(draw):
+    n_labels = draw(st.integers(1, 40))
+    vocab = draw(st.integers(1, 48))
+    length = draw(st.integers(1, 60))
+    x = st.dictionaries(st.integers(0, vocab - 1), st.sampled_from(WIDE_VALUES),
+                        min_size=1, max_size=24)
+    example = st.tuples(x, st.integers(0, n_labels - 1))
+    stream = draw(st.lists(example, min_size=length, max_size=length))
+    return n_labels, [(from_tokens([(f"f{j}", v) for j, v in pairs.items()]), f"y{label}")
+                      for pairs, label in stream]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=wide_streams(), k=st.sampled_from([2, 4, 16, None]), known=st.integers(1, 40))
+def test_block_nodes_match_separate_row_regressors_on_wide_x(tmp_path_factory, drawn, k, known):
+    test_block_nodes_match_separate_row_regressors.hypothesis.inner_test(
+        tmp_path_factory, drawn, k, known)

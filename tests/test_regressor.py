@@ -6,6 +6,7 @@ import pytest
 
 from cptree import (CondProbTree, KWayTree, LinearRegressor, ModelConfig, PecocModel, load_model,
                     save_model)
+from cptree.regressor import RegressorBlock
 from _support import RowList, block_of, install_rows, row_state, vec
 
 
@@ -211,6 +212,27 @@ def test_block_steps_as_separate_regressors_and_skips_zero_steps(tmp_path):
         assert [r.hex() for r in block.raws(x)] == [r.hex() for r in twin.raws(x)]
         assert [row_state(reg) for reg in block] == [row_state(reg) for reg in twin]
     assert _kway_bytes(tmp_path / "block.bin", block) == _kway_bytes(tmp_path / "rows.bin", twin)
+
+
+def test_block_builds_new_rows_per_value_with_positive_zeros_and_no_sharing():
+    # update builds one new row per distinct value of x and copies it for the
+    # other new features with that value. Row 0 never steps (target 0 on a
+    # raw of 0.0), so its new cells are 0.0 * v + 0.0: +0.0, as a zeroed row
+    # gave, where 0.0 * v alone would leave -0.0 for a negative v.
+    block, twin = RegressorBlock(3, 0.1), RowList([LinearRegressor(0.1) for _ in range(3)])
+    names = [f"n{j}" for j in range(6)]
+    for x in (vec(*[(name, -0.5) for name in names]),
+              vec(("n3", 2.0), ("m0", 0.25), ("m1", 0.25))):
+        targets = [0.0, 1.0, 0.25]
+        assert block.raws(x)[0] == 0.0
+        block.update(x, targets)
+        twin.update(x, targets)
+    expected = {i: [w.hex() for w in row] for i, row in twin._weights.items()}
+    assert {i: [w.hex() for w in row] for i, row in block._weights.items()} == expected
+    assert [b.hex() for b in block._biases] == [b.hex() for b in twin._biases]
+    assert len(expected) == 8
+    assert all(math.copysign(1.0, row[0]) == 1.0 for row in block._weights.values())
+    assert len({id(row) for row in block._weights.values()}) == len(block._weights)
 
 
 def test_block_checks_every_step_before_it_changes_a_row():
