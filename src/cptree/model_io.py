@@ -208,7 +208,7 @@ def _encode_tree(tree: CondProbTree, cfg: ModelConfig, structure: BinaryIO,
     structure.write(_TREE_HEAD.pack(len(order), tree.disagreement_count))
     if tree.policy == "random":
         structure.write(_COIN.pack(*tree._rng.getstate()[1]))
-    labels, biases, dicts, standins = tree._label, tree._bias, tree._weights, tree._standins
+    labels, biases, dicts = tree._label, tree._bias, tree._weights
     for node_id, _ in order:
         label = labels[node_id]
         if label is not None:
@@ -216,10 +216,7 @@ def _encode_tree(tree: CondProbTree, cfg: ModelConfig, structure: BinaryIO,
             _w_bytes(structure, label.encode("utf-8"))
         else:
             structure.write(_KIND.pack(_INTERNAL_KIND))
-            if node_id in standins:
-                _write_regressor(weights, standins[node_id], cfg)
-            else:
-                _write_weights(weights, biases[node_id], dicts[node_id], cfg)
+            _write_weights(weights, biases[node_id], dicts[node_id], cfg)
 
 
 def _decode_tree(build, cfg: ModelConfig, s: _Reader, w: _Reader,

@@ -1,14 +1,13 @@
 """Online linear probability regressor trained by incremental gradient descent
 on squared loss, alone or as a block of rows that share every input.
 
-A node regressor, and every test or oracle stand-in for one, has three
-calls: raw(x), the unclipped score; predict(x), equal to clip01(raw(x));
-and update(x, target, raw=None), one step toward target, given raw(x) when
-the caller already has it. OneAgainstAll holds LinearRegressors. A
-CondProbTree holds none: each internal node is a bias and a weight dict in
-the tree's lists, which its walks score and step with LinearRegressor's
-arithmetic, and leaves hold nothing. Only a stand-in put at a tree node
-(CondProbTree.set_regressor or a regressor_factory) goes through the calls.
+A LinearRegressor has three calls: raw(x), the unclipped score;
+predict(x), equal to clip01(raw(x)); and update(x, target, raw=None), one
+step toward target, given raw(x) when the caller already has it.
+OneAgainstAll holds LinearRegressors. A CondProbTree holds none: each
+internal node is a bias and a weight dict in the tree's lists, which its
+walks score and step with LinearRegressor's arithmetic, and leaves hold
+nothing.
 
 A KWayTree node holds k - 1 rows that always score and step on the same x.
 It has the block form of that interface, RegressorBlock: raws(x), the raw
@@ -23,8 +22,8 @@ yields holds a weight for every feature the block stores, 0.0 where that row
 never stepped.
 
 Each tree estimator keeps one memo for the x object it last saw, described
-on its class. A node regressor changes only by the estimator's own learning
-or, at a CondProbTree node, through set_regressor; both keep the memo right.
+on its class. A node changes only by the estimator's own learning, which
+keeps the memo right.
 """
 
 from __future__ import annotations

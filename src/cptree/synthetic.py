@@ -2,9 +2,9 @@
 
 A synthetic task carries its full conditional table over a finite context
 set, so expected losses and regrets are exact enumerations rather than
-samples. The oracle estimator and the oracle node regressors answer the
-task's true probabilities, for checking the tree's bounds in isolation from
-learning error.
+samples. The oracle estimator answers the task's true probabilities, and
+node_conditionals gives each tree node's true right-branch probability, for
+checking the tree's bounds in isolation from learning error.
 """
 
 from __future__ import annotations
@@ -263,29 +263,6 @@ def node_conditionals(
                 cond = np.where(total > 0.0, right_mass / np.where(total > 0, total, 1.0), 0.0)
             right[node_id] = cond
     return reach, right
-
-
-class OracleNodeRegressor:
-    """Frozen regressor answering a node's true conditional per context."""
-
-    def __init__(self, task: SyntheticTask, right_probs: np.ndarray):
-        self.task = task
-        self.right_probs = right_probs
-
-    def predict(self, x: SparseVector) -> float:
-        return float(self.right_probs[self.task.context_of(x)])
-
-    raw = predict
-
-    def update(self, x: SparseVector, target: float, raw: float | None = None) -> None:
-        pass
-
-
-def install_oracle_regressors(tree: CondProbTree, task: SyntheticTask) -> None:
-    """Replace every internal node's regressor with the true conditional."""
-    _, right = node_conditionals(tree, task)
-    for node_id, probs in right.items():
-        tree.set_regressor(node_id, OracleNodeRegressor(task, probs))
 
 
 def true_regret(estimator: Estimator, task: SyntheticTask) -> float:

@@ -15,7 +15,7 @@ import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .features import SparseVector, clip01
 from .regressor import LinearRegressor, check_learning_rate
@@ -92,8 +92,8 @@ class NodeWeights(NamedTuple):
 
 
 class NodeView(NamedTuple):
-    """One node, built when tree.nodes is indexed. reg is the node's stand-in
-    (see CondProbTree.set_regressor) or else its NodeWeights."""
+    """One node, built when tree.nodes is indexed, with its NodeWeights as
+    reg."""
 
     parent: int | None
     left: int | None
@@ -101,7 +101,7 @@ class NodeView(NamedTuple):
     label: str | None
     n_left: int
     n_right: int
-    reg: object
+    reg: NodeWeights
 
     @property
     def is_leaf(self) -> bool:
@@ -122,11 +122,8 @@ class _Nodes(Sequence):
     def __getitem__(self, node_id: int) -> NodeView:
         t = self._tree
         node_id = range(len(t._parent))[node_id]  # a negative id counts from the end
-        reg = t._standins.get(node_id)
-        if reg is None:
-            weights = t._weights[node_id]
-            reg = NodeWeights(MappingProxyType({} if weights is None else weights),
-                              t._bias[node_id])
+        weights = t._weights[node_id]
+        reg = NodeWeights(MappingProxyType({} if weights is None else weights), t._bias[node_id])
         return NodeView(t._parent[node_id], t._left[node_id], t._right[node_id],
                         t._label[node_id], t._n_left[node_id], t._n_right[node_id], reg)
 
@@ -152,31 +149,26 @@ class CondProbTree:
     _n_left and _n_right (leaves under each side), _label, _bias and
     _weights. A leaf has no children, counts of 0 and weights None: no
     example steps a leaf, so it holds no regressor. An internal node has no
-    label; the walks score and step its bias and weight dict themselves,
-    with LinearRegressor's arithmetic in its order, so scores and weights
+    label, and is its bias and weight dict alone: the walks score and step
+    it with LinearRegressor's arithmetic in its order, so scores and weights
     match its methods bit for bit. Only _build_preorder and insertion's
     split add nodes; both keep max_depth. tree.nodes shows each node as a
     NodeView built on access, whose weights cannot be written.
 
-    The one seam for stand-in regressors (tests, install_oracle_regressors)
-    is _standins, filled by set_regressor and, at each new internal node,
-    by regressor_factory: the walks call a stand-in's raw and update, and a
-    plain tree pays one test of the empty dict per node.
-
     score, which is also predict, changes no model state but keeps a memo
-    for the x object it last saw, valid while updates is unchanged. Only
-    learning, which bumps updates, and set_regressor, which drops the memo,
-    change a regressor. After the first call on an x it holds y and the raw
-    score of x at each node on y's path, in climb order, and no path: learn
-    right after score(x, y), with the same x object and y, climbs again and
-    steps each node from its stored value instead of scoring x again. A later
-    call on that x swaps in a dict of prefix products, so scoring every
-    label of one x evaluates each internal node once; once the dict holds
-    as many entries as a subtree off y's path has leaves, a call fills that
-    whole subtree in one traversal. The memo is one tuple and the dict
-    holds only final products, so score may run concurrently between
-    training phases: a caller on another x replaces the tuple without
-    touching the dict a caller on this x still holds.
+    for the x object it last saw, valid while updates is unchanged: only
+    learning, which bumps updates, changes a node. After the first call on
+    an x it holds y and the raw score of x at each node on y's path, in
+    climb order, and no path: learn right after score(x, y), with the same
+    x object and y, climbs again and steps each node from its stored value
+    instead of scoring x again. A later call on that x swaps in a dict of
+    prefix products, so scoring every label of one x evaluates each
+    internal node once; once the dict holds as many entries as a subtree
+    off y's path has leaves, a call fills that whole subtree in one
+    traversal. The memo is one tuple and the dict holds only final
+    products, so score may run concurrently between training phases: a
+    caller on another x replaces the tuple without touching the dict a
+    caller on this x still holds.
     """
 
     def __init__(
@@ -185,7 +177,6 @@ class CondProbTree:
         learning_rate: float = 0.1,
         policy: str = "online",
         seed: int = 0,
-        regressor_factory: Callable[[], object] | None = None,
     ):
         if policy not in ("online", "random"):
             raise ValueError(f"unknown policy: {policy}")
@@ -196,10 +187,8 @@ class CondProbTree:
         self.learning_rate = learning_rate
         self.policy = policy
         self._rng = random.Random(seed)
-        self._factory = regressor_factory
         self._parent, self._left, self._right, self._n_left, self._n_right = [], [], [], [], []
         self._label, self._bias, self._weights = [], [], []
-        self._standins: dict[int, object] = {}  # node id -> stand-in regressor
         self.root: int | None = None
         self.leaf_index: dict[str, int] = {}
         self.max_depth = 0
@@ -210,18 +199,13 @@ class CondProbTree:
         self._memo = None  # (x, updates, y, raws), then (x, updates, prefix dict)
 
     @classmethod
-    def balanced(
-        cls,
-        labels: Sequence[str],
-        learning_rate: float = 0.1,
-        regressor_factory: Callable[[], object] | None = None,
-    ) -> "CondProbTree":
+    def balanced(cls, labels: Sequence[str], learning_rate: float = 0.1) -> "CondProbTree":
         """Build a fixed balanced tree over labels known up front (untrained).
 
         Labels occupy leaves left to right; later online inserts still work and
         follow the objective at alpha = 1. A repeated label raises ValueError.
         """
-        tree = cls(alpha=1.0, learning_rate=learning_rate, regressor_factory=regressor_factory)
+        tree = cls(alpha=1.0, learning_rate=learning_rate)
         # Each range of labels is a node, split with the larger half left.
         # The stack pops a left half before its right, so nodes come in preorder.
         order, stack = [], [(0, len(labels))] if labels else []
@@ -246,7 +230,7 @@ class CondProbTree:
         after the tree is complete or end inside a subtree."""
         n = len(labels)
         parents, lefts, rights = [None] * n, [None] * n, [None] * n
-        leaf_index, factory = self.leaf_index, self._factory
+        leaf_index = self.leaf_index
         # A node is the left child of the node before it if that is internal,
         # else the right child of the last internal node still waiting for
         # one, each held with its children's depth. Pointers reuse the ids.
@@ -262,8 +246,6 @@ class CondProbTree:
                 depth += 1
                 waiting.append((node_id, depth))
                 parent, right = node_id, False
-                if factory:
-                    self._standins[node_id] = factory()
                 continue
             if label in leaf_index:
                 raise ValueError(f"label {label!r} appears twice")
@@ -319,15 +301,6 @@ class CondProbTree:
         """Every node as a NodeView, by node id: read-only, each built on access."""
         return _Nodes(self)
 
-    def set_regressor(self, node_id: int, reg) -> None:
-        """Score and step internal node node_id through reg's raw(x) and
-        update(x, target, raw=None) from now on. Drops the score memo, so a
-        stand-in edited by hand goes back in through here."""
-        if self._left[node_id] is None:
-            raise ValueError(f"node {node_id} is a leaf, which holds no regressor")
-        self._standins[node_id] = reg
-        self._memo = None
-
     @property
     def n_labels(self) -> int:
         return len(self.leaf_index)
@@ -370,8 +343,7 @@ class CondProbTree:
         leaf = self.leaf_index.get(y)
         if leaf is None:
             return 0.0
-        parents, rights, biases = self._parent, self._right, self._bias
-        weights_of, standins = self._weights, self._standins
+        parents, rights, biases, weights_of = self._parent, self._right, self._bias, self._weights
         memo = self._memo
         if memo is None or memo[0] is not x or memo[1] != self.updates:
             # Climb from y's leaf, then multiply from the root down.
@@ -379,15 +351,12 @@ class CondProbTree:
             raws, factors = [], []
             cur, node_id = leaf, parents[leaf]
             while node_id is not None:
-                if standins and node_id in standins:
-                    r = standins[node_id].raw(x)
-                else:
-                    r = biases[node_id]
-                    weights = weights_of[node_id]
-                    for i, v in pairs:
-                        w = weights.get(i)
-                        if w is not None:
-                            r += w * v
+                r = biases[node_id]
+                weights = weights_of[node_id]
+                for i, v in pairs:
+                    w = weights.get(i)
+                    if w is not None:
+                        r += w * v
                 raws.append(r)
                 f = r if 0.0 <= r <= 1.0 else clip01(r)
                 factors.append(f if rights[node_id] == cur else 1.0 - f)
@@ -421,15 +390,12 @@ class CondProbTree:
         pairs = tuple(zip(x.indices, x.values))
         while todo:
             node_id = todo.pop()
-            if standins and node_id in standins:
-                r = standins[node_id].raw(x)
-            else:
-                r = biases[node_id]
-                weights = weights_of[node_id]
-                for i, v in pairs:
-                    w = weights.get(i)
-                    if w is not None:
-                        r += w * v
+            r = biases[node_id]
+            weights = weights_of[node_id]
+            for i, v in pairs:
+                w = weights.get(i)
+                if w is not None:
+                    r += w * v
             f = r if 0.0 <= r <= 1.0 else clip01(r)
             q = prefix[node_id]
             left, right = lefts[node_id], rights[node_id]
@@ -469,29 +435,26 @@ class CondProbTree:
         if cur is None:
             raise UnknownLabelError(y)
         parents, rights, biases = self._parent, self._right, self._bias
-        weights_of, standins, rate = self._weights, self._standins, self.learning_rate
+        weights_of, rate = self._weights, self.learning_rate
         pairs = tuple(zip(x.indices, x.values))
         depth, node_id = 0, parents[cur]
         while node_id is not None:
             go_right = rights[node_id] == cur
             raw = raws[depth] if raws else None
             depth += 1
-            if standins and node_id in standins:
-                standins[node_id].update(x, 1.0 if go_right else 0.0, raw)
-            else:
-                weights = weights_of[node_id]
-                if raw is None:
-                    raw = biases[node_id]
-                    for i, v in pairs:
-                        w = weights.get(i)
-                        if w is not None:
-                            raw += w * v
-                if (delta := rate * (go_right - raw)) != 0.0:
-                    if not -math.inf < delta < math.inf:
-                        raise ValueError(f"regressor diverged: step {delta} is not finite")
-                    for i, v in pairs:
-                        weights[i] = weights.get(i, 0.0) + delta * v
-                    biases[node_id] += delta
+            weights = weights_of[node_id]
+            if raw is None:
+                raw = biases[node_id]
+                for i, v in pairs:
+                    w = weights.get(i)
+                    if w is not None:
+                        raw += w * v
+            if (delta := rate * (go_right - raw)) != 0.0:
+                if not -math.inf < delta < math.inf:
+                    raise ValueError(f"regressor diverged: step {delta} is not finite")
+                for i, v in pairs:
+                    weights[i] = weights.get(i, 0.0) + delta * v
+                biases[node_id] += delta
             cur, node_id = node_id, parents[node_id]
         self.updates += depth
         self.last_example_updates = depth
@@ -505,22 +468,18 @@ class CondProbTree:
             leaf_id = self._add_node(y, None)
         else:
             lefts, rights, n_lefts, n_rights = self._left, self._right, self._n_left, self._n_right
-            biases, weights_of, standins = self._bias, self._weights, self._standins
+            biases, weights_of = self._bias, self._weights
             rate, alpha = self.learning_rate, self.alpha
             pairs = tuple(zip(x.indices, x.values))
             coin = self._rng.random if self.policy == "random" else None
             cur = self.root
             while (left := lefts[cur]) is not None:
-                reg = standins.get(cur) if standins else None
-                if reg is None:
-                    weights = weights_of[cur]
-                    raw = biases[cur]
-                    for i, v in pairs:
-                        w = weights.get(i)
-                        if w is not None:
-                            raw += w * v
-                else:
-                    raw = reg.raw(x)
+                weights = weights_of[cur]
+                raw = biases[cur]
+                for i, v in pairs:
+                    w = weights.get(i)
+                    if w is not None:
+                        raw += w * v
                 p = raw if 0.0 <= raw <= 1.0 else clip01(raw)
                 if coin:
                     go_right = 1 if coin() < 0.5 else 0
@@ -529,9 +488,7 @@ class CondProbTree:
                 # p == 1/2 counts as preferring left, matching the tie-break.
                 if go_right != (p > 0.5):
                     self.disagreement_count += 1
-                if reg is not None:
-                    reg.update(x, float(go_right), raw)
-                elif (delta := rate * (go_right - raw)) != 0.0:
+                if (delta := rate * (go_right - raw)) != 0.0:
                     if not -math.inf < delta < math.inf:
                         raise ValueError(f"regressor diverged: step {delta} is not finite")
                     for i, v in pairs:
@@ -551,14 +508,10 @@ class CondProbTree:
             leaf_id = self._add_node(y, cur)
             self._label[cur] = None
             n_lefts[cur] = n_rights[cur] = 1
-            if self._factory:
-                reg = self._standins[cur] = self._factory()
-                reg.update(x, 1.0)
-            else:
-                # A fresh node's raw score is 0.0, so the step toward 1 is
-                # the learning rate itself, added to 0.0 weights and bias.
-                weights_of[cur] = {i: 0.0 + rate * v for i, v in pairs}
-                biases[cur] = 0.0 + rate
+            # A fresh node's raw score is 0.0, so the step toward 1 is the
+            # learning rate itself, added to 0.0 weights and bias.
+            weights_of[cur] = {i: 0.0 + rate * v for i, v in pairs}
+            biases[cur] = 0.0 + rate
             self.max_depth = max(self.max_depth, len(path))
         # One update per internal node on the new leaf's path.
         self.updates += len(path)

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cptree import KWayTree, LinearRegressor, PecocModel, SparseVector, from_tokens
+from cptree import CondProbTree, KWayTree, LinearRegressor, PecocModel, SparseVector, from_tokens
 from cptree.regressor import RegressorBlock
-from cptree.synthetic import SyntheticTask
+from cptree.synthetic import SyntheticTask, node_conditionals
 
 # One line per acceptance criterion, echoed in the terminal summary.
 ACCEPTANCE_LINES: list[str] = []
@@ -157,6 +157,45 @@ class RowListKWayTree(_RowListNodes, KWayTree):
 
 class RowListPecocModel(_RowListNodes, PecocModel):
     """PecocModel whose one node is k - 1 separate LinearRegressors."""
+
+
+def install_oracle_weights(tree: CondProbTree, task: SyntheticTask) -> None:
+    """Give every internal node of tree bias 0.0 and, on each context's one
+    feature of weight 1.0, the task's true probability of its right branch,
+    so that it scores 0.0 + p * 1.0 = p exactly; and drop tree's score memo,
+    whose raws came from the old weights."""
+    features = [x.indices[0] for x in task.features]
+    assert all(list(x.values) == [1.0] for x in task.features), "one feature of weight 1.0"
+    assert len(set(features)) == len(features), "contexts share a feature"
+    for node_id, probs in node_conditionals(tree, task)[1].items():
+        tree._bias[node_id] = 0.0
+        tree._weights[node_id] = {i: float(p) for i, p in zip(features, probs)}
+    tree._memo = None
+
+
+class CountedWeights(dict):
+    """A node's weight dict that counts, in calls[0], its one-argument get
+    calls: a node evaluation makes one per feature of x. A step's
+    get(i, 0.0) is not counted."""
+
+    def __init__(self, weights, calls: list[int]):
+        super().__init__(weights)
+        self.calls = calls
+
+    def get(self, key, *default):
+        if not default:
+            self.calls[0] += 1
+        return super().get(key, *default)
+
+
+def count_evaluations(tree: CondProbTree, calls: list[int]) -> None:
+    """Swap every internal node's weight dict in tree for a CountedWeights
+    on calls. Insertion's split stores a plain dict, so a tree that grows
+    needs this again after each new label."""
+    weights_of = tree._weights
+    for node_id, weights in enumerate(weights_of):
+        if weights is not None and type(weights) is not CountedWeights:
+            weights_of[node_id] = CountedWeights(weights, calls)
 
 
 def check_leaf_counts(tree) -> None:

@@ -78,6 +78,25 @@ class ReferenceCPT:
         self.coin = random.Random(seed)
         self.root: Node | None = None
 
+    @classmethod
+    def balanced(cls, labels, eta: float) -> "ReferenceCPT":
+        """A fixed tree over labels known up front, left to right, each node
+        split with the larger half left and a fresh regressor; online inserts
+        go by alpha = 1."""
+
+        def build(labels) -> Node:
+            if len(labels) == 1:
+                return Node(labels[0])
+            node, mid = Node(), (len(labels) + 1) // 2
+            node.left, node.right = build(labels[:mid]), build(labels[mid:])
+            node.n_left, node.n_right = mid, len(labels) - mid
+            node.reg = Regressor(eta)
+            return node
+
+        ref = cls(1.0, eta)
+        ref.root = build(list(labels)) if labels else None
+        return ref
+
     def path(self, y: str):
         return None if self.root is None else self.root.path(y)
 

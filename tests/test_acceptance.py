@@ -38,7 +38,7 @@ from cptree import (
 )
 from cptree.synthetic import SyntheticTask, node_conditionals
 
-from _support import ACCEPTANCE_LINES, ConstantRegressor, vec
+from _support import ACCEPTANCE_LINES, vec
 
 ALPHA_GRID = (0.1, 0.3, 0.6, 0.9, 1.0)
 
@@ -334,12 +334,15 @@ def test_a05_strict_occupancy_bound(insertion_fuzz):
 
     # Deterministic tie: with p = 0 at alpha = 0.5 (kappa = 2/3) the root
     # holds 2 : 1 before the fourth insert, the objective is exactly 0, the
-    # tie goes left and the root reaches 3 : 1 against a cap of 3.
+    # tie goes left and the root reaches 3 : 1 against a cap of 3. The root
+    # is set to score 0 before that insert.
     kappa = max_side_fraction(0.5)
-    tree = CondProbTree(alpha=0.5, regressor_factory=lambda: ConstantRegressor(0.0))
+    tree = CondProbTree(alpha=0.5)
     x = vec(("adv", 1.0))
-    for i in range(4):
+    for i in range(3):
         tree.learn(x, f"y{i}")
+    tree._bias[tree.root], tree._weights[tree.root] = 0.0, {}
+    tree.learn(x, "y3")
     root = tree.nodes[tree.root]
     tie_case = (root.n_left, root.n_right, kappa * 4 + (1.0 - kappa))
 

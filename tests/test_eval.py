@@ -10,7 +10,6 @@ from cptree import (
     EmptyStreamError,
     Example,
     KWayTree,
-    LinearRegressor,
     OneAgainstAll,
     TableBaseline,
     equivalent_labels,
@@ -21,14 +20,15 @@ from cptree import (
 from cptree import pecoc
 from cptree.features import SparseVector
 from cptree.regressor import RegressorBlock
-from cptree.synthetic import (
-    OracleEstimator,
-    SyntheticTask,
-    install_oracle_regressors,
-    node_regret,
-    true_regret,
+from cptree.synthetic import OracleEstimator, SyntheticTask, node_regret, true_regret
+from _support import (
+    CallRecorder,
+    count_calls,
+    count_evaluations,
+    install_oracle_weights,
+    tiny_task,
+    vec,
 )
-from _support import CallRecorder, ContextRegressor, count_calls, tiny_task, vec
 
 
 class FixedScore:
@@ -78,39 +78,23 @@ def test_freeze_disables_learning():
     assert recorder.calls == ["score"] * 10
 
 
-def counted_evaluations(calls: list[int]):
-    """A regressor factory whose LinearRegressors count, in calls[0], the
-    one-argument get calls on their weights: a node evaluation, whether the
-    tree computes it inline or through raw, makes one per feature of x. A
-    step's get(i, 0.0) is not counted."""
-
-    class Weights(dict):
-        def get(self, key, *default):
-            if not default:
-                calls[0] += 1
-            return super().get(key, *default)
-
-    def factory():
-        reg = LinearRegressor()
-        reg.weights = Weights()
-        return reg
-
-    return factory
-
-
 def test_tree_learns_from_the_raw_values_its_score_computed():
     # One raw per node on y's path, taken by score and reused by learn, or
-    # taken by insertion's descent: as many raws as updates per example.
+    # taken by insertion's descent: as many raws as updates per example,
+    # but for an insertion's split, whose fresh node scores 0.0 unevaluated.
     stream = tiny_task(contexts=4, labels=12, seed=5).sample(400, seed=6)
     calls = [0]
-    tree = CondProbTree(alpha=0.5, regressor_factory=counted_evaluations(calls))
+    tree = CondProbTree(alpha=0.5)
     seen = []
 
     def watched():
         for example in stream:
-            start = calls[0]
+            count_evaluations(tree, calls)  # and the node the last insert split
+            start, labels = calls[0], tree.n_labels
             yield example
-            seen.append(((calls[0] - start) / len(example.x.indices), tree.last_example_updates))
+            split = 0 < labels < tree.n_labels  # the first label splits nothing
+            seen.append(((calls[0] - start) / len(example.x.indices),
+                         tree.last_example_updates - split))
 
     progressive_validate(watched(), tree)
     assert len(seen) == 400 and tree.n_labels == 12
@@ -137,9 +121,10 @@ def test_tree_scores_every_label_of_one_x_with_each_node_evaluated_once():
     # same x object evaluate each internal node at most once between them.
     task = tiny_task(contexts=4, labels=24, seed=5)
     calls = [0]
-    tree = CondProbTree(alpha=0.5, regressor_factory=counted_evaluations(calls))
+    tree = CondProbTree(alpha=0.5)
     for example in task.sample(600, seed=6):
         tree.learn(example.x, example.y)
+    count_evaluations(tree, calls)
     n = tree.n_labels
     x = task.features[1]
     start = calls[0]
@@ -151,9 +136,10 @@ def test_tree_scores_every_label_of_one_x_with_each_node_evaluated_once():
 
 def counted_tree(calls: list[int]) -> tuple[SyntheticTask, CondProbTree]:
     task = tiny_task(contexts=4, labels=24, seed=5)
-    tree = CondProbTree(alpha=0.5, regressor_factory=counted_evaluations(calls))
+    tree = CondProbTree(alpha=0.5)
     for example in task.sample(600, seed=6):
         tree.learn(example.x, example.y)
+    count_evaluations(tree, calls)
     return task, tree
 
 
@@ -327,14 +313,14 @@ def test_true_regret_of_single_cell_perturbation():
 def test_true_regret_of_tree_with_oracle_nodes():
     task = tiny_task(contexts=4, labels=8, seed=35)
     tree = CondProbTree.balanced(task.labels)
-    install_oracle_regressors(tree, task)
+    install_oracle_weights(tree, task)
     assert true_regret(tree, task) < 1e-12
 
 
 def test_node_regret_zero_for_oracle_nodes():
     task = tiny_task(contexts=4, labels=8, seed=36)
     tree = CondProbTree.balanced(task.labels)
-    install_oracle_regressors(tree, task)
+    install_oracle_weights(tree, task)
     assert all(v < 1e-18 for v in node_regret(tree, task).values())
 
 
@@ -346,11 +332,10 @@ def test_node_regret_zero_for_uniform_task_with_half_regressors():
         context_probs=np.array([0.5, 0.5]),
     )
     tree = CondProbTree.balanced(task.labels)
-    install_oracle_regressors(tree, task)  # every conditional is exactly 1/2
+    install_oracle_weights(tree, task)  # every conditional is exactly 1/2
     for node_id, regret in node_regret(tree, task).items():
         assert regret == 0.0
-        probs = tree.nodes[node_id].reg.right_probs
-        assert np.allclose(probs, 0.5)
+        assert sorted(tree.nodes[node_id].reg.weights.values()) == [0.5, 0.5]
 
 
 @pytest.mark.parametrize(
@@ -374,7 +359,7 @@ def test_node_regret_of_unreachable_subtree_is_zero():
         context_probs=np.array([0.5, 0.5]),
     )
     tree = CondProbTree.balanced(task.labels)
-    install_oracle_regressors(tree, task)
+    install_oracle_weights(tree, task)
     regrets = node_regret(tree, task)
     dead_leaf = tree.leaf_index["c"]
     dead_node = tree.nodes[dead_leaf].parent
@@ -389,13 +374,11 @@ def test_node_regret_localizes_a_perturbation():
         context_probs=np.array([0.5, 0.5]),
     )
     tree = CondProbTree.balanced(task.labels)
-    install_oracle_regressors(tree, task)
+    install_oracle_weights(tree, task)
     delta = 0.1
     target = tree.root
-    by_key = {
-        task.features[c].key_bytes(): 0.5 + delta for c in range(task.context_count)
-    }
-    tree.set_regressor(target, ContextRegressor(by_key))
+    for x in task.features:  # one feature of weight 1.0 each
+        tree._weights[target][x.indices[0]] = 0.5 + delta
     regrets = node_regret(tree, task)
     assert math.isclose(regrets[target], delta**2, abs_tol=1e-15)
     for node_id, regret in regrets.items():

@@ -412,13 +412,13 @@ def test_estimator_rate_other_than_eta_is_not_saved(mode, tmp_path):
     assert not path.exists()
 
 
-def test_tree_whose_regressors_run_at_another_rate_is_not_saved(tmp_path):
-    tree = CondProbTree(learning_rate=0.1, regressor_factory=lambda: LinearRegressor(0.3))
-    for label in "AB":
-        tree.learn(TRAIN[0].x, label)
+def test_oaa_whose_regressor_runs_at_another_rate_is_not_saved(tmp_path):
+    est = OneAgainstAll(learning_rate=0.1)
+    est.regressors["A"] = LinearRegressor(0.3)
+    est.learn(TRAIN[0].x, "A")
     path = tmp_path / "model.bin"
     with pytest.raises(ModelFormatError, match=r"^regressor learning_rate 0.3 != eta 0.1$"):
-        save_model(path, "cpt-online", ModelConfig(), tree)
+        save_model(path, "oaa", ModelConfig(), est)
     assert not path.exists()
 
 

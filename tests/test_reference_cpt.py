@@ -1,7 +1,8 @@
 """Differential tests: CondProbTree against the reference CPT of reference_cpt.py.
 
 Random streams over up to 40 labels and 1-4 features, for every alpha of the
-grid and both policies. After every example the two trees must have updated
+grid and both insertion policies, and on balanced trees over labels known up
+front. After every example the two trees must have updated
 the same number of regressors; at the end they must have the same shape,
 the same regressor state node by node and bit-identical predictions.
 KWayTree and PecocModel, whose nodes store their rows as one block, are
@@ -57,13 +58,17 @@ def streams(draw):
 @given(
     drawn=streams(),
     alpha=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
-    policy=st.sampled_from(["online", "random"]),
+    policy=st.sampled_from(["online", "random", "fixed"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_tree_matches_reference(drawn, alpha, policy, seed):
     n_labels, stream = drawn
-    tree = CondProbTree(alpha=alpha, learning_rate=ETA, policy=policy, seed=seed)
-    ref = ReferenceCPT(alpha, ETA, policy, seed)
+    if policy == "fixed":  # every label known up front, so alpha plays no part
+        labels = [f"y{label}" for label in range(n_labels)]
+        tree, ref = CondProbTree.balanced(labels, ETA), ReferenceCPT.balanced(labels, ETA)
+    else:
+        tree = CondProbTree(alpha=alpha, learning_rate=ETA, policy=policy, seed=seed)
+        ref = ReferenceCPT(alpha, ETA, policy, seed)
     updates = 0
     for x, y in stream:
         tree.learn(x, y)

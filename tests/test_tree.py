@@ -24,16 +24,23 @@ from cptree import (
     total_depth_bound,
 )
 from cptree.model_io import load_model, save_model
-from cptree.synthetic import install_oracle_regressors
 
-from _support import ConstantRegressor, check_leaf_counts, product_bounds, tiny_task, vec
+from _support import (
+    ConstantRegressor,
+    check_leaf_counts,
+    install_oracle_weights,
+    product_bounds,
+    tiny_task,
+    vec,
+)
+from reference_cpt import ReferenceCPT
 
 
 X = vec(("q", 1.0))
 
 
-def grown(labels, alpha=1.0, factory=None, x=X):
-    tree = CondProbTree(alpha=alpha, regressor_factory=factory)
+def grown(labels, alpha=1.0, x=X):
+    tree = CondProbTree(alpha=alpha)
     for y in labels:
         tree.learn(x, y)
     return tree
@@ -80,9 +87,10 @@ def test_unknown_label_scores_zero():
 
 
 def test_uninformative_nodes_give_uniform_estimates():
-    tree = CondProbTree.balanced(
-        ["a", "b", "c", "d"], regressor_factory=lambda: ConstantRegressor(0.5)
-    )
+    tree = CondProbTree.balanced(["a", "b", "c", "d"])
+    for node_id, weights in enumerate(tree._weights):
+        if weights is not None:
+            tree._bias[node_id] = 0.5  # and no weight: every node scores 1/2
     estimates = [tree.predict(X, y) for y in "abcd"]
     assert estimates == [0.25] * 4
     assert sum(estimates) == 1.0
@@ -91,7 +99,7 @@ def test_uninformative_nodes_give_uniform_estimates():
 def test_oracle_node_regressors_recover_true_conditionals():
     task = tiny_task(contexts=4, labels=8, seed=2)
     tree = CondProbTree.balanced(task.labels)
-    install_oracle_regressors(tree, task)
+    install_oracle_weights(tree, task)
     for c in range(task.context_count):
         x = task.features[c]
         total = 0.0
@@ -100,21 +108,6 @@ def test_oracle_node_regressors_recover_true_conditionals():
             assert abs(q - task.conditional[c, j]) < 1e-12
             total += q
         assert abs(total - 1.0) < 1e-9
-
-
-def test_installing_oracle_regressors_drops_the_score_memo():
-    task = tiny_task(contexts=4, labels=8, seed=2)
-    tree = CondProbTree.balanced(task.labels)
-    oracle = CondProbTree.balanced(task.labels)
-    install_oracle_regressors(oracle, task)
-    x = task.features[1]
-    first = task.labels[0]
-    # Two calls on one x object keep the untrained products on first's path.
-    assert tree.predict(x, first) == tree.predict(x, first) == 1.0
-    install_oracle_regressors(tree, task)
-    for y in task.labels:
-        assert tree.predict(x, y) == oracle.predict(dataclasses.replace(x), y), y
-    assert tree.predict(x, first) != 1.0
 
 
 def _trained_with_walked_values():
@@ -132,19 +125,17 @@ def _trained_with_walked_values():
     return task, tree, walked
 
 
-class _Interrupting:
-    """A node regressor whose next raw first runs interrupt(), as a thread
-    switch inside a walk would."""
+class _Interrupting(dict):
+    """A node's weight dict whose next get first runs interrupt(), as a
+    thread switch inside a walk would."""
 
-    def __init__(self, reg, interrupt):
-        self.reg = reg
-        self.interrupt = interrupt
+    interrupt = None
 
-    def raw(self, x):
+    def get(self, key, *default):
         interrupt, self.interrupt = self.interrupt, None
         if interrupt is not None:
             interrupt()
-        return self.reg.raw(x)
+        return super().get(key, *default)
 
 
 def test_predict_on_another_x_in_mid_walk_leaves_the_memo_right():
@@ -153,10 +144,8 @@ def test_predict_on_another_x_in_mid_walk_leaves_the_memo_right():
     labels = list(tree.leaf_index)
     target = max(labels, key=lambda y: len(tree.path_to(y)))
     deepest = tree.path_to(target)[-1][0]
-    interrupting = _Interrupting(
-        tree.nodes[deepest].reg, lambda: [tree.predict(other, y) for y in labels]
-    )
-    tree.set_regressor(deepest, interrupting)
+    interrupting = tree._weights[deepest] = _Interrupting(tree._weights[deepest])
+    interrupting.interrupt = lambda: [tree.predict(other, y) for y in labels]
     side = tree.path_to(target)[0][1]
     start = next(y for y in labels if tree.path_to(y)[0][1] != side)
     tree.predict(x, start)
@@ -200,26 +189,25 @@ def test_concurrent_predict_callers_get_the_path_walk_values():
 # --- training --------------------------------------------------------------
 
 def test_training_left_label_sends_zero_target_to_root():
-    tree = grown(["a", "b"], factory=lambda: ConstantRegressor(0.0))
-    root_reg = tree.nodes[tree.root].reg
-    root_reg.targets.clear()
+    tree = grown(["a", "b"])
+    root = tree.nodes[tree.root].reg
+    raw = root.raw(X)
     tree.train_known(X, "a")
-    assert root_reg.targets == [0.0]
+    # One step toward target 0: the bias falls by the rate times the raw.
+    assert 0.0 < raw < 1.0
+    assert tree.nodes[tree.root].reg.bias == root.bias + 0.1 * (0.0 - raw) < root.bias
 
 
 def test_training_rightmost_label_in_balanced_four_leaf_tree():
-    tree = CondProbTree.balanced(
-        ["a", "b", "c", "d"], regressor_factory=lambda: ConstantRegressor(0.0)
-    )
+    tree = CondProbTree.balanced(["a", "b", "c", "d"])
     tree.train_known(X, "d")
-    internal_targets = [
-        t
-        for node in tree.nodes
-        if not node.is_leaf
-        for t in node.reg.targets
-    ]
+    path = {node_id for node_id, _ in tree.path_to("d")}
+    # Each node on d's path scored 0.0 and stepped toward target 1 by the
+    # rate; the left child is off the path and stays fresh.
+    internal_biases = [(node_id in path, node.reg.bias)
+                       for node_id, node in enumerate(tree.nodes) if not node.is_leaf]
     leaf_states = [(node.reg.bias, node.reg.weights) for node in tree.nodes if node.is_leaf]
-    assert internal_targets == [1.0, 1.0]
+    assert sorted(internal_biases) == [(False, 0.0), (True, 0.1), (True, 0.1)]
     assert leaf_states == [(0.0, {})] * 4  # no example steps a leaf, which holds no regressor
     assert tree.last_example_updates == 2
 
@@ -307,14 +295,7 @@ def test_first_label_forms_bare_root_leaf():
 
 
 def test_second_label_splits_root_old_left_new_right():
-    factory_calls = []
-
-    def factory():
-        reg = ConstantRegressor(0.0)
-        factory_calls.append(reg)
-        return reg
-
-    tree = CondProbTree(regressor_factory=factory)
+    tree = CondProbTree()
     tree.learn(X, "old")
     tree.learn(X, "new")
     root = tree.nodes[tree.root]
@@ -322,9 +303,9 @@ def test_second_label_splits_root_old_left_new_right():
     assert (root.n_left, root.n_right) == (1, 1)
     assert tree.nodes[root.left].label == "old"
     assert tree.nodes[root.right].label == "new"
-    # The split node got the factory's one regressor and learned (x, 1); the
-    # leaves hold none, and no example steps them.
-    assert factory_calls == [root.reg] and root.reg.targets == [1.0]
+    # The split node's fresh regressor learned (x, 1): one step of rate * v
+    # from 0.0. The leaves hold none, and no example steps them.
+    assert (root.reg.bias, dict(root.reg.weights)) == (0.0 + 0.1, {X.indices[0]: 0.0 + 0.1 * 1.0})
     assert tree.nodes[root.left].reg.weights == {}
     assert tree.nodes[root.right].reg.weights == {}
 
@@ -363,8 +344,6 @@ def test_nodes_are_read_only():
         tree.nodes[tree.root] = root
     with pytest.raises(IndexError):
         tree.nodes[3]
-    with pytest.raises(ValueError, match="node 1 is a leaf, which holds no regressor"):
-        tree.set_regressor(tree.leaf_index["a"], ConstantRegressor(0.5))
     assert tree.nodes[tree.root] == root and tree.nodes[-1] == tree.nodes[2]
 
 
@@ -457,7 +436,9 @@ def test_disagreements_never_exceed_total_leaf_depth():
 
 
 def test_a_tie_at_one_half_goes_left_and_is_no_disagreement():
-    tree = grown(["a", "b", "c"], alpha=0.5, factory=lambda: ConstantRegressor(0.5))
+    tree = grown(["a", "b"], alpha=0.5)
+    tree._bias[tree.root], tree._weights[tree.root] = 0.5, {}  # the root scores 1/2
+    tree.learn(X, "c")
     root = tree.nodes[tree.root]
     # At the root p = 1/2 with one leaf a side: the objective is 0, so "c"
     # goes left, which agrees with a regressor that has no preference.
@@ -496,23 +477,10 @@ def test_diverging_learning_raises_before_any_prediction_leaves_unit_interval():
 
 
 # --- inline node arithmetic -------------------------------------------------
-
-class Plain(LinearRegressor):
-    """Not exactly a LinearRegressor, so the tree scores and steps it through
-    raw and update: the methods its inline arithmetic must reproduce."""
-
-
-def _twins(make, rate):
-    """The tree make(regressor_factory) builds with default regressors, which
-    the tree evaluates itself, and with Plain ones at the same rate."""
-    return make(None), make(lambda: Plain(rate))
-
-
-def _model_bytes(tree, mode, rate, tmp_path):
-    path = tmp_path / "twin.bin"
-    save_model(path, mode, ModelConfig(alpha=tree.alpha, eta=rate, seed=3), tree)
-    return path.read_bytes()
-
+#
+# The walks score and step each node's bias and weight dict themselves. The
+# reference CPT (reference_cpt.py) keeps a regressor object per node and goes
+# through its raw, predict and update.
 
 def _twin_ops(seed):
     """A stream of (op, x, y) over a few multi-feature x objects of weights
@@ -530,96 +498,94 @@ def _twin_ops(seed):
     return ops
 
 
-def _run_twin_ops(tree, ops):
-    scores = []
-    for op, x, y in ops:
-        if op == "score-all":
-            scores += [tree.score(x, label).hex() for label in tree.leaf_index]
-            scores += [tree.score(x, label).hex() for label in tree.leaf_index]
-        else:
-            if op == "score-learn":
-                scores.append(tree.score(x, y).hex())
-            tree.learn(x, y)
-    return scores
+def _reference_states(ref):
+    """Each node of the reference in preorder, as _node_states gives a tree's."""
+    return [(node.label, (node.reg.bias if node.reg else 0.0).hex(),
+             {i: w.hex() for i, w in (node.reg.w if node.reg else {}).items()})
+            for node in ref.root.preorder()]
 
 
 @pytest.mark.parametrize("mode", ["cpt-online", "cpt-random", "cpt-fixed"])
-def test_inline_node_arithmetic_matches_the_regressor_methods(mode, tmp_path):
+def test_inline_node_arithmetic_matches_the_regressor_methods(mode):
     rate = 0.15
     if mode == "cpt-fixed":
-        def make(factory):
-            return CondProbTree.balanced([f"y{i}" for i in range(10)], rate, factory)
+        labels = [f"y{i}" for i in range(10)]
+        tree, ref = CondProbTree.balanced(labels, rate), ReferenceCPT.balanced(labels, rate)
     else:
-        def make(factory):
-            return CondProbTree(alpha=0.5, learning_rate=rate, policy=mode[4:], seed=3,
-                                regressor_factory=factory)
-    inline, methods = _twins(make, rate)
-    ops = _twin_ops(seed=11)
-    scores = _run_twin_ops(inline, ops)
-    assert scores == _run_twin_ops(methods, ops)
-    assert inline.n_labels == 40 and len(scores) > 1000
-    assert _model_bytes(inline, mode, rate, tmp_path) == _model_bytes(methods, mode, rate, tmp_path)
+        tree = CondProbTree(alpha=0.5, learning_rate=rate, policy=mode[4:], seed=3)
+        ref = ReferenceCPT(0.5, rate, mode[4:], seed=3)
+    scores = 0
+    for op, x, y in _twin_ops(seed=11):
+        if op == "learn":
+            asked = []
+        elif op == "score-learn":
+            asked = [y]
+        else:
+            asked = list(tree.leaf_index) * 2
+        for label in asked:
+            assert tree.score(x, label).hex() == ref.predict(x, label).hex(), (op, label)
+        scores += len(asked)
+        if op != "score-all":
+            tree.learn(x, y)
+            ref.learn(x, y)
+    assert tree.n_labels == 40 and scores > 1000
+    assert tree.structure_signature() == ref.structure_signature()
+    states = _node_states(tree)
+    assert [states[node_id] for node_id, _ in tree.preorder()] == _reference_states(ref)
 
 
 @pytest.mark.parametrize("scored", [False, True])
-def test_inline_step_of_zero_touches_no_weight(scored, tmp_path):
+def test_inline_step_of_zero_touches_no_weight(scored):
     # The split step gives the root bias 1.0, so x = g:1 then steps it by
     # exactly 0 toward "B": no weight for g may appear.
-    inline, methods = _twins(lambda factory: CondProbTree(learning_rate=1.0,
-                                                          regressor_factory=factory), 1.0)
+    tree = CondProbTree(learning_rate=1.0)
     g = vec(("g", 1.0))
-    saved = []
-    for tree in (inline, methods):
-        tree.learn(vec(), "A")
-        tree.learn(vec(), "B")
-        if scored:
-            assert tree.score(g, "B") == 1.0
-        tree.learn(g, "B")
-        root = tree.nodes[tree.root].reg
-        assert (root.bias, root.weights) == (1.0, {})
-        saved.append(_model_bytes(tree, "cpt-online", 1.0, tmp_path))
-    assert saved[0] == saved[1]
+    tree.learn(vec(), "A")
+    tree.learn(vec(), "B")
+    if scored:
+        assert tree.score(g, "B") == 1.0
+    tree.learn(g, "B")
+    root = tree.nodes[tree.root].reg
+    assert (root.bias, root.weights) == (1.0, {})
 
 
 def test_inline_divergence_raises_where_the_regressor_methods_do():
-    # The repro of the divergence test above: both trees refuse the same
-    # step and keep the same state.
-    inline, methods = _twins(lambda factory: CondProbTree(learning_rate=0.5,
-                                                          regressor_factory=factory), 0.5)
+    # The repro of the divergence test above. Over two labels the root steps
+    # as a LinearRegressor stepped through the same targets does: the split
+    # steps it toward 1, then each example toward its side. Both refuse the
+    # same step and keep the same state.
+    tree, reg = CondProbTree(learning_rate=0.5), LinearRegressor(0.5)
     x = vec(("f", 30.0))
-    stopped = []
-    for tree in (inline, methods):
-        with pytest.raises(ValueError, match="regressor diverged: step .* is not finite"):
-            for i in range(200):
-                tree.learn(x, "AB"[i % 2])
-                for y in "AB":
-                    tree.predict(x, y)
-        stopped.append((i, tree.updates))
-    assert stopped[0] == stopped[1]
-    # A weight may have overflowed before the refused step, which no model
-    # file holds, so the states compare node by node.
-    assert _node_states(inline) == _node_states(methods)
+    diverged = "regressor diverged: step .* is not finite"
+    with pytest.raises(ValueError, match=diverged):
+        for i in range(200):
+            tree.learn(x, "AB"[i % 2])
+            for y in "AB":
+                tree.predict(x, y)
+    with pytest.raises(ValueError, match=diverged):
+        for j in range(1, 200):  # the first example makes the root a leaf
+            reg.update(x, float(j % 2))
+    assert i == j and tree.updates == i - 1
+    # A weight may have overflowed before the refused step, so the states
+    # compare by float.hex.
+    assert _node_states(tree)[tree.root][1:] == (
+        reg.bias.hex(), {k: w.hex() for k, w in reg.weights.items()})
     # A step that is not finite in the middle of y's path: the climb steps
     # from y's leaf up, so the node below has stepped, and the refused node
     # and the root above it are as they were.
     for scored in (False, True):
-        inline, methods = _twins(lambda factory: CondProbTree.balanced(
-            "abcdefgh", 0.5, regressor_factory=factory), 0.5)
+        tree = CondProbTree.balanced("abcdefgh", 0.5)
         x = vec(("f", 10.0))
-        for tree in (inline, methods):
-            _, (mid, _), (low, _) = tree.path_to("b")
-            # tree.nodes shows the inline node's weights read-only.
-            weights = tree._weights[mid] if tree is inline else tree.nodes[mid].reg.weights
-            weights[x.indices[0]] = 1e308  # raw(x) is inf
-            before = _node_states(tree)
-            if scored:
-                assert tree.score(x, "b") == 0.0
-            with pytest.raises(ValueError, match="regressor diverged: step -inf is not finite"):
-                tree.learn(x, "b")
-            after = _node_states(tree)
-            assert [i for i in range(len(after)) if after[i] != before[i]] == [low]
-            assert tree.updates == 0
-        assert _node_states(inline) == _node_states(methods)
+        _, (mid, _), (low, _) = tree.path_to("b")
+        tree._weights[mid][x.indices[0]] = 1e308  # raw(x) is inf
+        before = _node_states(tree)
+        if scored:
+            assert tree.score(x, "b") == 0.0
+        with pytest.raises(ValueError, match="regressor diverged: step -inf is not finite"):
+            tree.learn(x, "b")
+        after = _node_states(tree)
+        assert [i for i in range(len(after)) if after[i] != before[i]] == [low]
+        assert tree.updates == 0
 
 
 def _node_states(tree):
