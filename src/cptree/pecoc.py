@@ -127,11 +127,13 @@ class KWayTree:
     rows or, when one step is not finite, none of them.
     score, which is also predict, keeps a one-entry memo for the x object it
     last saw: for every node it has evaluated since the last learn, the raw
-    scores of x, their clipped values and the child estimates decoded from
-    them. learn is the only call that changes a regressor, and it clears the
-    memo. Scoring every label of one x so evaluates and clips each node and
-    decodes each child once, and learn(x, y) with the same x object steps
-    from the raw scores on y's path.
+    scores of x, their clipped values, the child estimates decoded from them
+    and the node's prefix product, the product of the estimates above it.
+    learn is the only call that changes a regressor, and it clears the memo.
+    Scoring every label of one x so evaluates and clips each node and decodes
+    each child once, a label whose parent node x has reached costs one lookup
+    and one multiplication, the one the walk would make, and learn(x, y) with
+    the same x object steps from the raw scores on y's path.
     Each code column a node decodes or steps with is built by doubling and
     kept as bytes, keyed by child digit, up to COLUMN_MEMO_BYTES per tree; past
     that a column is rebuilt on each use. A column depends only on k and the
@@ -159,7 +161,8 @@ class KWayTree:
         self._node_regs: dict[tuple[int, int], RegressorBlock] = {}
         self.updates = 0
         # (x, {(level, index): (raw scores of x, row values for decoding,
-        # {digit: child estimate})}) of score; learn clears it.
+        # {digit: child estimate}, product of the estimates above the
+        # node)}) of score; learn clears it.
         self._memo = None
         # {digit: code column of the digit, as bytes}; see _bits.
         self._columns: dict[int, bytes] = {}
@@ -237,6 +240,16 @@ class KWayTree:
         memo = self._memo
         if memo is None or memo[0] is not x:
             memo = self._memo = (x, {})
+        else:
+            # A label whose parent node this x has reached: one multiplication.
+            node = memo[1].get((self.depth - 1, slot // self.k))
+            if node is not None:
+                digit = slot % self.k
+                estimates = node[2]
+                p = estimates.get(digit)
+                if p is None:
+                    p = estimates[digit] = self._child_estimate(node[1], digit)
+                return node[3] * p
         nodes = memo[1]
         # The steps of _path(slot), walked inline.
         k = self.k
@@ -254,7 +267,7 @@ class KWayTree:
                 raws = regs.raws(x) if regs is not None else [0.0] * (k - 1)
                 # clip01 only out of range, where it also refuses a NaN.
                 rows = [1.0, *[r if 0.0 <= r <= 1.0 else clip01(r) for r in raws]]
-                node = nodes[key] = (raws, rows, {})
+                node = nodes[key] = (raws, rows, {}, q)
             estimates = node[2]
             p = estimates.get(digit)
             if p is None:

@@ -2,8 +2,8 @@
 on squared loss, alone or as a block of rows that share every input.
 
 A LinearRegressor has three calls: raw(x), the unclipped score;
-predict(x), equal to clip01(raw(x)); and update(x, target, raw=None), one
-step toward target, given raw(x) when the caller already has it.
+predict(x), equal to clip01(raw(x)); and update(x, target), one step toward
+target.
 OneAgainstAll holds LinearRegressors. A CondProbTree holds none: each
 internal node is a bias and a weight dict in the tree's lists, which its
 walks score and step with LinearRegressor's arithmetic, and leaves hold
@@ -79,20 +79,15 @@ class LinearRegressor:
     def predict(self, x: SparseVector) -> float:
         return clip01(self.raw(x))
 
-    def update(self, x: SparseVector, target: float, raw: float | None = None) -> None:
+    def update(self, x: SparseVector, target: float) -> None:
         """One gradient step toward target; target must be in [0, 1].
-
-        raw, when given, must be raw(x) as the regressor stands now; a caller
-        that has just scored x passes it to save recomputing it.
 
         Raises ValueError, leaving the regressor as it was, if the step is not
         finite: the learning rate is too large for the feature scale.
         """
         if not 0.0 <= target <= 1.0:
             raise ValueError(f"target must be in [0, 1], got {target}")
-        if raw is None:
-            raw = self.raw(x)
-        delta = self.learning_rate * (target - raw)
+        delta = self.learning_rate * (target - self.raw(x))
         if delta != 0.0:
             if not -math.inf < delta < math.inf:
                 raise ValueError(f"regressor diverged: step {delta} is not finite")

@@ -98,10 +98,9 @@ class RowList:
         return [row.raw(x) for row in self.rows]
 
     def update(self, x, targets, raws=None) -> None:
-        if raws is None:
-            raws = self.raws(x)
-        for row, target, raw in zip(self.rows, targets, raws, strict=True):
-            row.update(x, target, raw)
+        # Each row scores x itself: raws, when given, are those same scores.
+        for row, target in zip(self.rows, targets, strict=True):
+            row.update(x, target)
 
     def __iter__(self):
         return iter(self.rows)

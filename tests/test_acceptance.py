@@ -36,7 +36,7 @@ from cptree import (
     max_side_fraction,
     progressive_validate,
 )
-from cptree.synthetic import SyntheticTask, node_conditionals
+from cptree.synthetic import SyntheticTask, node_conditionals, node_regret, true_regret
 
 from _support import ACCEPTANCE_LINES, vec
 
@@ -74,6 +74,9 @@ PINNED_LINES = {
     "A11 policy ordering on a skewed task":
         "PASS online 0.4800 <= balanced 0.5396 <= random 0.5439 (mean over 10 seeds)",
     "A12 public-corpus reproduction": "SKIP optional; corpus not bundled in this environment",
+    "A13 depth-scaled regret bound on trained trees":
+        "PASS 0 violations required, got 0 of 120 checkpoints and 0 of 491520 (x, y) terms;"
+        " regret/bound median 0.0796, max 0.1037 in <n>s",
 }
 
 
@@ -530,3 +533,71 @@ def test_a12_external_corpus_reproduction():
         status="SKIP",
     )
     pytest.skip("optional criterion: external corpus not available offline")
+
+
+def _regret_and_bound(tree, task) -> tuple[float, float, int]:
+    """(true regret, its depth-scaled bound, violated terms) of a tree that
+    holds every label of task.
+
+    Weighting A01's pointwise form (Q - P)^2 <= d * sum over y's path of
+    (q_n - p_n)^2 by P(x, y) and summing gives true_regret(tree) <= d_max *
+    sum over nodes of mass_n * node_regret_n, where mass_n is node n's
+    context-weighted reach. Each (x, y) term is checked too, with d_max as
+    its d. On A11's trees the sum holds with about ten times to spare, so a
+    score that drops a path factor, or a bound without d_max, breaks terms
+    well before it breaks the sum.
+    """
+    reach, right = node_conditionals(tree, task)
+    d_max = tree.max_depth
+    regrets = node_regret(tree, task)
+    bound = d_max * sum(float(task.context_probs @ reach[n]) * regrets[n] for n in reach)
+    nodes = tree.nodes
+    estimates = {n: [nodes[n].reg.predict(x) for x in task.features] for n in reach}
+    paths = {y: [n for n, _ in tree.path_to(y)] for y in task.labels}
+    violations = 0
+    terms = 0.0  # the bound again, summed term by term
+    for c, x in enumerate(task.features):
+        for j, y in enumerate(task.labels):
+            p = float(task.conditional[c, j])
+            term = d_max * sum((estimates[n][c] - float(right[n][c])) ** 2 for n in paths[y])
+            violations += (tree.score(x, y) - p) ** 2 > term
+            terms += float(task.context_probs[c]) * p * term
+    assert math.isclose(terms, bound, rel_tol=1e-9), (terms, bound)
+    return true_regret(tree, task), bound, violations
+
+
+def test_a13_depth_scaled_regret_bound():
+    # A11's streams and policies, checked every 1,500 examples once every
+    # label has arrived: a label the tree has not seen scores 0, and the
+    # true conditionals at its nodes no longer multiply to P(y | x).
+    start = time.perf_counter()
+    checkpoints = violations = bad_terms = terms = 0
+    ratios = []  # regret / bound
+    for seed in range(10):
+        task = SyntheticTask.crossed(seed=seed)
+        examples = task.sample(6_000, seed=seed + 1_000)
+        runs = (
+            CondProbTree(alpha=0.75, learning_rate=0.2),
+            CondProbTree(alpha=1.0, learning_rate=0.2),
+            CondProbTree(alpha=0.5, learning_rate=0.2, policy="random", seed=seed),
+        )
+        for est in runs:
+            for n, example in enumerate(examples, 1):
+                est.learn(example.x, example.y)
+                if n % 1_500 == 0 and est.n_labels == task.label_count:
+                    regret, bound, bad = _regret_and_bound(est, task)
+                    checkpoints += 1
+                    violations += regret > bound
+                    bad_terms += bad
+                    terms += task.context_count * task.label_count
+                    ratios.append(regret / bound)
+    ok = violations == bad_terms == 0 and checkpoints == 120
+    banner(
+        "A13 depth-scaled regret bound on trained trees",
+        ok,
+        f"0 violations required, got {violations} of {checkpoints} checkpoints"
+        f" and {bad_terms} of {terms} (x, y) terms; regret/bound median"
+        f" {np.median(ratios):.4f}, max {max(ratios):.4f} in {time.perf_counter() - start:.1f}s",
+    )
+    assert violations == bad_terms == 0
+    assert checkpoints == 120  # every label arrives before the first checkpoint

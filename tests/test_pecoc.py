@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptree import (
     CondProbTree,
@@ -16,12 +18,21 @@ from cptree import (
     decode_probability,
     hadamard_code,
     loss_multiplier,
+    pecoc,
     save_model,
 )
 from cptree.features import clip01
 from cptree.pecoc import COLUMN_MEMO_BYTES, MAX_CODE_EXPONENT, code_column
+from cptree.regressor import RegressorBlock
 
-from _support import ConstantRegressor, ContextRegressor, install_rows, tiny_task, vec
+from _support import (
+    ConstantRegressor,
+    ContextRegressor,
+    count_calls,
+    install_rows,
+    tiny_task,
+    vec,
+)
 
 
 # --- code construction -------------------------------------------------------
@@ -475,6 +486,135 @@ def test_score_calls_clip01_only_to_decode_when_rows_are_in_range(k, monkeypatch
     calls[0] = 0
     tree.score(vec(("a", 1.0)), "L27")
     assert calls[0] == decodes + 1
+
+
+def _trained(k, task, examples=240):
+    """A KWayTree at fan-out k (a PecocModel for None) over task's labels
+    and 16 more that never train, so that some nodes hold no block, trained
+    on task's stream."""
+    labels = [*task.labels, *(f"untrained{j}" for j in range(16))]
+    est = PecocModel(labels) if k is None else KWayTree(labels, k)
+    for example in task.sample(examples, seed=41):
+        est.learn(example.x, example.y)
+    return est
+
+
+@pytest.mark.parametrize("k", [4, 16, None])
+def test_kway_scoring_makes_one_block_evaluation_per_node_and_one_decode_per_child(
+        k, monkeypatch):
+    # Exact counts: a node's raws once per x object, a (node, child) decode
+    # once per x object, and for a label under a parent node that x has
+    # reached, no raws and at most one decode.
+    task = tiny_task(contexts=6, labels=24, seed=40)
+    est = _trained(k, task)
+    assert est.k > 2  # every estimate is decoded
+    evaluations = count_calls(monkeypatch, RegressorBlock, "raws")
+    decodes = count_calls(monkeypatch, pecoc, "decode_probability")
+    paths = {y: est._path(slot) for y, slot in est.label_map.items()}
+    nodes = {step[:2] for path in paths.values() for step in path}
+    has_block = nodes & est._node_regs.keys()
+    assert k is None or has_block < nodes  # some nodes on the paths hold no block
+
+    def counted(x, y):
+        before = evaluations[0], decodes[0]
+        est.score(x, y)
+        return evaluations[0] - before[0], decodes[0] - before[1]
+
+    # A new x object: the whole path.
+    for y, path in paths.items():
+        blocks = sum((level, index) in has_block for level, index, _ in path)
+        assert counted(dataclasses.replace(task.features[0]), y) == (blocks, len(path)), y
+
+    # A score-all, in label order and in a shuffled order.
+    orders = [list(paths), random.Random(7).sample(list(paths), len(paths))]
+    for x, order in zip(task.features[1:3], orders):
+        evaluations[0] = decodes[0] = 0
+        reached, decoded = set(), set()
+        for y in order:
+            *_, (level, index, digit) = paths[y]
+            if (level, index) in reached:
+                # The parent node is in the memo: at most its child's decode.
+                assert counted(x, y) == (0, int((level, index, digit) not in decoded)), y
+            else:
+                est.score(x, y)
+            reached.update(step[:2] for step in paths[y])
+            decoded.update(paths[y])
+        assert evaluations[0] == len({node for node in reached if node in has_block})
+        assert decodes[0] == len(decoded)
+        # Every label again: nothing left to evaluate or decode.
+        assert [counted(x, y) for y in order] == [(0, 0)] * len(order)
+
+
+def _reference_score(est, x, y) -> float:
+    """est's score of (x, y) with no memo: the product, root first, of each
+    level's clipped decode from the node's clipped raw scores. At k = 2 the
+    decode's exact value is the one row or its complement, which score
+    returns; the float decode would round it."""
+    slot = est.label_map.get(y)
+    if slot is None:
+        return 0.0
+    q = 1.0
+    for level, index, digit in est._path(slot):
+        key = (level, index)
+        raws = est.regressors_at(*key).raws(x) if key in est._node_regs else [0.0] * (est.k - 1)
+        rows = [1.0, *map(clip01, raws)]
+        column = est._column(digit)
+        if est.k == 2:
+            p = rows[1] if column == 0 else 1.0 - rows[1]
+        else:
+            p = clip01(decode_probability(code_column(est.k, column), rows))
+        q *= p
+    return q
+
+
+OPS = st.lists(
+    st.tuples(st.sampled_from(["all", "one", "learn"]), st.integers(0, 5), st.integers(0, 2**16)),
+    min_size=1, max_size=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.sampled_from([2, 4, 16, None]), ops=OPS)
+def test_kway_memo_scores_equal_the_memo_free_product(tmp_path_factory, k, ops):
+    # Score-alls of one x object in a drawn order, with a score on another
+    # x object at a drawn point of each; scores on other x objects between
+    # them; and learns, each followed by the last score-all again. Every
+    # score equals the memo-free product bit for bit, and a twin that only
+    # learns ends with the same model bytes.
+    task = tiny_task(contexts=6, labels=24, seed=40)
+    est, twin = _trained(k, task, 120), _trained(k, task, 120)
+    labels = [*est.label_map, "never-seen"]
+    xs = task.features
+    last = None  # the last score-all: (x object, order, interrupt)
+
+    def score_all(x, order, interrupt, other):
+        for j, y in enumerate(order):
+            if j == interrupt:
+                copy = dataclasses.replace(other)
+                assert est.score(copy, y).hex() == _reference_score(est, copy, y).hex()
+            assert est.score(x, y).hex() == _reference_score(est, x, y).hex(), (j, y)
+
+    for op, c, n in ops:
+        rng = random.Random(n)
+        if op == "all":
+            last = xs[c], rng.sample(labels, len(labels)), rng.randrange(len(labels) + 1)
+            score_all(*last, xs[(c + 1) % len(xs)])
+        elif op == "one":
+            copy = dataclasses.replace(xs[c])
+            y = rng.choice(labels)
+            assert est.score(copy, y).hex() == _reference_score(est, copy, y).hex()
+        else:
+            if last is None:
+                last = xs[c], labels, len(labels)
+            y = task.labels[n % len(task.labels)]
+            est.learn(last[0], y)
+            twin.learn(dataclasses.replace(last[0]), y)
+            score_all(*last, xs[(c + 1) % len(xs)])
+    mode, config = ("pecoc", ModelConfig()) if k is None else ("kway", ModelConfig(k=k))
+    directory = tmp_path_factory.mktemp("kway")
+    save_model(directory / "scored.bin", mode, config, est)
+    save_model(directory / "twin.bin", mode, config, twin)
+    assert (directory / "scored.bin").read_bytes() == (directory / "twin.bin").read_bytes()
 
 
 def test_kway_unknown_label_scores_zero_and_capacity_is_enforced():
